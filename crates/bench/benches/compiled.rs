@@ -80,13 +80,13 @@ fn bench_compiled_ensemble(c: &mut Criterion) {
 
     let mut scratch = Vec::new();
     group.bench_function("140_submodels_row_prob_interpreted", |b| {
-        b.iter(|| model.score_with(&row, ScoreMethod::AvgProbability, None, &mut scratch))
+        b.iter(|| model.score_with(&row, ScoreMethod::AvgProbability, &mut scratch))
     });
     group.bench_function("140_submodels_row_prob_compiled", |b| {
         b.iter(|| engine.score_row(&row, CompiledMethod::AvgProbability, &mut scratch))
     });
     group.bench_function("140_submodels_row_match_interpreted", |b| {
-        b.iter(|| model.score_with(&row, ScoreMethod::MatchCount, None, &mut scratch))
+        b.iter(|| model.score_with(&row, ScoreMethod::MatchCount, &mut scratch))
     });
     group.bench_function("140_submodels_row_match_compiled", |b| {
         b.iter(|| engine.score_row(&row, CompiledMethod::MatchCount, &mut scratch))

@@ -1,9 +1,8 @@
 //! Criterion macro-benchmarks: simulator event throughput and feature
 //! extraction over realistic scenarios, plus the scale axis — 100, 500,
-//! and 1000-node worlds at the paper's node density, with the
-//! spatial-grid propagation path benched against the brute-force
-//! all-nodes scan. Each scale leg prints its measured events/s before
-//! criterion's timing output (the numbers EXPERIMENTS.md records).
+//! and 1000-node worlds at the paper's node density. Each scale leg
+//! prints its measured events/s before criterion's timing output (the
+//! numbers EXPERIMENTS.md records).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use manet_cfa::features::FeatureExtractor;
@@ -43,13 +42,12 @@ fn bench_simulation(c: &mut Criterion) {
 }
 
 /// A scale-axis config at the paper's density (20 000 m² per node).
-fn scale_cfg(n: u16, grid: bool, secs: f64) -> SimConfig {
+fn scale_cfg(n: u16, secs: f64) -> SimConfig {
     let side = (f64::from(n) * 20_000.0).sqrt();
     SimConfig::builder()
         .nodes(n)
         .field(side, side)
         .duration_secs(secs)
-        .neighbor_grid(grid)
         .seed(5)
         .build()
 }
@@ -58,7 +56,7 @@ fn bench_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulation_scale_axis");
     group.sample_size(10);
     // CFA_SCALE_MEASURE_ONLY=1 stops after the single measured run per
-    // leg — the events/s table costs six simulations instead of sixty
+    // leg — the events/s table costs three simulations instead of thirty
     // (the in-tree criterion harness has no benchmark filtering).
     let measure_only = std::env::var_os("CFA_SCALE_MEASURE_ONLY").is_some();
     let secs = 20.0;
@@ -70,32 +68,29 @@ fn bench_scale(c: &mut Criterion) {
             SimTime::from_secs(secs),
             5,
         );
-        for grid in [true, false] {
-            let path = if grid { "grid" } else { "brute" };
-            // One measured warm-up run: criterion times wall clock per
-            // iteration, this prints the events/s the table records.
-            let started = std::time::Instant::now();
-            let mut sim = Simulator::new(scale_cfg(n, grid, secs), |_| AodvAgent::new());
-            pattern.install(&mut sim);
-            sim.run();
-            let elapsed = started.elapsed().as_secs_f64();
-            let events = sim.events_processed();
-            println!(
-                "scale {n} nodes / {path}: {events} events in {elapsed:.2} s = {:.0} events/s",
-                events as f64 / elapsed
-            );
-            if measure_only {
-                continue;
-            }
-            group.bench_function(format!("aodv_{n}nodes_{path}"), |b| {
-                b.iter(|| {
-                    let mut sim = Simulator::new(scale_cfg(n, grid, secs), |_| AodvAgent::new());
-                    pattern.install(&mut sim);
-                    sim.run();
-                    sim.events_processed()
-                })
-            });
+        // One measured warm-up run: criterion times wall clock per
+        // iteration, this prints the events/s the table records.
+        let started = std::time::Instant::now();
+        let mut sim = Simulator::new(scale_cfg(n, secs), |_| AodvAgent::new());
+        pattern.install(&mut sim);
+        sim.run();
+        let elapsed = started.elapsed().as_secs_f64();
+        let events = sim.events_processed();
+        println!(
+            "scale {n} nodes: {events} events in {elapsed:.2} s = {:.0} events/s",
+            events as f64 / elapsed
+        );
+        if measure_only {
+            continue;
         }
+        group.bench_function(format!("aodv_{n}nodes"), |b| {
+            b.iter(|| {
+                let mut sim = Simulator::new(scale_cfg(n, secs), |_| AodvAgent::new());
+                pattern.install(&mut sim);
+                sim.run();
+                sim.events_processed()
+            })
+        });
     }
     group.finish();
 }

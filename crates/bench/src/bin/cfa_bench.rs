@@ -56,7 +56,6 @@ OPTIONS (fleet):
     --threads N             worker threads              [default: CFA_THREADS/auto]
     --attack blackhole|storm|none
                             attack at 40% of the run    [default: none]
-    --no-grid               use the brute-force neighbor scan
     --out DIR               output directory (required)
 ";
 
@@ -120,7 +119,6 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
     let mut vantages = vec![NodeId(0)];
     let mut threads = Parallelism::from_env().n_threads();
     let mut attack = "none".to_string();
-    let mut grid = true;
     let mut out: Option<PathBuf> = None;
 
     let mut it = args.iter();
@@ -174,7 +172,6 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
                 threads = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
             }
             "--attack" => attack = next("an attack kind")?.clone(),
-            "--no-grid" => grid = false,
             "--out" => out = Some(PathBuf::from(next("a directory")?)),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -193,7 +190,6 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
     if let Some(c) = connections {
         base = base.with_connections(c);
     }
-    base = base.with_neighbor_grid(grid);
     match attack.as_str() {
         "none" => {}
         "blackhole" => base = base.with_attack(Attack::blackhole_at(&[duration * 0.4])),
@@ -238,7 +234,7 @@ fn fleet(args: &[String]) -> ExitCode {
     }
     let base = &parsed.spec.base;
     println!(
-        "fleet: {} {} — {} nodes on {:.0}x{:.0} m, {} s, {} seeds x {} vantages, {} threads, grid {}",
+        "fleet: {} {} — {} nodes on {:.0}x{:.0} m, {} s, {} seeds x {} vantages, {} threads",
         base.protocol.name(),
         base.transport.name(),
         base.n_nodes,
@@ -248,7 +244,6 @@ fn fleet(args: &[String]) -> ExitCode {
         parsed.spec.seeds.len(),
         parsed.spec.vantages.len(),
         parsed.threads,
-        if base.neighbor_grid { "on" } else { "off" },
     );
     let started = std::time::Instant::now();
     let result = run_fleet(&parsed.spec);

@@ -158,7 +158,7 @@ impl<M: Classifier> AnomalyDetector<M> {
     pub fn score_with(&self, row: &[u8], scratch: &mut Vec<f64>) -> f64 {
         match &self.compiled {
             Some(engine) => engine.score_row(row, self.method.into(), scratch),
-            None => self.model.score_with(row, self.method, None, scratch),
+            None => self.model.score_with(row, self.method, scratch),
         }
     }
 
@@ -180,7 +180,7 @@ impl<M: Classifier> AnomalyDetector<M> {
                 assert_eq!(rows.len() % width, 0, "packed rows width mismatch");
                 out.clear();
                 for row in rows.chunks_exact(width) {
-                    out.push(self.model.score_with(row, self.method, None, scratch));
+                    out.push(self.model.score_with(row, self.method, scratch));
                 }
             }
         }

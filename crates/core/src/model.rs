@@ -118,47 +118,38 @@ impl<M: Classifier> CrossFeatureModel<M> {
     ///
     /// Panics if `row.len() != self.n_features()`.
     pub fn score(&self, row: &[u8], method: ScoreMethod) -> f64 {
-        self.score_subset(row, method, None)
-    }
-
-    /// Scores using only the sub-models listed in `subset` (all when
-    /// `None`) — supports the paper's future-work question of how few
-    /// sub-models suffice.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch, an empty subset, or out-of-range indices.
-    pub fn score_subset(&self, row: &[u8], method: ScoreMethod, subset: Option<&[usize]>) -> f64 {
         // One-shot convenience entry: allocates its own scratch. Repeated
         // scorers (the online monitor, the batch matrix scorers) pass a
         // reused buffer through `score_with` instead.
         // audit: allow(D008, reason = "one-shot convenience wrapper; hot callers reuse a buffer via score_with")
         let mut scratch = Vec::new();
-        self.score_with(row, method, subset, &mut scratch)
+        self.score_with(row, method, &mut scratch)
     }
 
-    /// [`score_subset`](CrossFeatureModel::score_subset) with a
-    /// caller-owned class-probability buffer, keeping repeated scoring
-    /// allocation-free (`scratch` is cleared and reused internally).
+    /// [`score`](CrossFeatureModel::score) with a caller-owned
+    /// class-probability buffer, keeping repeated scoring allocation-free
+    /// (`scratch` is cleared and reused internally).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.n_features()`.
+    pub fn score_with(&self, row: &[u8], method: ScoreMethod, scratch: &mut Vec<f64>) -> f64 {
+        assert_eq!(row.len(), self.n_features, "event width mismatch");
+        self.score_all(row, method, scratch)
+    }
+
+    /// Scores using only the sub-models listed in `subset` — supports the
+    /// paper's future-work question of how few sub-models suffice.
     ///
     /// # Panics
     ///
     /// Panics on length mismatch, an empty subset, or out-of-range indices.
-    pub fn score_with(
-        &self,
-        row: &[u8],
-        method: ScoreMethod,
-        subset: Option<&[usize]>,
-        scratch: &mut Vec<f64>,
-    ) -> f64 {
+    pub fn score_subset(&self, row: &[u8], method: ScoreMethod, subset: &[usize]) -> f64 {
         assert_eq!(row.len(), self.n_features, "event width mismatch");
-        match subset {
-            Some(s) => {
-                assert!(!s.is_empty(), "sub-model subset must be non-empty");
-                self.score_indices(row, method, s, scratch)
-            }
-            None => self.score_all(row, method, scratch),
-        }
+        assert!(!subset.is_empty(), "sub-model subset must be non-empty");
+        // audit: allow(D008, reason = "one-shot convenience wrapper for subset studies; batch callers use scores_subset_with")
+        let mut scratch = Vec::new();
+        self.score_indices(row, method, subset, &mut scratch)
     }
 
     /// Scores `row` against every sub-model, reusing `scratch` for class
@@ -352,7 +343,7 @@ mod tests {
             Parallelism::threads(3),
         );
         for (r, &s) in batch.iter().enumerate() {
-            let single = m.score_subset(&t.row_vec(r), ScoreMethod::AvgProbability, Some(&subset));
+            let single = m.score_subset(&t.row_vec(r), ScoreMethod::AvgProbability, &subset);
             assert_eq!(s, single, "row {r}");
         }
     }
@@ -370,7 +361,7 @@ mod tests {
         let t = correlated_normal();
         let m = CrossFeatureModel::train(&C45::default(), &t);
         // Only the noise sub-model: the a/b violation becomes invisible.
-        let s = m.score_subset(&[1, 0, 2], ScoreMethod::MatchCount, Some(&[2]));
+        let s = m.score_subset(&[1, 0, 2], ScoreMethod::MatchCount, &[2]);
         let full = m.score(&[1, 0, 2], ScoreMethod::MatchCount);
         assert!(s >= full, "hiding the correlated models can only help");
     }

@@ -187,9 +187,8 @@ mod tests {
         let model = CrossFeatureModel::train(&NaiveBayes::default(), &t);
         let stats = submodel_predictability(&model, &t);
         let subset = select_informative(&stats, 2);
-        let normal = model.score_subset(&[1, 1, 0, 0], ScoreMethod::AvgProbability, Some(&subset));
-        let abnormal =
-            model.score_subset(&[1, 0, 0, 0], ScoreMethod::AvgProbability, Some(&subset));
+        let normal = model.score_subset(&[1, 1, 0, 0], ScoreMethod::AvgProbability, &subset);
+        let abnormal = model.score_subset(&[1, 0, 0, 0], ScoreMethod::AvgProbability, &subset);
         assert!(
             normal > abnormal + 0.2,
             "2-model ensemble separates: {normal:.3} vs {abnormal:.3}"

@@ -1,8 +1,8 @@
 //! `cfa-serve bench`: a deterministic load generator for a running
 //! server, reporting throughput and latency percentiles, with an optional
-//! bitwise verification of every served score against in-process scoring
-//! and an optional pool of live alarm subscribers riding alongside the
-//! scoring connections (mixed score + subscribe load).
+//! bitwise verification of every served score against the interpreted
+//! in-process walk and an optional pool of live alarm subscribers riding
+//! alongside the scoring connections (mixed score + subscribe load).
 //!
 //! Row payloads come from a seeded xorshift generator, so two bench runs
 //! with the same seed send byte-identical requests; only the timing is
@@ -11,7 +11,6 @@
 
 use crate::client::{Client, ClientError};
 use crate::protocol::{StatsFrame, DEFAULT_MODEL};
-use crate::server::Engine;
 use crate::train::load_artifact;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,12 +32,10 @@ pub struct BenchConfig {
     pub connections: usize,
     /// Seed for the synthetic row generator.
     pub seed: u64,
-    /// Re-score every row in-process and count bitwise mismatches.
+    /// Re-score every row in-process with the uncompiled artifact (the
+    /// interpreted walk, independent of the server's compiled engine)
+    /// and count bitwise mismatches.
     pub verify: bool,
-    /// Execution engine the in-process reference scores with (the served
-    /// engine is whatever the server was started with; both produce the
-    /// same bits, which is exactly what `verify` checks).
-    pub engine: Engine,
     /// Dedicated connections subscribed to the scored model's alarm
     /// stream for the duration of the run (mixed score + subscribe load).
     pub subscribers: usize,
@@ -57,7 +54,6 @@ impl Default for BenchConfig {
             connections: 4,
             seed: 1,
             verify: false,
-            engine: Engine::Compiled,
             subscribers: 0,
             score_as: None,
         }
@@ -85,8 +81,6 @@ pub struct BenchReport {
     /// (always 0 unless the server or artifact is broken; only counted
     /// with `verify`).
     pub mismatches: usize,
-    /// Which engine the in-process reference ran.
-    pub engine: Engine,
     /// Alarm event frames received across all subscriber connections.
     pub alarm_frames: u64,
     /// Whether every subscriber saw strictly increasing sequence numbers
@@ -202,12 +196,10 @@ fn subscriber_loop(addr: &str, model: &str, stop: &AtomicBool) -> SubOutcome {
 /// no connection can be established at all; per-request failures are
 /// counted in the report instead.
 pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
-    let mut trained = load_artifact(&cfg.model)?;
-    if cfg.engine == Engine::Compiled {
-        // The in-process verification reference exercises the same
-        // load -> compile -> score path the server takes.
-        trained.compile();
-    }
+    // Left uncompiled: the verification reference is the interpreted
+    // walk, so every served (compiled) score is checked against an
+    // independent execution of the same artifact.
+    let trained = load_artifact(&cfg.model)?;
     let n_cols = trained.discretizer().cards().len();
     let disc = trained.discretizer();
     let detector = trained.detector();
@@ -344,7 +336,6 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
         },
         protocol_errors: errors,
         mismatches,
-        engine: cfg.engine,
         alarm_frames: subs.iter().map(|s| s.frames).sum(),
         alarms_in_order: subs.iter().all(|s| s.in_order),
         server,

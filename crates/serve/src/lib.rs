@@ -37,4 +37,4 @@ pub mod train;
 pub use client::{Client, ClientError, ModelInfo, ScoredRow};
 pub use protocol::{AlarmEvent, StatsFrame};
 pub use registry::{ModelEntry, Registry};
-pub use server::{Engine, ServeStats, Server, ServerConfig};
+pub use server::{ServeStats, Server, ServerConfig};

@@ -18,12 +18,10 @@ const USAGE: &str = "usage:
                   [--duration SECS] [--seed N] [--classifier c45|ripper|nbc]
                   [--method match|prob]
   cfa-serve serve --model model.cfam [--addr 127.0.0.1:7878] [--workers N]
-                  [--queue N] [--timeout-secs N] [--max-conns N]
-                  [--sub-outbox-kib N] [--engine interpreted|compiled]
+                  [--queue N] [--max-conns N] [--sub-outbox-kib N]
   cfa-serve bench --model model.cfam [--addr 127.0.0.1:7878] [--requests N]
                   [--batch N] [--connections N] [--seed N] [--verify]
                   [--subscribers N] [--score-as NAME]
-                  [--engine interpreted|compiled]
   cfa-serve load --model model.cfam --name NAME [--addr 127.0.0.1:7878]
   cfa-serve unload --name NAME [--addr 127.0.0.1:7878]
   cfa-serve list [--addr 127.0.0.1:7878]
@@ -33,22 +31,60 @@ const USAGE: &str = "usage:
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.split_first() {
-        Some((cmd, rest)) if cmd == "train" => cmd_train(rest),
-        Some((cmd, rest)) if cmd == "serve" => cmd_serve(rest),
-        Some((cmd, rest)) if cmd == "bench" => cmd_bench(rest),
-        Some((cmd, rest)) if cmd == "load" => cmd_load(rest),
-        Some((cmd, rest)) if cmd == "unload" => cmd_unload(rest),
-        Some((cmd, rest)) if cmd == "list" => cmd_list(rest),
-        Some((cmd, rest)) if cmd == "stats" => cmd_stats(rest),
-        Some((cmd, rest)) if cmd == "subscribe" => cmd_subscribe(rest),
-        Some((cmd, rest)) if cmd == "stop" => cmd_stop(rest),
+    let (cmd, rest) = args
+        .split_first()
+        .map_or(("", &[][..]), |(cmd, rest)| (cmd.as_str(), rest));
+    if let Some(flag) = accepted_flags(cmd).and_then(|flags| unknown_flag(rest, flags)) {
+        eprintln!("cfa-serve {cmd}: unknown flag `{flag}`\n{USAGE}");
+        std::process::exit(2);
+    }
+    let code = match cmd {
+        "train" => cmd_train(rest),
+        "serve" => cmd_serve(rest),
+        "bench" => cmd_bench(rest),
+        "load" => cmd_load(rest),
+        "unload" => cmd_unload(rest),
+        "list" => cmd_list(rest),
+        "stats" => cmd_stats(rest),
+        "subscribe" => cmd_subscribe(rest),
+        "stop" => cmd_stop(rest),
         _ => {
             eprintln!("{USAGE}");
             2
         }
     };
     std::process::exit(code);
+}
+
+/// Every flag `verb` accepts, space-separated (`None` for an unknown verb).
+fn accepted_flags(verb: &str) -> Option<&'static str> {
+    Some(match verb {
+        "train" => "--out --protocol --nodes --duration --seed --classifier --method",
+        "serve" => "--model --addr --workers --queue --max-conns --sub-outbox-kib",
+        "bench" => "--model --addr --requests --batch --connections --seed --verify --subscribers --score-as",
+        "load" => "--model --name --addr",
+        "unload" => "--name --addr",
+        "subscribe" => "--name --count --addr",
+        "list" | "stats" | "stop" => "--addr",
+        _ => return None,
+    })
+}
+
+/// The first argument that is not one of `flags` (skipping each flag's
+/// value), so a misspelt or retired flag fails loudly instead of being
+/// ignored.
+fn unknown_flag<'a>(args: &'a [String], flags: &str) -> Option<&'a str> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !flags.split(' ').any(|f| f == arg) {
+            return Some(arg);
+        }
+        // `--verify` is the only flag without a value.
+        if arg != "--verify" {
+            rest.next();
+        }
+    }
+    None
 }
 
 /// Pulls the value following a `--flag`, parsed, or the default.
@@ -155,16 +191,12 @@ fn cmd_serve(args: &[String]) -> i32 {
     };
     let parsed = (|| -> Result<(String, ServerConfig), String> {
         let d = ServerConfig::default();
-        let timeout = flag_value(args, "--timeout-secs", 5u64)?;
         let outbox_kib: usize = flag_value(args, "--sub-outbox-kib", d.sub_outbox_cap >> 10)?;
         Ok((
             addr_flag(args)?,
             ServerConfig {
                 workers: flag_value(args, "--workers", d.workers)?,
                 queue_cap: flag_value(args, "--queue", d.queue_cap)?,
-                read_timeout: Duration::from_secs(timeout),
-                write_timeout: Duration::from_secs(timeout),
-                engine: flag_value(args, "--engine", d.engine)?,
                 max_conns: flag_value(args, "--max-conns", d.max_conns)?,
                 sub_outbox_cap: outbox_kib << 10,
             },
@@ -228,7 +260,6 @@ fn cmd_bench(args: &[String]) -> i32 {
             connections: flag_value(args, "--connections", d.connections)?,
             seed: flag_value(args, "--seed", d.seed)?,
             verify: flag_present(args, "--verify"),
-            engine: flag_value(args, "--engine", d.engine)?,
             subscribers: flag_value(args, "--subscribers", d.subscribers)?,
             score_as: (!score_as.is_empty()).then_some(score_as),
         })
@@ -243,13 +274,12 @@ fn cmd_bench(args: &[String]) -> i32 {
     match run_bench(&cfg) {
         Ok(r) => {
             println!(
-                "{} requests ok ({} rows) in {:.3} s — {:.0} req/s, {:.0} rows/s [{} engine]",
+                "{} requests ok ({} rows) in {:.3} s — {:.0} req/s, {:.0} rows/s",
                 r.requests_ok,
                 r.rows,
                 r.elapsed.as_secs_f64(),
                 r.throughput_rps,
-                r.rows_per_sec,
-                r.engine.name()
+                r.rows_per_sec
             );
             println!(
                 "latency µs: p50 {} / p90 {} / p99 {} / max {}",

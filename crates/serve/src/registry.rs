@@ -3,9 +3,9 @@
 //! A fleet deployment serves one model per protocol/region/tenant and
 //! retrains as traffic drifts, so the server keeps a name → model map
 //! instead of a single baked-in artifact. Each value is an
-//! `Arc<ModelEntry>` holding the fitted discretizer and the (optionally
-//! compiled) detector; `LOAD` of an existing name builds the replacement
-//! entry completely *outside* the map lock, then swaps the `Arc` in one
+//! `Arc<ModelEntry>` holding the fitted discretizer and the compiled
+//! detector; `LOAD` of an existing name builds the replacement entry
+//! completely *outside* the map lock, then swaps the `Arc` in one
 //! `BTreeMap::insert` under it.
 //!
 //! That swap is the whole atomicity story: a scoring job captures its
@@ -21,7 +21,7 @@
 //! compilation, or any socket I/O.
 
 use crate::protocol::{put_name, put_u32, put_u64, valid_name};
-use crate::server::Engine;
+use crate::server::lock;
 use cfa_core::{AnomalyDetector, ModelArtifact};
 use cfa_ml::AnyModel;
 use manet_features::EqualFrequencyDiscretizer;
@@ -40,8 +40,7 @@ pub struct ModelEntry {
     pub name: String,
     /// The fitted equal-frequency discretizer (continuous row → buckets).
     pub disc: EqualFrequencyDiscretizer,
-    /// The trained detector, compiled iff the server engine is
-    /// [`Engine::Compiled`].
+    /// The trained detector, compiled at insert.
     pub detector: AnomalyDetector<AnyModel>,
     /// Row width the model scores.
     pub n_features: usize,
@@ -62,24 +61,16 @@ pub enum RegistryError {
 /// The name → model map, shared by the reactor (LOAD/UNLOAD/LIST/lookup)
 /// and nothing else long-lived — workers hold `Arc<ModelEntry>`s, not
 /// the registry.
+#[derive(Default)]
 pub struct Registry {
-    engine: Engine,
     models: Mutex<BTreeMap<String, Arc<ModelEntry>>>,
 }
 
 impl Registry {
-    /// An empty registry whose entries will score with `engine`.
-    pub fn new(engine: Engine) -> Registry {
-        Registry {
-            engine,
-            models: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Registers `artifact` under `name`, compiling it per the server
-    /// engine, and atomically replacing any previous entry. The decode
-    /// and compile run before the map lock is taken; the lock covers
-    /// only the generation read and the `insert`.
+    /// Registers `artifact` under `name`, compiling its ensemble, and
+    /// atomically replacing any previous entry. The decode and compile
+    /// run before the map lock is taken; the lock covers only the
+    /// generation read and the `insert`.
     ///
     /// # Errors
     ///
@@ -96,9 +87,7 @@ impl Registry {
         }
         let n_features = artifact.discretizer.cards().len();
         let mut detector = artifact.detector;
-        if self.engine == Engine::Compiled {
-            detector.compile();
-        }
+        detector.compile();
         let mut entry = ModelEntry {
             name: name.to_string(),
             disc: artifact.discretizer,
@@ -158,15 +147,6 @@ impl Registry {
     }
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    // A poisoned map only means a thread panicked while holding the
-    // guard; the BTreeMap itself is still structurally valid.
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,14 +189,21 @@ mod tests {
         }
     }
 
+    /// Inserts and checks the entry came out compiled: every `LOAD`
+    /// compiles, so no insert may leave an interpreted entry behind.
+    fn insert(reg: &Registry, name: &str, threshold: f64) -> Arc<ModelEntry> {
+        let entry = reg.insert_artifact(name, tiny_artifact(threshold)).unwrap();
+        assert!(entry.detector.is_compiled());
+        entry
+    }
+
     #[test]
     fn insert_get_remove_lifecycle() {
-        let reg = Registry::new(Engine::Compiled);
+        let reg = Registry::default();
         assert!(reg.is_empty());
-        let entry = reg.insert_artifact("alpha", tiny_artifact(0.25)).unwrap();
+        let entry = insert(&reg, "alpha", 0.25);
         assert_eq!(entry.generation, 1);
         assert_eq!(entry.n_features, 3);
-        assert!(entry.detector.is_compiled());
         assert!(reg.get("alpha").is_some());
         assert!(reg.get("beta").is_none());
         assert!(reg.remove("alpha"));
@@ -225,10 +212,10 @@ mod tests {
 
     #[test]
     fn swap_bumps_generation_and_replaces_atomically() {
-        let reg = Registry::new(Engine::Interpreted);
-        reg.insert_artifact("m", tiny_artifact(0.25)).unwrap();
+        let reg = Registry::default();
+        insert(&reg, "m", 0.25);
         let held = reg.get("m").unwrap();
-        let swapped = reg.insert_artifact("m", tiny_artifact(0.75)).unwrap();
+        let swapped = insert(&reg, "m", 0.75);
         assert_eq!(swapped.generation, 2);
         // The held Arc still scores the old generation.
         assert_eq!(held.detector.threshold().to_bits(), 0.25f64.to_bits());
@@ -240,33 +227,27 @@ mod tests {
 
     #[test]
     fn bad_names_and_overflow_are_typed() {
-        let reg = Registry::new(Engine::Compiled);
+        let reg = Registry::default();
         assert!(matches!(
             reg.insert_artifact("not ok", tiny_artifact(0.25)),
             Err(RegistryError::BadName)
         ));
         for i in 0..MAX_MODELS {
-            reg.insert_artifact(&format!("m{i}"), tiny_artifact(0.25))
-                .unwrap();
+            insert(&reg, &format!("m{i}"), 0.25);
         }
         assert!(matches!(
             reg.insert_artifact("one-too-many", tiny_artifact(0.25)),
             Err(RegistryError::Full)
         ));
         // Swapping an existing name still works at the cap.
-        assert_eq!(
-            reg.insert_artifact("m0", tiny_artifact(0.5))
-                .unwrap()
-                .generation,
-            2
-        );
+        assert_eq!(insert(&reg, "m0", 0.5).generation, 2);
     }
 
     #[test]
     fn list_body_is_sorted_and_decodable() {
-        let reg = Registry::new(Engine::Compiled);
-        reg.insert_artifact("zeta", tiny_artifact(0.25)).unwrap();
-        reg.insert_artifact("alpha", tiny_artifact(0.25)).unwrap();
+        let reg = Registry::default();
+        insert(&reg, "zeta", 0.25);
+        insert(&reg, "alpha", 0.25);
         let mut body = Vec::new();
         reg.list_into(&mut body);
         assert_eq!(crate::protocol::u32_le(&body), Some(2));

@@ -33,42 +33,6 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
-
-/// Which execution form workers score with. Scores are bit-identical
-/// either way; [`Engine::Compiled`] is the fast default, `Interpreted`
-/// exists so the before/after is reproducible from the CLI.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// Walk the trained models as stored (pointer-chasing form).
-    Interpreted,
-    /// Lower the ensemble once at artifact load and score batches in
-    /// structure-of-arrays order.
-    #[default]
-    Compiled,
-}
-
-impl Engine {
-    /// The CLI/report name of the engine.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Interpreted => "interpreted",
-            Engine::Compiled => "compiled",
-        }
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        match s {
-            "interpreted" => Ok(Engine::Interpreted),
-            "compiled" => Ok(Engine::Compiled),
-            other => Err(format!("unknown engine {other} (interpreted|compiled)")),
-        }
-    }
-}
 
 /// Tuning knobs for [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -84,16 +48,6 @@ pub struct ServerConfig {
     /// Pending-outbox byte cap per subscriber; a slow consumer that
     /// exceeds it is disconnected rather than buffered further.
     pub sub_outbox_cap: usize,
-    /// Retained for CLI compatibility: the reactor runs every socket
-    /// non-blocking, so per-connection socket timeouts no longer apply
-    /// server-side (bounded buffers, `max_conns`, and the slow-consumer
-    /// policy bound what a stalled peer can hold instead).
-    pub read_timeout: Duration,
-    /// Retained for CLI compatibility; see
-    /// [`read_timeout`](ServerConfig::read_timeout).
-    pub write_timeout: Duration,
-    /// Execution form for the scoring hot loop.
-    pub engine: Engine,
 }
 
 impl Default for ServerConfig {
@@ -103,9 +57,6 @@ impl Default for ServerConfig {
             queue_cap: 64,
             max_conns: 4096,
             sub_outbox_cap: 256 << 10,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            engine: Engine::Compiled,
         }
     }
 }
@@ -205,8 +156,8 @@ pub struct Server {
 }
 
 pub(crate) fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    // A poisoned lock only means another worker panicked while holding
-    // it; the protected queue/list itself is still structurally valid.
+    // A poisoned lock only means another thread panicked while holding
+    // it; the protected queue, list or map is still structurally valid.
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -228,7 +179,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let registry = Registry::new(cfg.engine);
+        let registry = Registry::default();
         if registry
             .insert_artifact(crate::protocol::DEFAULT_MODEL, artifact)
             .is_err()
@@ -428,14 +379,13 @@ fn score_body(
 
 /// Scores one packed request batch: decode `f64`s and discretize every
 /// row into one row-major buffer, push the whole batch through the
-/// detector's batch entry (the compiled structure-of-arrays path when the
-/// registry compiled at load; the interpreted row loop otherwise — same
-/// bits either way), then append `[f64 score][u8 alarm]` per row and
-/// collect `(row, score)` for every alarm so the reactor can fan them
-/// out to subscribers. This is the steady-state hot loop — cfa-audit's
-/// D008 zero-alloc rule roots here, so nothing below may allocate once
-/// buffers are warm (the alarm list is one of the warm, recycled
-/// buffers).
+/// detector's compiled structure-of-arrays batch entry (the registry
+/// compiles every entry at load), then append `[f64 score][u8 alarm]`
+/// per row and collect `(row, score)` for every alarm so the reactor can
+/// fan them out to subscribers. This is the steady-state hot loop —
+/// cfa-audit's D008 zero-alloc rule roots here, so nothing below may
+/// allocate once buffers are warm (the alarm list is one of the warm,
+/// recycled buffers).
 #[allow(clippy::too_many_arguments)] // flat borrows keep the scratch fields disjoint
 fn score_rows_into(
     disc: &EqualFrequencyDiscretizer,

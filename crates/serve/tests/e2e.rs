@@ -10,7 +10,7 @@ use cfa_serve::protocol::{
     put_u32, DEFAULT_MODEL, OP_PING, OP_SCORE, STATUS_BAD_WIDTH, STATUS_BUSY, STATUS_MALFORMED,
     STATUS_NO_MODEL, STATUS_TOO_LARGE,
 };
-use cfa_serve::{Client, ClientError, Engine, Server, ServerConfig};
+use cfa_serve::{Client, ClientError, Server, ServerConfig};
 use manet_features::{EqualFrequencyDiscretizer, FeatureMatrix};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -130,14 +130,15 @@ fn served_scores_are_bit_identical_to_in_process_scoring() {
 }
 
 #[test]
-fn both_engines_serve_compiled_reference_bits_through_the_protocol() {
-    // The compiled-engine leg of the e2e promise: an artifact that went
-    // CFAM bytes → load → `compile()` scores every row bit-identically to
-    // what either server engine puts on the wire. One reference, two
-    // served engines, all three must agree bitwise.
-    let (_, mut reference) = two_copies();
-    reference.detector.compile();
-    assert!(reference.detector.is_compiled());
+fn served_bits_match_interpreted_and_compiled_references() {
+    // The compiled-engine leg of the e2e promise: the server compiles at
+    // load, and every row it puts on the wire must be bit-identical both
+    // to the interpreted walk and to an artifact that went CFAM bytes →
+    // load → `compile()` in process. One server, two references.
+    let (interpreted, mut compiled) = two_copies();
+    compiled.detector.compile();
+    assert!(!interpreted.detector.is_compiled());
+    assert!(compiled.detector.is_compiled());
 
     let n_cols = 3;
     let mut rows = Vec::new();
@@ -146,33 +147,30 @@ fn both_engines_serve_compiled_reference_bits_through_the_protocol() {
         rows.extend_from_slice(&[a * 10.0, f64::from(i % 5) * 8.0, f64::from(i % 2)]);
     }
 
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");
+    let served = client.score_batch(&rows, n_cols).expect("score");
+    assert_eq!(served.len(), 40);
     let mut row_u8 = Vec::new();
     let mut probs = Vec::new();
-    for engine in [Engine::Interpreted, Engine::Compiled] {
-        let (addr, handle) = start_server(ServerConfig {
-            engine,
-            ..ServerConfig::default()
-        });
-        let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");
-        let served = client.score_batch(&rows, n_cols).expect("score");
-        assert_eq!(served.len(), 40);
-        for (row, s) in rows.chunks_exact(n_cols).zip(&served) {
+    for (row, s) in rows.chunks_exact(n_cols).zip(&served) {
+        for (name, reference) in [("interpreted", &interpreted), ("compiled", &compiled)] {
             reference.discretizer.transform_row_into(row, &mut row_u8);
             let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
             assert_eq!(
                 local.score.to_bits(),
                 s.score.to_bits(),
-                "{engine:?} server diverges from the compiled reference"
+                "server diverges from the {name} reference"
             );
             assert_eq!(
                 local.verdict == cfa_core::Verdict::Anomaly,
                 s.alarm,
-                "{engine:?} alarm bit diverges from the compiled verdict"
+                "alarm bit diverges from the {name} verdict"
             );
         }
-        client.shutdown_server().expect("shutdown");
-        handle.join().expect("join server");
     }
+    client.shutdown_server().expect("shutdown");
+    handle.join().expect("join server");
 }
 
 #[test]

@@ -38,11 +38,6 @@ pub struct SimConfig {
     /// Whether nodes overhear unicast frames addressed to others
     /// (required by DSR's eavesdropping route learning).
     pub promiscuous: bool,
-    /// Whether frame propagation uses the spatial-grid neighbor index
-    /// (O(local density) per transmission) or the brute-force all-nodes
-    /// scan. Both paths are bit-identical; the flag exists so equivalence
-    /// tests and before/after benchmarks can pin either one.
-    pub neighbor_grid: bool,
     /// Master seed from which all component RNG streams derive.
     pub seed: u64,
 }
@@ -63,7 +58,6 @@ impl Default for SimConfig {
             duration: SimTime::from_secs(10_000.0),
             mobility_sample_interval: SimTime::from_secs(5.0),
             promiscuous: true,
-            neighbor_grid: true,
             seed: 1,
         }
     }
@@ -168,15 +162,6 @@ impl SimConfigBuilder {
     /// Enables or disables promiscuous overhearing.
     pub fn promiscuous(mut self, on: bool) -> Self {
         self.cfg.promiscuous = on;
-        self
-    }
-
-    /// Selects the neighbor-lookup path: spatial grid (default) or the
-    /// brute-force all-nodes scan. The two are bit-identical; disabling
-    /// the grid pins the reference path for equivalence tests and
-    /// before/after benchmarks.
-    pub fn neighbor_grid(mut self, on: bool) -> Self {
-        self.cfg.neighbor_grid = on;
         self
     }
 

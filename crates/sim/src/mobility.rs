@@ -52,7 +52,7 @@ pub struct Waypoint {
 /// trajectory forward (deterministically, from the node's own RNG stream)
 /// and [`RandomWaypoint::position`] / [`RandomWaypoint::velocity`] evaluate
 /// the current leg. Queries must be non-decreasing in time.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RandomWaypoint {
     width: f64,
     height: f64,

@@ -22,8 +22,8 @@
 //! costs O(local density) instead of O(n_nodes). The grid returns a
 //! deterministic, id-ordered *superset* of the in-range set; the kernel
 //! range-checks live positions, so traces are bit-identical to the
-//! brute-force all-nodes scan (disable the grid with
-//! [`crate::SimConfigBuilder::neighbor_grid`] to run that reference path).
+//! brute-force all-nodes scan. Debug builds rerun that scan at every
+//! transmission as an oracle and assert that both give the same receivers.
 
 use crate::agent::{Agent, Ctx, TimerToken};
 use crate::app::{App, AppCtx, AppData, FlowId};
@@ -102,9 +102,9 @@ pub struct Simulator<A: Agent> {
     queue: EventQueue<A::Header>,
     nodes: NodeSlots<A>,
     apps: AppSlots,
-    /// Spatial neighbor index; `None` runs the brute-force all-nodes scan
-    /// (the reference path the grid is proven bit-identical to).
-    grid: Option<SpatialGrid>,
+    /// Spatial neighbor index: an id-ordered candidate superset per
+    /// transmission.
+    grid: SpatialGrid,
     /// Scratch: candidate receivers gathered per transmission.
     candidates_scratch: Vec<NodeId>,
     /// Scratch: exact in-range receivers per transmission.
@@ -154,9 +154,7 @@ impl<A: Agent> Simulator<A> {
             nodes.rngs.push(StreamLabel::Agent(i).stream(cfg.seed));
         }
         let radio = RadioModel::new(&cfg, StreamLabel::Radio.stream(cfg.seed));
-        let grid = cfg
-            .neighbor_grid
-            .then(|| SpatialGrid::new(cfg.width, cfg.height, cfg.range, cfg.max_speed));
+        let grid = SpatialGrid::new(cfg.width, cfg.height, cfg.range, cfg.max_speed);
         Simulator {
             cfg,
             now: SimTime::ZERO,
@@ -414,9 +412,8 @@ impl<A: Agent> Simulator<A> {
     /// (true at start time and after a mobility sample).
     fn refresh_grid(&mut self) {
         let now = self.now;
-        if let Some(grid) = &mut self.grid {
-            grid.rebuild(now, self.nodes.mobility.iter().map(|m| m.position(now)));
-        }
+        self.grid
+            .rebuild(now, self.nodes.mobility.iter().map(|m| m.position(now)));
     }
 
     /// Processes a worklist of same-instant callbacks to fixpoint and
@@ -578,19 +575,13 @@ impl<A: Agent> Simulator<A> {
         let arrive = now + latency;
         // Gather candidate receivers (reused scratch buffers, no per-frame
         // allocation in steady state). The grid yields an id-ordered
-        // superset of the in-range set; the brute-force reference path
-        // enumerates every node. Both feed the same exact range check, so
-        // `in_range` — members and order — is identical either way.
+        // superset of the in-range set, so after the exact range check
+        // below `in_range` — members and order — is what an all-nodes
+        // scan would find.
         let mut candidates = std::mem::take(&mut self.candidates_scratch);
         let mut in_range = std::mem::take(&mut self.in_range_scratch);
         in_range.clear();
-        match &mut self.grid {
-            Some(grid) => grid.candidates_into(now, tx_pos, &mut candidates),
-            None => {
-                candidates.clear();
-                candidates.extend((0..self.nodes.agents.len()).map(|i| NodeId(i as u16)));
-            }
-        }
+        self.grid.candidates_into(now, tx_pos, &mut candidates);
         // Exact range check at transmit-time positions. Next-hop membership
         // is resolved here, during the walk, instead of re-scanning
         // `in_range` afterwards.
@@ -613,6 +604,27 @@ impl<A: Agent> Simulator<A> {
                 }
                 in_range.push(nid);
             }
+        }
+        // Debug-build oracle: the all-nodes scan must find the same
+        // receivers in the same order. It advances cloned walkers, so it
+        // moves no trajectory and draws from no RNG stream of the run.
+        #[cfg(debug_assertions)]
+        {
+            let scanned: Vec<NodeId> = (0..self.cfg.n_nodes)
+                .map(NodeId)
+                .zip(&self.nodes.mobility)
+                .filter(|&(nid, m)| {
+                    let mut walker = m.clone();
+                    walker.advance_to(now);
+                    nid != sender && self.radio.in_range(tx_pos, walker.position(now))
+                })
+                .map(|(nid, _)| nid)
+                .collect();
+            // audit: allow(D006, reason = "debug-build oracle: a grid that disagrees with the all-nodes scan is a kernel bug and must fail the run that hit it")
+            assert_eq!(
+                in_range, scanned,
+                "spatial grid diverged from the all-nodes scan"
+            );
         }
         // Survivors of the loss roll accumulate into one recycled receiver
         // list and go into the schedule as a single event per transmission
@@ -818,39 +830,6 @@ mod tests {
             sim.frame_stats()
         };
         assert_eq!(run(11), run(11));
-    }
-
-    #[test]
-    fn grid_and_brute_force_paths_are_bit_identical() {
-        // The headline contract of the spatial grid: identical traces and
-        // frame stats on a mobile multi-hop scenario.
-        let run = |grid: bool| {
-            let cfg = SimConfig::builder()
-                .nodes(20)
-                .field(1000.0, 1000.0)
-                .duration_secs(60.0)
-                .seed(7)
-                .neighbor_grid(grid)
-                .build();
-            let mut sim = Simulator::new(cfg, |_| FloodAgent::new());
-            sim.add_app(Box::new(OneShot {
-                node: NodeId(0),
-                dst: NodeId(15),
-                flow: FlowId(1),
-                fired: false,
-            }));
-            sim.run();
-            let stats = sim.frame_stats();
-            (stats, sim.into_traces())
-        };
-        let (stats_grid, traces_grid) = run(true);
-        let (stats_brute, traces_brute) = run(false);
-        assert_eq!(stats_grid, stats_brute);
-        for (g, b) in traces_grid.iter().zip(&traces_brute) {
-            assert_eq!(g.packet_events, b.packet_events);
-            assert_eq!(g.route_events, b.route_events);
-            assert_eq!(g.mobility.len(), b.mobility.len());
-        }
     }
 
     #[test]

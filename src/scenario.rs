@@ -182,10 +182,6 @@ pub struct Scenario {
     pub attacks: Vec<Attack>,
     /// How ground truth treats post-session lasting damage.
     pub label_policy: LabelPolicy,
-    /// Whether the kernel uses the spatial-grid neighbor index (default)
-    /// or the brute-force all-nodes scan. Bit-identical either way; the
-    /// knob exists for equivalence tests and before/after benchmarks.
-    pub neighbor_grid: bool,
 }
 
 /// The output of running a scenario: features + ground truth for the
@@ -218,7 +214,6 @@ impl Scenario {
             monitored: NodeId(0),
             attacks: Vec::new(),
             label_policy: LabelPolicy::PersistentFromFirstAttack,
-            neighbor_grid: true,
         }
     }
 
@@ -294,12 +289,6 @@ impl Scenario {
         self
     }
 
-    /// Selects the kernel neighbor-lookup path (grid vs. brute force).
-    pub fn with_neighbor_grid(mut self, on: bool) -> Scenario {
-        self.neighbor_grid = on;
-        self
-    }
-
     /// Replaces the connection cap.
     pub fn with_connections(mut self, n: usize) -> Scenario {
         self.max_connections = n;
@@ -346,7 +335,6 @@ impl Scenario {
             .nodes(self.n_nodes)
             .field(self.width, self.height)
             .duration_secs(self.duration_secs)
-            .neighbor_grid(self.neighbor_grid)
             .seed(self.seed)
             .build()
     }
@@ -615,21 +603,6 @@ mod tests {
         let paper = Scenario::paper_default(Protocol::Aodv, Transport::Cbr).with_scale(50);
         assert!((paper.width - 1000.0).abs() < 1e-6);
         assert_eq!(paper.max_connections, 100);
-    }
-
-    #[test]
-    fn grid_and_brute_force_bundles_are_bit_identical() {
-        // Scenario-level equivalence on an attacked run: the full feature
-        // matrix, not just traces, must match to the bit.
-        let mk = |grid: bool| {
-            tiny(Protocol::Dsr)
-                .with_attack(Attack::blackhole_at(&[50.0]))
-                .with_neighbor_grid(grid)
-                .run()
-        };
-        let (g, b) = (mk(true), mk(false));
-        assert_eq!(g.matrix.rows, b.matrix.rows);
-        assert_eq!(g.labels, b.labels);
     }
 
     #[test]

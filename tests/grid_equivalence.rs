@@ -1,10 +1,13 @@
 //! The spatial grid's headline contract at the top of the stack: on the
 //! paper's scenarios (20-node worlds, real routing protocols, attacks in
-//! play), the grid propagation path and the brute-force all-nodes scan
-//! produce **bit-identical** feature matrices and labels. If the grid
-//! ever returned a near-miss superset (wrong member, wrong order, stale
-//! position accepted), a single extra RNG draw would cascade into a
-//! different trace and show up here.
+//! play), every transmission reaches exactly the receivers, in exactly
+//! the order, that the brute-force all-nodes scan would pick. Debug
+//! builds of the kernel rerun that scan at every transmission and assert
+//! agreement, so each test here runs its scenario once and lets the
+//! oracle check every frame. A near-miss superset (wrong member, wrong
+//! order, stale position accepted) fails the run at the first frame it
+//! touches. Release builds compile the oracle out, so these tests are
+//! ignored there instead of passing without checking anything.
 
 use manet_cfa::scenario::{Attack, LabelPolicy, Protocol, Scenario, Transport};
 use manet_cfa::sim::NodeId;
@@ -20,50 +23,50 @@ fn paper_attacked(protocol: Protocol) -> Scenario {
         .with_label_policy(LabelPolicy::SessionsOnly)
 }
 
-fn assert_paths_match(scenario: Scenario) {
-    let grid = scenario.clone().with_neighbor_grid(true).run();
-    let brute = scenario.with_neighbor_grid(false).run();
-    assert!(grid.matrix.n_rows() > 0);
-    assert_eq!(grid.matrix.times, brute.matrix.times);
-    let grid_bits: Vec<Vec<u64>> = grid
-        .matrix
-        .rows
-        .iter()
-        .map(|r| r.iter().map(|v| v.to_bits()).collect())
-        .collect();
-    let brute_bits: Vec<Vec<u64>> = brute
-        .matrix
-        .rows
-        .iter()
-        .map(|r| r.iter().map(|v| v.to_bits()).collect())
-        .collect();
-    assert_eq!(grid_bits, brute_bits, "feature matrices diverge");
-    assert_eq!(grid.labels, brute.labels, "labels diverge");
+/// Runs `scenario` under the kernel's grid-vs-scan oracle.
+fn assert_grid_matches_scan(scenario: Scenario) {
+    let bundle = scenario.run();
+    assert!(bundle.matrix.n_rows() > 0);
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "the grid oracle runs in debug builds only"
+)]
 fn aodv_attack_features_match_bit_for_bit() {
-    assert_paths_match(paper_attacked(Protocol::Aodv));
+    assert_grid_matches_scan(paper_attacked(Protocol::Aodv));
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "the grid oracle runs in debug builds only"
+)]
 fn dsr_attack_features_match_bit_for_bit() {
-    assert_paths_match(paper_attacked(Protocol::Dsr));
+    assert_grid_matches_scan(paper_attacked(Protocol::Dsr));
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "the grid oracle runs in debug builds only"
+)]
 fn tcp_normal_trace_matches_bit_for_bit() {
-    // No attacks, TCP transport: exercises the retransmission machinery
-    // over both propagation paths.
+    // No attacks, TCP transport: exercises the retransmission machinery.
     let s = Scenario::paper_default(Protocol::Aodv, Transport::Tcp)
         .with_nodes(20)
         .with_connections(12)
         .with_duration(300.0)
         .with_seed(23);
-    assert_paths_match(s);
+    assert_grid_matches_scan(s);
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "the grid oracle runs in debug builds only"
+)]
 fn scaled_world_matches_bit_for_bit() {
     // A denser scale point (100 nodes at paper density) — multiple grid
     // cells are genuinely in play, unlike the 1000×1000 m paper world
@@ -72,5 +75,5 @@ fn scaled_world_matches_bit_for_bit() {
         .with_scale(100)
         .with_duration(120.0)
         .with_seed(29);
-    assert_paths_match(s);
+    assert_grid_matches_scan(s);
 }
