@@ -117,6 +117,12 @@ impl Persist for ModelArtifact {
                 "sub-model count != discretizer column count",
             ));
         }
+        // Sub-model i predicts feature i from the other n_models - 1.
+        if models.iter().any(|m| m.n_attrs() != n_models - 1) {
+            return Err(PersistError::Malformed(
+                "sub-model attribute count != feature count - 1",
+            ));
+        }
         let threshold = r.f64()?;
         let false_alarm_rate = r.f64()?;
         if !(0.0..1.0).contains(&false_alarm_rate) {
@@ -252,7 +258,7 @@ fn read_exact_or_truncated(input: &mut impl Read, buf: &mut [u8]) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfa_ml::{AnyLearner, Learner, NaiveBayes};
+    use cfa_ml::{AnyLearner, Learner, NaiveBayes, NominalTable};
     use manet_features::FeatureMatrix;
 
     fn tiny_artifact() -> ModelArtifact {
@@ -324,6 +330,31 @@ mod tests {
             assert_eq!(a.score.to_bits(), b.score.to_bits());
             assert_eq!(a.verdict, b.verdict);
         }
+    }
+
+    #[test]
+    fn sub_model_of_the_wrong_width_is_rejected() {
+        // Sub-model 2 trained on a four-column table conditions on three
+        // attributes where the three-feature ensemble supplies two.
+        let mut artifact = tiny_artifact();
+        let wide = NominalTable::new(
+            (0..4).map(|i| format!("w{i}")).collect(),
+            vec![2; 4],
+            (0..8u8).map(|i| vec![i % 2, i / 2 % 2, i / 4, 0]).collect(),
+        )
+        .unwrap();
+        let mut models = artifact.detector.model().sub_models().to_vec();
+        models[2] = AnyLearner::Bayes(NaiveBayes::default()).fit(&wide, 2);
+        artifact.detector = AnomalyDetector::with_threshold(
+            CrossFeatureModel::from_sub_models(models),
+            ScoreMethod::AvgProbability,
+            0.25,
+        );
+        let bytes = saved_bytes(&artifact);
+        assert!(matches!(
+            ModelArtifact::load(&mut bytes.as_slice()),
+            Err(PersistError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -20,11 +20,15 @@
 //!   log-probability tables re-laid-out so the `n_classes` addends for one
 //!   observed value are contiguous, plus the resolved full-width column
 //!   and clamp per attribute.
+//! * **One-class models** of any family → a constant `[1.0]`
+//!   distribution, wherever lowering proves the interpreted walk returns
+//!   exactly that for every row.
 //!
 //! [`CompiledEnsemble`] scores batches in structure-of-arrays order — all
 //! rows through model *i*, then model *i+1* — so each model's tables stay
 //! hot in cache across the whole batch instead of being evicted 140 times
-//! per row.
+//! per row. A naive Bayes model takes the batch four rows per pass over
+//! its attribute tables.
 //!
 //! ## Equivalence contract
 //!
@@ -201,53 +205,75 @@ pub struct CompiledBayes {
 }
 
 impl CompiledBayes {
-    fn class_probs_into(&self, row: &[u8], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(&self.log_prior);
-        // Dispatch on the class count so the common small-k accumulation
-        // runs with register-resident accumulators (each class's addend
-        // sequence — prior, then attributes in order — is unchanged, so
-        // the sums are bit-identical to the generic loop).
-        match self.n_classes {
-            2 => self.accumulate::<2>(row, out),
-            3 => self.accumulate::<3>(row, out),
-            4 => self.accumulate::<4>(row, out),
-            5 => self.accumulate::<5>(row, out),
-            6 => self.accumulate::<6>(row, out),
-            7 => self.accumulate::<7>(row, out),
-            8 => self.accumulate::<8>(row, out),
-            _ => self.accumulate_dyn(row, out),
-        }
-        // Identical softmax normalisation to the interpreted path.
-        let max = out.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for s in out.iter_mut() {
-            *s = (*s - max).exp();
-        }
-        let sum: f64 = out.iter().sum();
-        for p in out.iter_mut() {
-            *p /= sum;
-        }
+    /// Whether the interpreted walk provably returns exactly `[1.0]` for
+    /// every row: one class, and the prior plus every table entry have a
+    /// finite magnitude sum. Then every partial log-posterior sum is
+    /// finite (each is bounded by the running magnitude sum, and rounding
+    /// is monotone), so the softmax computes `exp(s - s) / 1.0 == 1.0`.
+    /// A NaN or infinity anywhere keeps the model on the Bayes path, which
+    /// reproduces the interpreted NaN bits.
+    fn always_one(&self) -> bool {
+        self.n_classes == 1
+            && self
+                .log_prior
+                .iter()
+                .chain(&self.table)
+                .map(|t| t.abs())
+                .sum::<f64>()
+                .is_finite()
     }
 
-    /// Log-posterior accumulation with `K == n_classes` fixed at
-    /// monomorphisation time: the `K` per-class accumulators live in a
-    /// stack array (registers after inlining), so one attribute's adds
-    /// are `K` independent chains instead of `K` store-to-load round
-    /// trips through the output buffer.
-    #[inline]
-    fn accumulate<const K: usize>(&self, row: &[u8], out: &mut [f64]) {
-        let mut acc = [0.0f64; K];
-        acc.copy_from_slice(&out[..K]);
-        for a in &self.attrs {
-            // audit: allow(D006, reason = "lowering stores a full n_classes segment for every clamped value and resolves columns in range; row width is asserted at every public entry")
-            let v = usize::from(row[a.col as usize].min(a.clamp));
-            let at = a.offset as usize + v * K;
-            let seg = &self.table[at..at + K];
-            for j in 0..K {
-                acc[j] += seg[j];
+    fn class_probs_into(&self, row: &[u8], out: &mut Vec<f64>) {
+        out.clear();
+        match self.n_classes {
+            1 => out.extend_from_slice(&self.log_posterior::<1>(row)),
+            2 => out.extend_from_slice(&self.log_posterior::<2>(row)),
+            3 => out.extend_from_slice(&self.log_posterior::<3>(row)),
+            4 => out.extend_from_slice(&self.log_posterior::<4>(row)),
+            5 => out.extend_from_slice(&self.log_posterior::<5>(row)),
+            6 => out.extend_from_slice(&self.log_posterior::<6>(row)),
+            7 => out.extend_from_slice(&self.log_posterior::<7>(row)),
+            8 => out.extend_from_slice(&self.log_posterior::<8>(row)),
+            _ => {
+                out.extend_from_slice(&self.log_prior);
+                self.accumulate_dyn(row, out);
             }
         }
-        out[..K].copy_from_slice(&acc);
+        softmax(out);
+    }
+
+    /// The unnormalised log-posterior of one row: the kernel at `R = 1`.
+    #[inline]
+    fn log_posterior<const K: usize>(&self, row: &[u8]) -> [f64; K] {
+        let [scores] = self.accumulate::<K, 1>([row]);
+        scores
+    }
+
+    /// Log-posterior accumulation of `R` rows with `K == n_classes` fixed
+    /// at monomorphisation time: the `R × K` accumulators live in a stack
+    /// array (in registers where they fit), so one attribute's adds are
+    /// `R·K` independent chains instead of store-to-load round trips
+    /// through a buffer. Every (row, class) accumulator still receives the
+    /// prior, then one addend per attribute in attribute order — the
+    /// interpreted sequence — so the sums are bit-identical.
+    #[inline]
+    fn accumulate<const K: usize, const R: usize>(&self, rows: [&[u8]; R]) -> [[f64; K]; R] {
+        let mut prior = [0.0f64; K];
+        prior.copy_from_slice(&self.log_prior);
+        let mut acc = [prior; R];
+        for a in &self.attrs {
+            let col = a.col as usize;
+            for (scores, row) in acc.iter_mut().zip(rows) {
+                // audit: allow(D006, reason = "lowering stores a full n_classes segment for every clamped value and resolves columns in range; row width is asserted at every public entry")
+                let v = usize::from(row[col].min(a.clamp));
+                let at = a.offset as usize + v * K;
+                // audit: allow(D006, reason = "the block for a clamped value always holds n_classes == K entries by construction")
+                for (s, &t) in scores.iter_mut().zip(&self.table[at..at + K]) {
+                    *s += t;
+                }
+            }
+        }
+        acc
     }
 
     /// The any-`n_classes` fallback accumulation (identical addend order;
@@ -265,10 +291,79 @@ impl CompiledBayes {
             }
         }
     }
+
+    /// The batch kernel: adds this sub-model's contribution for every row
+    /// of a packed `width`-wide batch to `out`, accumulating
+    /// [`ROW_BLOCK`] rows per pass over the attributes. Remainder rows
+    /// take the same routine one row at a time.
+    fn add_batch_scores<const K: usize>(
+        &self,
+        rows: &[u8],
+        width: usize,
+        class_col: usize,
+        method: CompiledMethod,
+        out: &mut [f64],
+    ) {
+        let mut packed_blocks = rows.chunks_exact(ROW_BLOCK * width);
+        let mut out_blocks = out.chunks_exact_mut(ROW_BLOCK);
+        for (packed, block_out) in packed_blocks.by_ref().zip(out_blocks.by_ref()) {
+            // audit: allow(D006, reason = "packed holds exactly ROW_BLOCK rows of width bytes (chunks_exact)")
+            let block: [&[u8]; ROW_BLOCK] = std::array::from_fn(|r| &packed[r * width..][..width]);
+            let scores = self.accumulate::<K, ROW_BLOCK>(block);
+            for ((acc, row), s) in block_out.iter_mut().zip(block).zip(scores) {
+                // audit: allow(D006, reason = "class_col enumerates the ensemble's models and every row is n_features wide")
+                *acc += bayes_contribution(s, row[class_col], method);
+            }
+        }
+        let tail = packed_blocks.remainder().chunks_exact(width);
+        for (acc, row) in out_blocks.into_remainder().iter_mut().zip(tail) {
+            let s = self.log_posterior::<K>(row);
+            // audit: allow(D006, reason = "class_col enumerates the ensemble's models and every row is n_features wide")
+            *acc += bayes_contribution(s, row[class_col], method);
+        }
+    }
+}
+
+/// Rows the batch naive Bayes kernel accumulates together: `ROW_BLOCK × K`
+/// independent add chains per attribute hide the floating-point add
+/// latency that a single row's `K` chains leave exposed.
+const ROW_BLOCK: usize = 4;
+
+/// Softmax normalisation, operation for operation the interpreted naive
+/// Bayes path's: `fold(NEG_INFINITY, max)`, `exp`, `iter().sum()`, divide.
+#[inline]
+fn softmax(scores: &mut [f64]) {
+    let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for s in scores.iter_mut() {
+        *s = (*s - max).exp();
+    }
+    let sum: f64 = scores.iter().sum();
+    for p in scores.iter_mut() {
+        *p /= sum;
+    }
+}
+
+/// A naive Bayes sub-model's contribution from its log-posteriors: the
+/// prediction match (`argmax_last`, as `predict`) or the observed value's
+/// probability (`0.0` past the last class, as `prob_of`).
+#[inline]
+fn bayes_contribution<const K: usize>(
+    mut scores: [f64; K],
+    truth: u8,
+    method: CompiledMethod,
+) -> f64 {
+    softmax(&mut scores);
+    match method {
+        CompiledMethod::MatchCount => f64::from(argmax_last(&scores) == truth),
+        CompiledMethod::AvgProbability => scores.get(usize::from(truth)).copied().unwrap_or(0.0),
+    }
 }
 
 #[derive(Debug, Clone)]
 enum CompiledKind {
+    /// A one-class model whose interpreted walk provably returns exactly
+    /// `[1.0]` for every row: prediction 0, probability 1.0 for class 0.
+    OneClass,
     Tree(CompiledTree),
     Rules(CompiledRules),
     Bayes(CompiledBayes),
@@ -287,16 +382,30 @@ pub struct CompiledModel {
 impl CompiledModel {
     /// Lowers `model` for scoring full-width rows whose class column is
     /// `class_col` (use [`NO_CLASS`] for bare attribute vectors).
+    ///
+    /// A one-class sub-model compiles to a constant `[1.0]` wherever the
+    /// interpreted walk provably returns exactly that: always for C4.5
+    /// and RIPPER (every Laplace term is `(c + 1) / (c + 1)`), and for
+    /// naive Bayes when its tables are finite (see `always_one`).
     pub fn compile(model: &AnyModel, class_col: usize) -> CompiledModel {
-        let (kind, n_attrs) = match model {
-            AnyModel::C45(m) => (CompiledKind::Tree(m.lower(class_col)), m.n_attrs()),
-            AnyModel::Ripper(m) => (CompiledKind::Rules(m.lower(class_col)), m.n_attrs()),
-            AnyModel::Bayes(m) => (CompiledKind::Bayes(m.lower(class_col)), m.n_attrs()),
+        let n_classes = model.n_classes();
+        let kind = match model {
+            AnyModel::C45(_) | AnyModel::Ripper(_) if n_classes == 1 => CompiledKind::OneClass,
+            AnyModel::C45(m) => CompiledKind::Tree(m.lower(class_col)),
+            AnyModel::Ripper(m) => CompiledKind::Rules(m.lower(class_col)),
+            AnyModel::Bayes(m) => {
+                let b = m.lower(class_col);
+                if b.always_one() {
+                    CompiledKind::OneClass
+                } else {
+                    CompiledKind::Bayes(b)
+                }
+            }
         };
         CompiledModel {
             kind,
-            row_width: n_attrs + usize::from(class_col != NO_CLASS),
-            n_classes: model.n_classes(),
+            row_width: model.n_attrs() + usize::from(class_col != NO_CLASS),
+            n_classes,
         }
     }
 
@@ -325,6 +434,10 @@ impl CompiledModel {
     pub fn class_probs_into(&self, row: &[u8], out: &mut Vec<f64>) {
         self.check_width(row);
         match &self.kind {
+            CompiledKind::OneClass => {
+                out.clear();
+                out.push(1.0);
+            }
             CompiledKind::Tree(t) => {
                 let node = t.node_for(row);
                 out.clear();
@@ -345,6 +458,7 @@ impl CompiledModel {
     pub fn predict(&self, row: &[u8], scratch: &mut Vec<f64>) -> u8 {
         self.check_width(row);
         match &self.kind {
+            CompiledKind::OneClass => 0,
             // audit: allow(D006, reason = "preds has one entry per node/rule-plus-default by construction")
             CompiledKind::Tree(t) => t.preds[t.node_for(row)],
             // audit: allow(D006, reason = "preds has one entry per rule plus the default by construction")
@@ -361,6 +475,7 @@ impl CompiledModel {
     pub fn prob_of(&self, row: &[u8], class: u8, scratch: &mut Vec<f64>) -> f64 {
         self.check_width(row);
         match &self.kind {
+            CompiledKind::OneClass => f64::from(class == 0),
             CompiledKind::Tree(t) => {
                 let seg = t.probs_of(t.node_for(row));
                 seg.get(usize::from(class)).copied().unwrap_or(0.0)
@@ -373,6 +488,37 @@ impl CompiledModel {
                 b.class_probs_into(row, scratch);
                 scratch.get(usize::from(class)).copied().unwrap_or(0.0)
             }
+        }
+    }
+
+    /// Adds this model's contribution, as sub-model `i` of a
+    /// `width`-feature ensemble, for every row of a packed batch to
+    /// `out`. Naive Bayes models with up to eight classes take the
+    /// row-blocked kernel; every other model scores row at a time.
+    fn add_batch_scores(
+        &self,
+        rows: &[u8],
+        width: usize,
+        i: usize,
+        method: CompiledMethod,
+        out: &mut [f64],
+        scratch: &mut Vec<f64>,
+    ) {
+        if let CompiledKind::Bayes(b) = &self.kind {
+            match b.n_classes {
+                1 => return b.add_batch_scores::<1>(rows, width, i, method, out),
+                2 => return b.add_batch_scores::<2>(rows, width, i, method, out),
+                3 => return b.add_batch_scores::<3>(rows, width, i, method, out),
+                4 => return b.add_batch_scores::<4>(rows, width, i, method, out),
+                5 => return b.add_batch_scores::<5>(rows, width, i, method, out),
+                6 => return b.add_batch_scores::<6>(rows, width, i, method, out),
+                7 => return b.add_batch_scores::<7>(rows, width, i, method, out),
+                8 => return b.add_batch_scores::<8>(rows, width, i, method, out),
+                _ => {}
+            }
+        }
+        for (acc, row) in out.iter_mut().zip(rows.chunks_exact(width)) {
+            *acc += one_model_score(self, row, i, method, scratch);
         }
     }
 }
@@ -428,7 +574,8 @@ impl CompiledEnsemble {
     /// of [`CompiledEnsemble::n_features`]) into `out`, one score per row,
     /// in structure-of-arrays order: all rows through model *i*, then
     /// model *i+1*, so each model's tables stay cache-hot across the
-    /// batch. Per-row results are bit-identical to
+    /// batch. Naive Bayes models score four rows per pass over their
+    /// attributes. Per-row results are bit-identical to
     /// [`CompiledEnsemble::score_row`] — each row's accumulator receives
     /// the same contributions in the same model order.
     pub fn score_batch(
@@ -447,9 +594,7 @@ impl CompiledEnsemble {
         out.clear();
         out.resize(n_rows, 0.0);
         for (i, model) in self.models.iter().enumerate() {
-            for (acc, row) in out.iter_mut().zip(rows.chunks_exact(self.n_features)) {
-                *acc += one_model_score(model, row, i, method, scratch);
-            }
+            model.add_batch_scores(rows, self.n_features, i, method, out, scratch);
         }
         let width = self.n_features as f64;
         for acc in out.iter_mut() {
@@ -480,6 +625,8 @@ fn one_model_score(
 mod tests {
     use super::*;
     use crate::dataset::NominalTable;
+    use crate::naive_bayes::NaiveBayesModel;
+    use crate::persist::{write_vec_f64, write_vec_usize, Persist, Writer};
     use crate::{Classifier, Learner, NaiveBayes, Ripper, C45};
 
     fn table(rows: Vec<Vec<u8>>, cards: Vec<usize>) -> NominalTable {
@@ -547,7 +694,8 @@ mod tests {
 
     #[test]
     fn each_family_compiles_bit_identically() {
-        let cards = vec![3, 4, 2, 3];
+        // The ten-class column puts naive Bayes on the dynamic fallback.
+        let cards = vec![3, 4, 2, 10];
         let t = table(training_rows(&cards, 120), cards.clone());
         for class_col in 0..cards.len() {
             let c45 = AnyModel::C45(C45::default().fit(&t, class_col));
@@ -559,27 +707,81 @@ mod tests {
         }
     }
 
+    /// A one-class naive Bayes model over one two-valued attribute,
+    /// decoded from hand-written bytes because training never produces
+    /// non-finite tables.
+    fn one_class_bayes(prior: f64, cond: [f64; 2]) -> AnyModel {
+        let mut w = Writer::new();
+        w.u32(1);
+        write_vec_f64(&mut w, &[prior]);
+        write_vec_usize(&mut w, &[2]);
+        w.seq_len(1);
+        write_vec_f64(&mut w, &cond);
+        AnyModel::Bayes(NaiveBayesModel::from_bytes(&w.into_bytes()).unwrap())
+    }
+
+    #[test]
+    fn one_class_models_compile_to_constants() {
+        // Column 1 holds one value, so a model predicting it has one class.
+        let cards = vec![3, 1, 4];
+        let t = table(training_rows(&cards, 60), cards.clone());
+        for model in [
+            AnyModel::C45(C45::default().fit(&t, 1)),
+            AnyModel::Ripper(Ripper::default().fit(&t, 1)),
+            AnyModel::Bayes(NaiveBayes::default().fit(&t, 1)),
+        ] {
+            let compiled = CompiledModel::compile(&model, 1);
+            assert!(matches!(compiled.kind, CompiledKind::OneClass));
+            assert_model_equivalent(&model, 1, &cards);
+        }
+    }
+
+    #[test]
+    fn non_finite_one_class_bayes_is_not_folded() {
+        let finite = one_class_bayes(-0.5, [-0.25, -1.5]);
+        let compiled = CompiledModel::compile(&finite, 0);
+        assert!(matches!(compiled.kind, CompiledKind::OneClass));
+        for model in [
+            one_class_bayes(f64::INFINITY, [-0.25, -1.5]),
+            one_class_bayes(-0.5, [f64::NEG_INFINITY, -1.5]),
+            one_class_bayes(f64::NAN, [-0.25, -1.5]),
+            // Every entry is finite, but value 0's sum overflows to +inf.
+            one_class_bayes(f64::MAX, [f64::MAX, -1.5]),
+        ] {
+            let compiled = CompiledModel::compile(&model, 0);
+            assert!(matches!(compiled.kind, CompiledKind::Bayes(_)));
+            assert_model_equivalent(&model, 0, &[1, 2]);
+        }
+    }
+
     #[test]
     fn batch_matches_row_at_a_time() {
-        let cards = vec![3, 3, 4];
+        // The one-class column folds to a constant, the ten-class one
+        // takes the dynamic fallback, the rest run the blocked kernel.
+        let cards = vec![3, 1, 10, 4];
         let t = table(training_rows(&cards, 90), cards.clone());
         let sub_models: Vec<AnyModel> = (0..cards.len())
             .map(|i| AnyModel::Bayes(NaiveBayes::default().fit(&t, i)))
             .collect();
         let ensemble = CompiledEnsemble::compile(&sub_models);
         let rows: Vec<Vec<u8>> = probe_rows(&cards);
-        let packed: Vec<u8> = rows.iter().flatten().copied().collect();
         let mut scratch = Vec::new();
+        let mut batch = Vec::new();
         for method in [CompiledMethod::MatchCount, CompiledMethod::AvgProbability] {
-            let mut batch = Vec::new();
-            ensemble.score_batch(&packed, method, &mut batch, &mut scratch);
-            assert_eq!(batch.len(), rows.len());
-            for (row, &score) in rows.iter().zip(&batch) {
-                assert_eq!(
-                    ensemble.score_row(row, method, &mut scratch).to_bits(),
-                    score.to_bits(),
-                    "batch vs row for {row:?}"
-                );
+            let want: Vec<u64> = rows
+                .iter()
+                .map(|row| ensemble.score_row(row, method, &mut scratch).to_bits())
+                .collect();
+            // Lengths 0..=9 cover zero to two whole blocks and every
+            // remainder.
+            for len in 0..=9 {
+                for start in (0..rows.len()).step_by(len.max(1)) {
+                    let end = (start + len).min(rows.len());
+                    let packed = rows[start..end].concat();
+                    ensemble.score_batch(&packed, method, &mut batch, &mut scratch);
+                    let got: Vec<u64> = batch.iter().map(|s| s.to_bits()).collect();
+                    assert_eq!(got, want[start..end], "batch of {len} at row {start}");
+                }
             }
         }
     }

@@ -217,6 +217,13 @@ impl Persist for NaiveBayesModel {
             return Err(PersistError::Malformed("naive Bayes prior width mismatch"));
         }
         let attr_cards = read_vec_usize(r)?;
+        if attr_cards.contains(&0) {
+            // Training never produces one (`NominalTable` rejects it),
+            // and its empty table block has no addend to score with.
+            return Err(PersistError::Malformed(
+                "naive Bayes attribute cardinality is zero",
+            ));
+        }
         let n_attrs = r.seq_len(4)?;
         if n_attrs != attr_cards.len() {
             return Err(PersistError::Malformed(
@@ -340,6 +347,27 @@ mod tests {
                 m.class_probs_into(&full, class_col, &mut out);
                 assert_eq!(out, m.class_probs(&attrs), "row {r}, class_col {class_col}");
             }
+        }
+    }
+
+    #[test]
+    fn zero_cardinality_attributes_are_rejected_at_decode() {
+        // Only a crafted artifact can carry cardinality 0: first or last.
+        for attr_cards in [vec![0, 2], vec![2, 0]] {
+            let log_cond = attr_cards
+                .iter()
+                .map(|&card| vec![-0.7; 2 * card])
+                .collect();
+            let model = NaiveBayesModel {
+                n_classes: 2,
+                log_prior: vec![-0.5, -1.0],
+                log_cond,
+                attr_cards,
+            };
+            assert!(matches!(
+                NaiveBayesModel::from_bytes(&model.to_bytes()),
+                Err(PersistError::Malformed(_))
+            ));
         }
     }
 

@@ -402,6 +402,18 @@ pub enum AnyModel {
     Bayes(NaiveBayesModel),
 }
 
+impl AnyModel {
+    /// Number of attributes the model conditions on: the width of the
+    /// rows it was trained on, class column removed.
+    pub fn n_attrs(&self) -> usize {
+        match self {
+            AnyModel::C45(m) => m.n_attrs(),
+            AnyModel::Ripper(m) => m.n_attrs(),
+            AnyModel::Bayes(m) => m.n_attrs(),
+        }
+    }
+}
+
 impl Classifier for AnyModel {
     fn n_classes(&self) -> usize {
         match self {

@@ -8,24 +8,36 @@ use cfa_ml::compiled::{CompiledEnsemble, CompiledMethod, CompiledModel};
 use cfa_ml::{AnyLearner, AnyModel, Classifier, Learner, NaiveBayes, NominalTable, Ripper, C45};
 use proptest::prelude::*;
 
-/// Strategy: a random nominal table with 2–5 columns of cardinality 2–4
-/// and 8–60 rows, a designated class column, and probe rows that may
-/// carry out-of-domain values (the classifiers clamp them).
+/// Strategy: a random nominal table with 2–5 columns, each (the class
+/// column included) of its own cardinality in 1–8, and 8–60 rows, a
+/// designated class column, and probe rows that may carry out-of-domain
+/// values (the classifiers clamp them). Cardinality 1 yields one-class
+/// sub-models; 2–8 reach every arm of the naive Bayes kernel.
 fn table_strategy() -> impl Strategy<Value = (NominalTable, usize, Vec<Vec<u8>>)> {
-    (2usize..=5, 2usize..=4).prop_flat_map(|(n_cols, card)| {
-        let rows =
-            proptest::collection::vec(proptest::collection::vec(0u8..card as u8, n_cols), 8..60);
-        let probes = proptest::collection::vec(
-            proptest::collection::vec(0u8..card as u8 + 2, n_cols),
-            1..20,
-        );
+    proptest::collection::vec(1usize..=8, 2..=5).prop_flat_map(|cards| {
+        let n_cols = cards.len();
+        let raw_row = || proptest::collection::vec(0u8..=255, n_cols);
+        let rows = proptest::collection::vec(raw_row(), 8..60);
+        let probes = proptest::collection::vec(raw_row(), 1..20);
         (rows, 0..n_cols, probes).prop_map(move |(rows, class_col, probes)| {
+            // Raw bytes reduced per column: in domain for training rows,
+            // up to two past the last value for probes.
+            let reduce = |rows: Vec<Vec<u8>>, extra: usize| -> Vec<Vec<u8>> {
+                rows.into_iter()
+                    .map(|row| {
+                        row.iter()
+                            .zip(&cards)
+                            .map(|(&v, &card)| (usize::from(v) % (card + extra)) as u8)
+                            .collect()
+                    })
+                    .collect()
+            };
             let names = (0..n_cols).map(|i| format!("f{i}")).collect();
-            let cards = vec![card; n_cols];
             (
-                NominalTable::new(names, cards, rows).expect("generated within domain"),
+                NominalTable::new(names, cards.clone(), reduce(rows, 0))
+                    .expect("generated within domain"),
                 class_col,
-                probes,
+                reduce(probes, 2),
             )
         })
     })

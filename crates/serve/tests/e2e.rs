@@ -5,7 +5,7 @@
 //! through named `SCORE_AS` models, and across registry hot-swaps.
 
 use cfa_core::{AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, ScoreMethod};
-use cfa_ml::{AnyLearner, NaiveBayes};
+use cfa_ml::{AnyLearner, Learner, NaiveBayes, NominalTable};
 use cfa_serve::protocol::{
     put_u32, DEFAULT_MODEL, OP_PING, OP_SCORE, STATUS_BAD_WIDTH, STATUS_BUSY, STATUS_MALFORMED,
     STATUS_NO_MODEL, STATUS_TOO_LARGE,
@@ -318,6 +318,60 @@ fn registry_lifecycle_load_list_score_as_unload() {
     match client.subscribe("v2") {
         Err(ClientError::Status(s)) => assert_eq!(s, STATUS_NO_MODEL),
         other => panic!("expected NO_MODEL, got {other:?}"),
+    }
+
+    client.shutdown_server().expect("shutdown");
+    handle.join().expect("join server");
+}
+
+#[test]
+fn wrong_width_sub_model_load_is_malformed_and_serving_continues() {
+    let (_, reference) = two_copies();
+    // Sub-model 2 retrained on a four-column table: the sub-model count
+    // still matches the discretizer, the attribute count does not.
+    let mut bad = tiny_artifact();
+    let wide = NominalTable::new(
+        (0..4).map(|i| format!("w{i}")).collect(),
+        vec![2; 4],
+        (0..8u8).map(|i| vec![i % 2, i / 2 % 2, i / 4, 0]).collect(),
+    )
+    .expect("valid table");
+    let mut models = bad.detector.model().sub_models().to_vec();
+    models[2] = AnyLearner::Bayes(NaiveBayes::default()).fit(&wide, 2);
+    bad.detector = AnomalyDetector::with_threshold(
+        CrossFeatureModel::from_sub_models(models),
+        ScoreMethod::AvgProbability,
+        0.25,
+    );
+    let mut bad_bytes = Vec::new();
+    bad.save(&mut bad_bytes).expect("save to memory");
+
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");
+    for name in [DEFAULT_MODEL, "v2"] {
+        match client.load_model(name, &bad_bytes) {
+            Err(ClientError::Status(s)) => assert_eq!(s, STATUS_MALFORMED),
+            other => panic!("expected MALFORMED for {name}, got {other:?}"),
+        }
+    }
+
+    // The registry is untouched and the default model still scores.
+    let models = client.list_models().expect("list");
+    assert_eq!(models.len(), 1);
+    assert_eq!(models[0].generation, 1);
+    let n_cols = 3;
+    let mut rows = Vec::new();
+    for i in 0..20u32 {
+        let a = f64::from(i % 5);
+        rows.extend_from_slice(&[a * 10.0, f64::from(i % 7) * 5.0, f64::from(i % 2)]);
+    }
+    let served = client.score_batch(&rows, n_cols).expect("score");
+    let mut row_u8 = Vec::new();
+    let mut probs = Vec::new();
+    for (row, s) in rows.chunks_exact(n_cols).zip(&served) {
+        reference.discretizer.transform_row_into(row, &mut row_u8);
+        let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
+        assert_eq!(local.score.to_bits(), s.score.to_bits());
     }
 
     client.shutdown_server().expect("shutdown");
