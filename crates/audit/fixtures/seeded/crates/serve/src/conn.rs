@@ -1,5 +1,5 @@
-//! Seeded D011 violations: the response-queue guard held across socket
-//! I/O in the connection loop, and a nested lock acquisition.
+//! Seeded D014 violations: guards held across socket I/O (directly and
+//! through a call), and a lock-order cycle between two locks.
 
 /// Flushes queued frames while still holding the queue lock — every
 /// other worker blocks on the mutex for a full network round-trip.

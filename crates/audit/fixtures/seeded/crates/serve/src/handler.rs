@@ -8,8 +8,8 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// Per-connection request handler — a D006 reachability root.
-    pub fn handle_conn(&mut self, frame: &[u8]) -> f64 {
+    /// Worker-side scoring entry — a D006 reachability root.
+    pub fn score_job(&mut self, frame: &[u8]) -> f64 {
         self.parse_op(frame)
     }
 

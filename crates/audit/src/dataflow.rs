@@ -1,5 +1,5 @@
 //! Intraprocedural value tracking over the [`lexer`](crate::lexer) token
-//! stream — the dataflow layer under rules D009–D011.
+//! stream — the dataflow layer under rules D009, D010 and D014.
 //!
 //! The pass runs once per function body (the [`parser`](crate::parser)
 //! hands it the signature and body token ranges) and maintains a small
@@ -38,14 +38,12 @@
 //! * **casts** (D010) — `x as u32`-style narrowing where `x` is a tracked
 //!   `Wide` binding and the target type cannot hold every source value
 //!   (`Const` operands that fit are skipped).
-//! * **locks** (D011) — direct stream I/O (`write_all`, `read_exact`,
-//!   `flush`, …) under a live guard.
 //! * **acquires / guarded_calls / blocking** (D014) — the raw material for
 //!   the interprocedural lock-acquisition graph: every lock acquisition
 //!   with the set of lock identities already held, every call made while a
-//!   guard is live, and every direct blocking-I/O site. Nested
-//!   acquisition itself is no longer flagged here — the taint layer's
-//!   order-aware graph (D014) decides whether an ordering is consistent.
+//!   guard is live (a `BLOCKING_METHODS` call among them is stream I/O
+//!   under the guard), and every direct blocking-I/O site. Nothing is
+//!   flagged here — the taint layer's order-aware graph (D014) decides.
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::Site;
@@ -83,8 +81,6 @@ pub struct BodyFacts {
     pub reductions: Vec<Site>,
     /// D010 sites: truncating casts on tracked wide values.
     pub casts: Vec<Site>,
-    /// D011 sites: lock-discipline violations.
-    pub locks: Vec<Site>,
     /// D014: every lock acquisition with the held-set at it.
     pub acquires: Vec<LockAcq>,
     /// D014: calls made while a guard is live.
@@ -155,21 +151,11 @@ const NARROW_FROM_128: [(&str, u32, bool); 4] = [
     ("isize", 64, true),
 ];
 
-/// Stream I/O methods a guard must not be held across (D011).
-const IO_METHODS: [&str; 7] = [
-    "write_all",
-    "read_exact",
-    "flush",
-    "read_to_end",
-    "read_to_string",
-    "write_fmt",
-    "write_vectored",
-];
-
 /// Method calls that block on a socket (D014 seeds; the interprocedural
 /// pass only consults these for functions in the serving crate, where
-/// `read`/`write`/`accept` receivers are streams and listeners).
-const BLOCKING_METHODS: [&str; 12] = [
+/// `read`/`write`/`accept` receivers are streams and listeners). A guard
+/// must never be live across one.
+pub(crate) const BLOCKING_METHODS: [&str; 12] = [
     "write_all",
     "read_exact",
     "flush",
@@ -307,14 +293,6 @@ impl Analyzer<'_, '_> {
         if let Some(pos) = self.binds.iter().rposition(|b| b.name == name) {
             self.binds[pos].val = Val::Other;
         }
-    }
-
-    fn live_guard(&self) -> Option<&str> {
-        self.binds
-            .iter()
-            .rev()
-            .find(|b| matches!(b.val, Val::Guard(_)))
-            .map(|b| b.name.as_str())
     }
 
     /// Identities of every live guard, outermost first.
@@ -700,18 +678,6 @@ impl Analyzer<'_, '_> {
                             line: self.toks[i].line,
                         });
                     }
-                    name if IO_METHODS.contains(&name)
-                        && i > 0
-                        && self.is_punct(i - 1, ".")
-                        && self.is_punct(i + 1, "(") =>
-                    {
-                        if let Some(g) = self.live_guard() {
-                            self.facts.locks.push(Site {
-                                what: format!("guard `{g}` held across {name}()"),
-                                line: self.toks[i].line,
-                            });
-                        }
-                    }
                     _ => {
                         // Reassignment: `name = expr ;` — reclassify.
                         if self.is_punct(i + 1, "=")
@@ -777,7 +743,7 @@ impl Analyzer<'_, '_> {
         }
     }
 
-    /// Scans an expression range for nested cast/reduction/lock sites
+    /// Scans an expression range for nested call/cast/reduction sites
     /// (used for initializers and RHS ranges consumed whole).
     fn scan_expr(&mut self, start: usize, end: usize, _depth: usize) {
         let mut i = start;
@@ -789,18 +755,6 @@ impl Analyzer<'_, '_> {
                 match self.text(i) {
                     "as" => self.cast_site(i),
                     "sum" | "fold" if i > 0 && self.is_punct(i - 1, ".") => self.reduction_site(i),
-                    name if IO_METHODS.contains(&name)
-                        && i > 0
-                        && self.is_punct(i - 1, ".")
-                        && self.is_punct(i + 1, "(") =>
-                    {
-                        if let Some(g) = self.live_guard() {
-                            self.facts.locks.push(Site {
-                                what: format!("guard `{g}` held across {name}()"),
-                                line: self.toks[i].line,
-                            });
-                        }
-                    }
                     _ => {}
                 }
             }
@@ -838,10 +792,9 @@ impl Analyzer<'_, '_> {
         }
         let name = name.to_string();
         let kind = if prev_dot {
-            let on_self = i
-                .checked_sub(2)
-                .is_some_and(|p| self.is_ident_tok(p) && self.text(p) == "self");
-            crate::parser::CallKind::Method { on_self }
+            crate::parser::CallKind::Method {
+                recv: crate::parser::plain_receiver(self.src, self.toks, i),
+            }
         } else if prev_path {
             let head = i
                 .checked_sub(2)
@@ -1199,10 +1152,19 @@ mod tests {
         assert!(f.casts[0].what.contains("u128"), "{f:?}");
     }
 
-    // --- D011 ------------------------------------------------------------
+    // --- guard liveness (D014 raw material) ------------------------------
+
+    /// Callees of the guarded calls that block on a socket.
+    fn blocking_under_guard(f: &BodyFacts) -> Vec<(&str, &[String])> {
+        f.guarded_calls
+            .iter()
+            .filter(|g| BLOCKING_METHODS.contains(&g.callee.as_str()))
+            .map(|g| (g.callee.as_str(), g.held.as_slice()))
+            .collect()
+    }
 
     #[test]
-    fn guard_across_write_is_flagged() {
+    fn guard_across_write_is_recorded() {
         let f = facts(
             "fn f(stream: &mut TcpStream, queue: &Mutex<VecDeque<Vec<u8>>>) {\n\
                  let mut q = queue.lock().unwrap_or_else(|p| p.into_inner());\n\
@@ -1211,15 +1173,21 @@ mod tests {
                  }\n\
              }\n",
         );
-        assert_eq!(f.locks.len(), 1, "{f:?}");
-        assert!(f.locks[0].what.contains("write_all"));
+        let queue = ["queue".to_string()];
+        assert_eq!(
+            blocking_under_guard(&f),
+            vec![("write_all", &queue[..])],
+            "{f:?}"
+        );
+        let write = f.guarded_calls.iter().find(|g| g.callee == "write_all");
+        assert_eq!(write.map(|g| g.line), Some(4), "{f:?}");
     }
 
     #[test]
     fn second_lock_while_guard_live_records_acquisition_order() {
-        // Nested acquisition is no longer an intra-function D011: the
-        // acquires facts carry the held-set and D014's lock-order graph
-        // decides whether the order is actually cyclic.
+        // Nested acquisition is not flagged per function: the acquires
+        // facts carry the held-set and D014's lock-order graph decides
+        // whether the order is actually cyclic.
         let f = facts(
             "fn f(a: &Mutex<u64>, b: &Mutex<u64>) -> u64 {\n\
                  let ga = a.lock().unwrap_or_else(|p| p.into_inner());\n\
@@ -1227,7 +1195,7 @@ mod tests {
                  *ga + *gb\n\
              }\n",
         );
-        assert!(f.locks.is_empty(), "{f:?}");
+        assert!(blocking_under_guard(&f).is_empty(), "{f:?}");
         assert_eq!(f.acquires.len(), 2, "{f:?}");
         assert_eq!(f.acquires[0].lock, "a");
         assert!(f.acquires[0].held.is_empty());
@@ -1245,7 +1213,8 @@ mod tests {
                  let _ = stream.write_all(&[n as u8]);\n\
              }\n",
         );
-        assert!(f.locks.is_empty(), "{f:?}");
+        assert!(blocking_under_guard(&f).is_empty(), "{f:?}");
+        assert!(f.guarded_calls.iter().any(|g| g.callee == "len"), "{f:?}");
     }
 
     #[test]
@@ -1257,10 +1226,14 @@ mod tests {
                      if q.is_empty() {\n\
                          q = shared.available.wait(q).unwrap_or_else(|p| p.into_inner());\n\
                      }\n\
+                     q.pop_front();\n\
                  }\n\
              }\n",
         );
-        assert!(f.locks.is_empty(), "{f:?}");
+        assert!(blocking_under_guard(&f).is_empty(), "{f:?}");
+        // The reassignment through `wait` keeps the guard live.
+        let pop = f.guarded_calls.iter().find(|g| g.callee == "pop_front");
+        assert_eq!(pop.map(|g| g.held.clone()), Some(vec!["queue".to_string()]));
     }
 
     #[test]
@@ -1269,11 +1242,15 @@ mod tests {
             "fn f(stream: &mut TcpStream, queue: &Mutex<u64>) {\n\
                  {\n\
                      let g = queue.lock().unwrap_or_else(|p| p.into_inner());\n\
-                     let _ = *g;\n\
+                     let _ = g.count_ones();\n\
                  }\n\
                  let _ = stream.flush();\n\
              }\n",
         );
-        assert!(f.locks.is_empty(), "{f:?}");
+        assert!(blocking_under_guard(&f).is_empty(), "{f:?}");
+        assert!(
+            f.guarded_calls.iter().any(|g| g.callee == "count_ones"),
+            "{f:?}"
+        );
     }
 }

@@ -7,7 +7,7 @@ use crate::{Finding, Rule, Severity};
 use std::fmt::Write as _;
 
 /// Version string stamped into both report formats.
-pub const TOOL_VERSION: &str = "4.0.0";
+pub const TOOL_VERSION: &str = "5.0.0";
 
 /// Escapes `s` for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -35,25 +35,17 @@ fn severity_str(s: Severity) -> &'static str {
     }
 }
 
-/// Renders findings as the tool's native JSON report. `baselined[i]`
-/// says whether `findings[i]` is grandfathered by the baseline file.
-pub fn to_json(findings: &[Finding], baselined: &[bool]) -> String {
+/// Renders findings as the tool's native JSON report.
+pub fn to_json(findings: &[Finding]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"tool\": \"cfa-audit\",\n");
     let _ = writeln!(out, "  \"version\": \"{TOOL_VERSION}\",");
-    let new = baselined.iter().filter(|&&b| !b).count();
-    let _ = writeln!(
-        out,
-        "  \"summary\": {{ \"total\": {}, \"new\": {}, \"baselined\": {} }},",
-        findings.len(),
-        new,
-        findings.len() - new
-    );
+    let _ = writeln!(out, "  \"summary\": {{ \"total\": {} }},", findings.len());
     out.push_str("  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{ \"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"snippet\": \"{}\", \"note\": {}, \"baselined\": {} }}",
+            "    {{ \"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"snippet\": \"{}\", \"note\": {} }}",
             f.rule,
             severity_str(f.severity),
             json_escape(&f.file),
@@ -63,7 +55,6 @@ pub fn to_json(findings: &[Finding], baselined: &[bool]) -> String {
                 Some(n) => format!("\"{}\"", json_escape(n)),
                 None => "null".to_string(),
             },
-            baselined.get(i).copied().unwrap_or(false),
         );
         out.push_str(if i + 1 < findings.len() { ",\n" } else { "\n" });
     }
@@ -71,10 +62,9 @@ pub fn to_json(findings: &[Finding], baselined: &[bool]) -> String {
     out
 }
 
-/// Renders findings as SARIF 2.1.0 for CI code-scanning annotation.
-/// Baselined findings keep `baselineState: "unchanged"` and drop to level
-/// `note`; new findings are `"new"` at their rule's severity.
-pub fn to_sarif(findings: &[Finding], baselined: &[bool]) -> String {
+/// Renders findings as SARIF 2.1.0 for CI code-scanning annotation, each
+/// at its rule's severity.
+pub fn to_sarif(findings: &[Finding]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
@@ -99,12 +89,6 @@ pub fn to_sarif(findings: &[Finding], baselined: &[bool]) -> String {
     out.push_str("          ]\n        }\n      },\n");
     out.push_str("      \"results\": [\n");
     for (i, f) in findings.iter().enumerate() {
-        let is_base = baselined.get(i).copied().unwrap_or(false);
-        let level = if is_base {
-            "note"
-        } else {
-            severity_str(f.severity)
-        };
         let rule_index = Rule::ALL.iter().position(|r| *r == f.rule).unwrap_or(0);
         let message = match &f.note {
             Some(n) => format!("{}: {} [{}]", f.rule.summary(), f.snippet, n),
@@ -112,11 +96,10 @@ pub fn to_sarif(findings: &[Finding], baselined: &[bool]) -> String {
         };
         let _ = write!(
             out,
-            "        {{ \"ruleId\": \"{}\", \"ruleIndex\": {}, \"level\": \"{}\", \"baselineState\": \"{}\", \"message\": {{ \"text\": \"{}\" }}, \"locations\": [ {{ \"physicalLocation\": {{ \"artifactLocation\": {{ \"uri\": \"{}\", \"uriBaseId\": \"SRCROOT\" }}, \"region\": {{ \"startLine\": {} }} }} }} ] }}",
+            "        {{ \"ruleId\": \"{}\", \"ruleIndex\": {}, \"level\": \"{}\", \"message\": {{ \"text\": \"{}\" }}, \"locations\": [ {{ \"physicalLocation\": {{ \"artifactLocation\": {{ \"uri\": \"{}\", \"uriBaseId\": \"SRCROOT\" }}, \"region\": {{ \"startLine\": {} }} }} }} ] }}",
             f.rule,
             rule_index,
-            level,
-            if is_base { "unchanged" } else { "new" },
+            severity_str(f.severity),
             json_escape(&message),
             json_escape(&f.file),
             f.line,
@@ -145,29 +128,24 @@ mod tests {
     #[test]
     fn json_is_deterministic_and_escaped() {
         let f = sample();
-        let a = to_json(&f, &[false]);
-        let b = to_json(&f, &[false]);
+        let a = to_json(&f);
+        let b = to_json(&f);
         assert_eq!(a, b);
         assert!(a.contains("\\\"quoted\\\""));
-        assert!(a.contains("\"new\": 1"));
+        assert!(a.contains("\"total\": 1"));
     }
 
     #[test]
-    fn sarif_has_schema_rules_and_baseline_state() {
-        let f = sample();
-        let s = to_sarif(&f, &[true]);
+    fn sarif_has_schema_rules_and_levels() {
+        let s = to_sarif(&sample());
         assert!(s.contains("sarif-2.1.0.json"));
         assert!(s.contains("\"id\": \"D008\""));
-        assert!(s.contains("\"baselineState\": \"unchanged\""));
-        assert!(s.contains("\"level\": \"note\""));
-        let s_new = to_sarif(&f, &[false]);
-        assert!(s_new.contains("\"baselineState\": \"new\""));
-        assert!(s_new.contains("\"level\": \"error\""));
+        assert!(s.contains("\"level\": \"error\""));
     }
 
     #[test]
     fn sarif_is_balanced_json_shape() {
-        let s = to_sarif(&sample(), &[false]);
+        let s = to_sarif(&sample());
         // Cheap structural sanity: balanced braces/brackets outside strings.
         let mut depth = 0i32;
         let mut in_str = false;

@@ -1,7 +1,7 @@
 //! The workspace call graph: name-based resolution of the call sites the
 //! [`parser`](crate::parser) mined, plus deterministic reachability.
 //!
-//! Resolution policy (conservative, zero type inference):
+//! Resolution policy (no type inference beyond declared signatures):
 //!
 //! * **Free calls** `name(...)` resolve to free functions only — same
 //!   module first, then same file, then same crate, then workspace-wide.
@@ -11,12 +11,24 @@
 //!   enclosing impl/trait type when one exists; otherwise they fall back
 //!   to every method of that name (trait default methods live on the
 //!   trait type).
+//! * **Typed parameter calls** `p.name(...)`, where `p` is declared as
+//!   `T`, `&T`, `&mut T` or `T<…>` and never rebound in the body, resolve
+//!   to `T::name` when the workspace defines it: rustc's method probe
+//!   tries the receiver's own type before any deref or trait object.
 //! * **Other method calls** `recv.name(...)` resolve to *every* workspace
 //!   method named `name` — the conservative answer for trait-object and
-//!   generic dispatch (`Box<dyn App>`, `A: Agent`).
+//!   generic dispatch (`Box<dyn App>`, `A: Agent`), `Self`, std wrappers,
+//!   and receivers of unknown type.
 //! * **Qualified calls** `Head::name(...)` resolve to `Head`'s method if
 //!   the workspace defines one, else to free functions named `name`
 //!   (module-qualified paths like `helpers::score`).
+//!
+//! Every candidate must also be visible to the caller under Rust's
+//! privacy rules (an edge rustc would reject cannot be a real call): a
+//! free fn or inherent method without `pub` is callable only from its
+//! defining module's subtree — the same file, or files under `dir/stem/`
+//! (`dir/` for a `lib.rs`/`main.rs`/`mod.rs`). Any `pub(…)` counts as
+//! `pub`; `trait` items and `impl Trait for T` methods are never private.
 //!
 //! Calls that resolve to nothing are std/vendored-API calls and simply
 //! add no edges. Edges are deduplicated and sorted, and BFS visits in
@@ -54,6 +66,19 @@ fn crate_root(rel: &str) -> &str {
             None => rel,
         }
     }
+}
+
+/// Whether an item declared without `pub` in `def` is visible from
+/// `caller`: the same file, or a file in the defining module's subtree
+/// (`dir/stem/…`, or all of `dir/…` for a `lib.rs`/`main.rs`/`mod.rs`).
+fn private_visible(def: &str, caller: &str) -> bool {
+    let (dir, file) = def.split_at(def.rfind('/').map_or(0, |k| k + 1));
+    let stem = file.trim_end_matches(".rs");
+    caller == def
+        || caller.strip_prefix(dir).is_some_and(|rest| {
+            matches!(stem, "lib" | "main" | "mod")
+                || rest.strip_prefix(stem).is_some_and(|r| r.starts_with('/'))
+        })
 }
 
 impl CallGraph {
@@ -104,16 +129,31 @@ impl CallGraph {
     }
 
     /// Resolves one call site in `fns[caller]` to its candidate callee
-    /// indices under the module/impl-scoped policy documented above.
+    /// indices under the privacy-, module- and type-scoped policy
+    /// documented above.
     pub fn resolve(&self, caller: usize, name: &str, kind: &CallKind) -> Vec<usize> {
         let Some(f) = self.fns.get(caller) else {
             return Vec::new();
         };
+        // The candidates of `set` that privacy lets `f` call.
+        let visible = |set: Option<&Vec<usize>>| -> Vec<usize> {
+            set.into_iter()
+                .flatten()
+                .copied()
+                .filter(|&c| {
+                    self.fns
+                        .get(c)
+                        .is_some_and(|g| !g.private || private_visible(&g.file, &f.file))
+                })
+                .collect()
+        };
+        let method = |owner: &str| {
+            self.methods_by_owner
+                .get(&(owner.to_string(), name.to_string()))
+        };
         match kind {
             CallKind::Free => {
-                let Some(cands) = self.free_by_name.get(name) else {
-                    return Vec::new();
-                };
+                let cands = visible(self.free_by_name.get(name));
                 // Narrow by proximity: same module+file, then same file,
                 // then same crate, then anywhere.
                 let same_file: Vec<usize> = cands
@@ -142,41 +182,46 @@ impl CallGraph {
                 } else if !same_crate.is_empty() {
                     same_crate
                 } else {
-                    cands.clone()
+                    cands
                 }
             }
-            CallKind::Method { on_self } => {
-                let scoped = f
-                    .owner
-                    .clone()
-                    .filter(|_| *on_self)
-                    .and_then(|o| self.methods_by_owner.get(&(o, name.to_string())));
-                match scoped {
-                    Some(ms) => ms.clone(),
-                    None => self.methods_by_name.get(name).cloned().unwrap_or_default(),
+            CallKind::Method { recv } => {
+                // `self.m()` scopes to the enclosing impl, `p.m()` on a
+                // typed parameter to its declared type.
+                let owner = match recv.as_deref() {
+                    Some("self") => f.owner.clone(),
+                    Some(r) => f
+                        .params
+                        .iter()
+                        .find(|(p, _)| p == r)
+                        .and_then(|(_, t)| t.clone()),
+                    None => None,
+                };
+                let scoped = visible(owner.and_then(|o| method(&o)));
+                if scoped.is_empty() {
+                    visible(self.methods_by_name.get(name))
+                } else {
+                    scoped
                 }
             }
             CallKind::Qualified { head } => {
-                if let Some(ms) = self.methods_by_owner.get(&(head.clone(), name.to_string())) {
-                    ms.clone()
-                } else if let Some(cands) = self.free_by_name.get(name) {
-                    // Module-qualified free call (`helpers::f()`): accept
-                    // free fns whose module path ends with the head
-                    // segment, or any when head is a crate-ish qualifier.
-                    let crate_ish = matches!(head.as_str(), "crate" | "self" | "super");
-                    cands
-                        .iter()
-                        .copied()
-                        .filter(|&c| {
-                            crate_ish
-                                || self.fns.get(c).is_some_and(|g| {
-                                    g.module.last().map(String::as_str) == Some(head)
-                                })
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
+                let scoped = visible(method(head));
+                if !scoped.is_empty() {
+                    return scoped;
                 }
+                // Module-qualified free call (`helpers::f()`): accept free
+                // fns whose module path ends with the head segment, or any
+                // when head is a crate-ish qualifier.
+                let crate_ish = matches!(head.as_str(), "crate" | "self" | "super");
+                let mut cands = visible(self.free_by_name.get(name));
+                cands.retain(|&c| {
+                    crate_ish
+                        || self
+                            .fns
+                            .get(c)
+                            .is_some_and(|g| g.module.last().map(String::as_str) == Some(head))
+                });
+                cands
             }
             CallKind::Macro => Vec::new(),
         }
@@ -267,6 +312,15 @@ mod tests {
         CallGraph::build(fns)
     }
 
+    /// `file:Qualified::name` of every callee the fn named `caller` has
+    /// an edge to.
+    fn callees(g: &CallGraph, caller: &str) -> Vec<String> {
+        g.edges[idx(g, caller)]
+            .iter()
+            .map(|&c| format!("{}:{}", g.fns[c].file, g.fns[c].qualified()))
+            .collect()
+    }
+
     fn idx(g: &CallGraph, q: &str) -> usize {
         g.fns
             .iter()
@@ -295,7 +349,7 @@ mod tests {
             ),
             (
                 "crates/routing/src/agent.rs",
-                "impl FloodAgent { fn on_packet(&mut self, x: u32) { self.table[0]; } }\n",
+                "impl Agent for FloodAgent { fn on_packet(&mut self, x: u32) { self.table[0]; } }\n",
             ),
         ]);
         let parent = g.reachable(&g.roots(&["Simulator::run"]));
@@ -376,6 +430,99 @@ mod tests {
         )]);
         let parent = g.reachable(&g.roots(&["a"]));
         assert_eq!(g.chain(&parent, idx(&g, "c")), vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn private_items_resolve_only_within_their_module_subtree() {
+        let g = graph_of(&[
+            (
+                "crates/ml/src/c45.rs",
+                "impl Builder { fn build(&mut self) {} }\nfn same_file(b: B) { b.build(); }\n",
+            ),
+            (
+                "crates/ml/src/c45/child.rs",
+                "fn child(b: B) { b.build(); }\n",
+            ),
+            (
+                "crates/ml/src/c45_io.rs",
+                "fn sibling(b: B) { b.build(); }\n",
+            ),
+            ("crates/ml/src/lib.rs", "fn helper() {}\n"),
+            ("crates/ml/src/deep/er.rs", "fn deeper() { helper(); }\n"),
+            (
+                "crates/sim/src/scenario.rs",
+                "fn other_crate(sim: S) { sim.build(); helper(); }\n",
+            ),
+        ]);
+        let build = ["crates/ml/src/c45.rs:Builder::build"];
+        assert_eq!(callees(&g, "same_file"), build);
+        assert_eq!(callees(&g, "child"), build);
+        assert_eq!(callees(&g, "deeper"), ["crates/ml/src/lib.rs:helper"]);
+        assert!(callees(&g, "sibling").is_empty());
+        assert!(callees(&g, "other_crate").is_empty());
+    }
+
+    #[test]
+    fn every_pub_form_resolves_from_anywhere() {
+        let g = graph_of(&[
+            (
+                "crates/a/src/inner.rs",
+                "pub(crate) const fn krate() {}\n\
+                 pub(super) fn sup() {}\n\
+                 pub(in crate::a) unsafe fn within() {}\n\
+                 impl T { pub fn method(&self) {} }\n",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "fn caller(t: U) { krate(); sup(); within(); t.method(); }\n",
+            ),
+        ]);
+        assert_eq!(
+            callees(&g, "caller").len(),
+            4,
+            "{:?}",
+            callees(&g, "caller")
+        );
+    }
+
+    #[test]
+    fn typed_parameters_narrow_method_calls() {
+        let g = graph_of(&[
+            (
+                "crates/sim/src/sim.rs",
+                "impl Sim { pub fn run(&mut self) {} }\n\
+                 impl A { pub fn run(&mut self) {} }\n\
+                 impl Table { pub fn len(&self) {} }\n",
+            ),
+            (
+                "crates/core/src/pipeline.rs",
+                "impl Pipeline { pub fn run(&self) {} }\n",
+            ),
+            (
+                "crates/x/src/lib.rs",
+                "fn typed(s: &mut Sim) { s.run(); }\n\
+                 fn owned(s: Sim) { s.run(); }\n\
+                 fn generic<A: Agent>(a: &mut A) { a.run(); }\n\
+                 fn boxed(b: Box<Sim>) { b.run(); }\n\
+                 fn dynamic(d: &dyn Agent) { d.run(); }\n\
+                 fn lacking(t: &Table) { t.run(); }\n\
+                 fn shadowed(s: &mut Sim) { let s = make(); s.run(); }\n\
+                 fn closure(s: &mut Sim) { each(|s| s.run()); }\n",
+            ),
+        ]);
+        let sim = ["crates/sim/src/sim.rs:Sim::run"];
+        assert_eq!(callees(&g, "typed"), sim);
+        assert_eq!(callees(&g, "owned"), sim);
+        let all = [
+            "crates/sim/src/sim.rs:Sim::run",
+            "crates/sim/src/sim.rs:A::run",
+            "crates/core/src/pipeline.rs:Pipeline::run",
+        ];
+        for f in [
+            "generic", "boxed", "dynamic", "lacking", "shadowed", "closure",
+        ] {
+            assert_eq!(callees(&g, f), all, "{f} must keep the fallback");
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //!
 //! * **D006 — panic reachability.** No `panic!`-family macro, `unwrap`/
 //!   `expect`, or slice/array indexing may be transitively reachable from
-//!   the simulator's per-event dispatch (`Simulator::run` /
-//!   `Simulator::run_until`) or from the zero-alloc prediction entry
-//!   point (`predict_row`). A panic on either path aborts a training or
-//!   calibration run mid-stream — the silent corruption the paper's
+//!   a [`PANIC_ROOTS`] entry: the simulator's per-event dispatch
+//!   (`Simulator::run` / `Simulator::run_until`), the prediction entry
+//!   points, the fleet driver, or the serving event loop and scoring
+//!   workers. A panic on the simulation or predict path aborts a training
+//!   or calibration run mid-stream — the silent corruption the paper's
 //!   threshold selection cannot tolerate.
 //! * **D007 — unbounded growth.** A type whose event-path methods grow a
 //!   `self` field (`insert`/`push`/…) must evict from that same field
@@ -19,12 +20,11 @@
 //!   `score_all`, `score_snapshot`, …): that path is advertised
 //!   zero-alloc and the ensemble calls it `L` times per event.
 //!
-//! The dataflow rules D009–D011 are emitted here too: the
+//! The dataflow rules D009–D010 are emitted here too: the
 //! [`crate::dataflow`] pass mines the per-function facts (float
 //! reductions over parallel results, truncating casts on tracked wide
-//! values, lock-discipline violations) and this layer applies the
-//! interprocedural gates — D010 fires only in functions reachable from
-//! the panic/predict hot roots, D011 only in the serving crate.
+//! values) and this layer applies the interprocedural gate — D010 fires
+//! only in functions reachable from the panic/predict hot roots.
 //!
 //! Suppression: `// audit: allow(D006, reason = "...")` at the site (or
 //! the line above). For panic sites, an existing `allow(D004, ...)`
@@ -39,6 +39,26 @@ use std::collections::BTreeMap;
 
 /// Qualified roots of the event-dispatch path.
 pub const EVENT_ROOTS: [&str; 2] = ["Simulator::run", "Simulator::run_until"];
+
+/// Roots of D006 panic reachability: the event path, the interpreted
+/// and compiled scoring entries, the fleet driver, and the serving event
+/// loop. `CompiledEnsemble::score_row`/`score_batch` must fail loudly at
+/// their asserted width check, never via an unjustified panic deeper in
+/// the walk; `run_fleet` drives whole batches of simulations across
+/// worker threads, so any panic it reaches takes the fleet down; and
+/// `Reactor::run` is cfa-serve's single event loop, whose panic drops
+/// every client at once, with `score_job` the worker-side scoring entry
+/// it dispatches to.
+pub const PANIC_ROOTS: [&str; 8] = [
+    "Simulator::run",
+    "Simulator::run_until",
+    "predict_row",
+    "CompiledEnsemble::score_row",
+    "CompiledEnsemble::score_batch",
+    "run_fleet",
+    "Reactor::run",
+    "score_job",
+];
 
 /// Bare-name roots of the zero-alloc predict/score path.
 /// `score_rows_into` is the serving hot loop in `cfa-serve` — a network
@@ -111,35 +131,7 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
     let mut findings = Vec::new();
 
     // --- D006: panic reachability --------------------------------------
-    // `handle_conn` is cfa-serve's per-connection request handler: a
-    // malformed network frame must never panic a worker, so the whole
-    // request-handling path is held to the same standard as the
-    // simulator's event path.
-    // `score_row`/`score_batch` are the compiled engine's scoring entry
-    // points: a malformed row must fail loudly at the asserted width
-    // check, never via an unjustified panic site deeper in the walk.
-    // `run_fleet` is the corpus-production entry point: it drives whole
-    // batches of simulations across worker threads, so any panic it can
-    // reach takes the entire fleet down with it.
-    // `Reactor::run` is cfa-serve's single event loop: every connection
-    // lives in its poll table, so one panic drops the whole fleet of
-    // clients at once — nothing reachable from it may panic on network
-    // input. `score_job` is the worker-side scoring entry the reactor
-    // dispatches to; it is held to the same standard.
-    let panic_roots: Vec<&str> = EVENT_ROOTS
-        .iter()
-        .copied()
-        .chain([
-            "predict_row",
-            "handle_conn",
-            "CompiledEnsemble::score_row",
-            "CompiledEnsemble::score_batch",
-            "run_fleet",
-            "Reactor::run",
-            "score_job",
-        ])
-        .collect();
-    let parent = graph.reachable(&graph.roots(&panic_roots));
+    let parent = graph.reachable(&graph.roots(&PANIC_ROOTS));
     for (i, f) in graph.fns.iter().enumerate() {
         if f.is_test || parent[i].is_none() {
             continue;
@@ -247,7 +239,7 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
     // data instead of failing; on the panic-policed and predict paths the
     // contract is "fail loudly or prove the range". The gate is the union
     // of the D006 panic roots and the D008 predict roots.
-    let hot_roots: Vec<&str> = panic_roots
+    let hot_roots: Vec<&str> = PANIC_ROOTS
         .iter()
         .copied()
         .chain(PREDICT_ROOTS.iter().copied())
@@ -272,34 +264,6 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
                 snippet: ctx.snippet(site.line),
                 note: Some(format!("{}, reachable via {chain}", site.what)),
                 severity: Rule::D010.severity(),
-            });
-        }
-    }
-
-    // --- D011: lock discipline in the serving crate --------------------
-    // The connection loop shares one process with the scoring workers: a
-    // guard held across socket I/O stalls every thread behind the mutex
-    // for a network round-trip, and nested acquisition orders are how the
-    // accept/worker pair deadlocks. Scoped to crates/serve — the only
-    // crate with locks by design.
-    for f in &graph.fns {
-        if f.is_test || !f.file.starts_with("crates/serve/") {
-            continue;
-        }
-        let Some(ctx) = files.get(&f.file) else {
-            continue;
-        };
-        for site in &f.flow.locks {
-            if ctx.is_allowed(Rule::D011, site.line - 1) {
-                continue;
-            }
-            findings.push(Finding {
-                rule: Rule::D011,
-                file: f.file.clone(),
-                line: site.line,
-                snippet: ctx.snippet(site.line),
-                note: Some(format!("{} in {}", site.what, f.qualified())),
-                severity: Rule::D011.severity(),
             });
         }
     }

@@ -1,22 +1,23 @@
 //! # cfa-audit
 //!
 //! A zero-dependency, four-layer static analyzer for the manet-cfa
-//! workspace: a **lexical** determinism lint (PR 3), an
-//! **interprocedural** reachability layer over a workspace call graph
-//! (PR 4), a per-function **dataflow** value-tracking pass (PR 8), and an
-//! interprocedural **taint** pass for untrusted network/CLI input plus a
-//! lock-acquisition graph (this PR). The repo's headline guarantees — PR 1's "bit-identical at
-//! any thread count" ensemble, PR 2's "batch == stream bit-for-bit"
-//! equivalence — rest on discipline the compiler does not enforce: one
-//! careless `HashMap` iteration, one wall-clock read, one reachable panic
-//! in the event loop, one per-event allocation in the "zero-alloc"
-//! predict path, and the reproducibility story silently rots. `cfa-audit`
-//! enforces it statically, with no `syn` (the crate registry is
-//! unreachable from the build hosts, so the analyzer is deliberately
-//! dependency-free): a hand-rolled [`lexer`] is the shared front end, an
-//! item [`parser`] extracts functions and call expressions, and a
-//! [`graph::CallGraph`] resolves them workspace-wide (name-based, with
-//! module/impl scoping, conservative on trait dispatch).
+//! workspace: a **lexical** determinism lint, an **interprocedural**
+//! reachability layer over a workspace call graph, a per-function
+//! **dataflow** value-tracking pass, and an interprocedural **taint**
+//! pass for untrusted network/CLI input plus a lock-acquisition graph.
+//! The repo's headline guarantees — a "bit-identical at any thread count"
+//! ensemble and "batch == stream bit-for-bit" equivalence — rest on
+//! discipline the compiler does not enforce: one careless `HashMap`
+//! iteration, one wall-clock read, one reachable panic in the event loop,
+//! one per-event allocation in the "zero-alloc" predict path, and the
+//! reproducibility story silently rots. `cfa-audit` enforces it
+//! statically, with no `syn` (the crate registry is unreachable from the
+//! build hosts, so the analyzer is deliberately dependency-free): a
+//! hand-rolled [`lexer`] is the shared front end, an item [`parser`]
+//! extracts functions and call expressions, and a [`graph::CallGraph`]
+//! resolves them workspace-wide (name-based, with module/impl scoping,
+//! Rust's privacy rules and declared parameter types, conservative on
+//! trait dispatch).
 //!
 //! ## Rules
 //!
@@ -27,15 +28,17 @@
 //! | D003 | lexical | `f64`/`f32` `==`/`!=` comparisons (use `to_bits()` or an epsilon) | non-test code |
 //! | D004 | lexical | `unwrap()`/`expect()` in library hot paths | non-test code of sim, routing, features |
 //! | D005 | lexical | bare `#[allow(...)]` without a justification comment | everywhere |
-//! | D006 | interprocedural | `panic!`/`unwrap`/`expect`/slice indexing transitively reachable from `Simulator::run`'s event dispatch or from `predict_row` | whole workspace |
+//! | D006 | interprocedural | `panic!`/`unwrap`/`expect`/slice indexing transitively reachable from a [`PANIC_ROOTS`](interproc::PANIC_ROOTS) entry (event dispatch, predict, fleet, serving) | whole workspace |
 //! | D007 | interprocedural | a `self` field grown (`insert`/`push`/…) on the event path with no eviction/cap anywhere in the owning type | whole workspace |
 //! | D008 | interprocedural | allocation (`Vec::new`, `to_vec`, `clone`, `format!`, `collect`, …) reachable from the zero-alloc predict/score path | whole workspace |
 //! | D009 | dataflow | `f64` reduction (`sum::<f64>()`, float `fold`, `+=`) over parallel/chunked results without a documented canonical combine order | non-test code |
 //! | D010 | dataflow | truncating cast (`as u16`/`as u32`/…) on a tracked wide value (u64/u128/SimTime/…) in a function reachable from the panic/predict hot roots | whole workspace |
-//! | D011 | dataflow | guard held across direct stream I/O in the serving crate | `crates/serve` |
 //! | D012 | taint | network/CLI-tainted value used as an allocation size (`with_capacity`, `reserve`, `resize`, …) without a dominating bound check | whole workspace |
 //! | D013 | taint | network/CLI-tainted value used in slice indexing or `wrapping_*`/`unchecked_*` arithmetic | whole workspace |
-//! | D014 | taint | lock-order violation: a cycle in the lock-acquisition graph, or a lock held across a call that reaches blocking stream I/O | `crates/serve` |
+//! | D014 | taint | lock-order violation: a cycle in the lock-acquisition graph, or a lock held across blocking stream I/O or a call that reaches it | `crates/serve` |
+//!
+//! D011 (guard held across direct stream I/O) was folded into D014; its
+//! ID stays retired so the others keep their numbers.
 //!
 //! ## Escape hatch
 //!
@@ -50,16 +53,10 @@
 //! For panic sites, a justified `allow(D004, …)` also covers D006: both
 //! rules police the same panic contract, one written reason suffices.
 //!
-//! ## Baseline
-//!
-//! [`Baseline`] grandfathers pre-existing findings
-//! (`crates/audit/baseline.txt`): new code is held to deny-level while
-//! old findings burn down. `cfa-audit --update-baseline` regenerates the
-//! file; CI fails on any non-baseline finding. JSON and SARIF reports
-//! ([`to_json`], [`to_sarif`]) are byte-deterministic for identical
-//! trees.
+//! Every surviving finding fails the run; there is no baseline of
+//! grandfathered findings. JSON and SARIF reports ([`to_json`],
+//! [`to_sarif`]) are byte-deterministic for identical trees.
 
-pub mod baseline;
 pub mod dataflow;
 pub mod emit;
 pub mod fix;
@@ -70,7 +67,6 @@ pub mod par;
 pub mod parser;
 pub mod taint;
 
-pub use baseline::{Baseline, BASELINE_REL_PATH};
 pub use emit::{to_json, to_sarif};
 pub use fix::apply_fixes;
 
@@ -101,8 +97,6 @@ pub enum Rule {
     D009,
     /// Truncating integer cast on a wide value on a hot path.
     D010,
-    /// Lock-discipline violation in the serving crate.
-    D011,
     /// Tainted value used as an allocation size without a bound check.
     D012,
     /// Tainted value used in indexing or unchecked/wrapping arithmetic.
@@ -113,8 +107,8 @@ pub enum Rule {
 
 /// How severe a rule's findings are: [`Severity::Error`] findings are
 /// correctness/reproducibility hazards, [`Severity::Warning`] findings
-/// are performance-contract violations. Both gate CI when not baselined;
-/// the tier selects the SARIF level CI annotates with.
+/// are performance-contract violations. Both gate CI; the tier selects
+/// the SARIF level CI annotates with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// Correctness or reproducibility hazard.
@@ -125,7 +119,7 @@ pub enum Severity {
 
 impl Rule {
     /// Every rule, in id order.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 13] = [
         Rule::D001,
         Rule::D002,
         Rule::D003,
@@ -136,7 +130,6 @@ impl Rule {
         Rule::D008,
         Rule::D009,
         Rule::D010,
-        Rule::D011,
         Rule::D012,
         Rule::D013,
         Rule::D014,
@@ -155,7 +148,6 @@ impl Rule {
             Rule::D008 => "D008",
             Rule::D009 => "D009",
             Rule::D010 => "D010",
-            Rule::D011 => "D011",
             Rule::D012 => "D012",
             Rule::D013 => "D013",
             Rule::D014 => "D014",
@@ -184,12 +176,13 @@ impl Rule {
                 "f64 reduction over parallel/chunked results without a documented combine order"
             }
             Rule::D010 => "truncating integer cast on a wide id/index/time value on a hot path",
-            Rule::D011 => "guard held across stream I/O in the serving crate",
             Rule::D012 => {
                 "tainted value used as an allocation size without a dominating bound check"
             }
             Rule::D013 => "tainted value used in slice indexing or wrapping/unchecked arithmetic",
-            Rule::D014 => "lock-order cycle or lock held across a call reaching blocking I/O",
+            Rule::D014 => {
+                "lock-order cycle, or lock held across blocking I/O or a call reaching it"
+            }
         }
     }
 
@@ -206,7 +199,6 @@ impl Rule {
             Rule::D008 => "pre-size and reuse caller-owned buffers (scratch pattern); a cold-path or setup allocation needs `// audit: allow(D008, reason = \"...\")`",
             Rule::D009 => "make the combine order canonical (ordered left-fold over map_chunks output, joins in spawn order) and document it with `// audit: allow(D009, reason = \"...\")` stating why the order is thread-count invariant",
             Rule::D010 => "use `Target::try_from(x)` and handle the error (`cfa-audit --fix` rewrites simple sites), or document the range invariant with `// audit: allow(D010, reason = \"...\")`",
-            Rule::D011 => "drop the guard (`drop(g)`) before stream I/O; the Condvar wait loop is exempt by construction",
             Rule::D012 => "validate the value against a cap before sizing an allocation with it — compare against a limit, go through a validated newtype like FrameLen, or use try_into/checked ops; a proven bound needs `// audit: allow(D012, reason = \"...\")`",
             Rule::D013 => "bound-check the value before indexing (get()/get_mut() degrade gracefully) and replace wrapping/unchecked arithmetic on untrusted input with checked ops; a proven bound needs `// audit: allow(D013, reason = \"...\")`",
             Rule::D014 => "acquire locks in one global order everywhere and drop every guard before calling anything that can block on a socket; an intentional ordering needs `// audit: allow(D014, reason = \"...\")`",

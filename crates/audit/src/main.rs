@@ -7,8 +7,6 @@
 //! cargo run -p cfa-audit -- <path>              # scan another tree (e.g. a fixture)
 //! cargo run -p cfa-audit -- --format sarif      # SARIF 2.1.0 to stdout
 //! cargo run -p cfa-audit -- --format json       # native JSON report
-//! cargo run -p cfa-audit -- --update-baseline   # rewrite crates/audit/baseline.txt
-//! cargo run -p cfa-audit -- --no-baseline       # strict: ignore the baseline
 //! cargo run -p cfa-audit -- --rules             # print the rule table
 //! cargo run -p cfa-audit -- <path> --fix        # apply mechanical fixes in place
 //! cargo run -p cfa-audit -- --threads 4         # scan on 4 worker threads
@@ -19,21 +17,16 @@
 //!
 //! `--fix` rewrites the mechanical rules (D003 float equality →
 //! `to_bits()`, D005 bare allow → justification template, D010
-//! truncating cast → checked `try_from`) for *non-baselined* findings
-//! and is idempotent: a second run applies nothing.
+//! truncating cast → checked `try_from`) and is idempotent: a second run
+//! applies nothing.
 //!
-//! Findings are checked against the committed baseline
-//! (`crates/audit/baseline.txt` under the scanned root, or `--baseline
-//! <path>`): grandfathered findings are reported at note level, anything
-//! new fails the run. Exits non-zero iff at least one non-baselined
-//! finding survives its allow annotations, so CI can gate on it.
+//! Every finding fails the run: exits non-zero iff at least one finding
+//! survives its allow annotations, so CI can gate on it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cfa_audit::{
-    apply_fixes, scan_tree_with_stats_at, to_json, to_sarif, Baseline, Rule, BASELINE_REL_PATH,
-};
+use cfa_audit::{apply_fixes, scan_tree_with_stats_at, to_json, to_sarif, Rule};
 
 fn workspace_root() -> PathBuf {
     // crates/audit/ -> workspace root.
@@ -52,8 +45,7 @@ enum Format {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cfa-audit [<root>] [--format text|json|sarif] [--baseline <path>] \
-         [--no-baseline] [--update-baseline] [--rules] [--fix] [--threads N]"
+        "usage: cfa-audit [<root>] [--format text|json|sarif] [--rules] [--fix] [--threads N]"
     );
     ExitCode::FAILURE
 }
@@ -61,9 +53,6 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Text;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut update_baseline = false;
     let mut fix = false;
     let mut threads: Option<usize> = None;
 
@@ -83,12 +72,6 @@ fn main() -> ExitCode {
                 Some("sarif") => format = Format::Sarif,
                 _ => return usage(),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--no-baseline" => no_baseline = true,
-            "--update-baseline" => update_baseline = true,
             "--fix" => fix = true,
             "--threads" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => threads = Some(n),
@@ -127,40 +110,8 @@ fn main() -> ExitCode {
         scan_started.elapsed().as_secs_f64() * 1000.0
     );
 
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join(BASELINE_REL_PATH));
-    if update_baseline {
-        let text = Baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("cfa-audit: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "cfa-audit: baseline updated — {} finding{} grandfathered at {}",
-            findings.len(),
-            if findings.len() == 1 { "" } else { "s" },
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if no_baseline {
-        Baseline::default()
-    } else {
-        Baseline::load(&baseline_path)
-    };
-    let baselined = baseline.classify(&findings);
-    let new = baselined.iter().filter(|&&b| !b).count();
-
     if fix {
-        // Fix only non-baselined findings: grandfathered sites burn down
-        // through deliberate review, not bulk rewrites.
-        let fixable: Vec<_> = findings
-            .iter()
-            .zip(&baselined)
-            .filter(|&(_, &is_base)| !is_base)
-            .map(|(f, _)| f.clone())
-            .collect();
-        match apply_fixes(&root, &fixable) {
+        match apply_fixes(&root, &findings) {
             Ok(outcome) => {
                 println!(
                     "cfa-audit: applied {} fix{} across {} file{}",
@@ -179,32 +130,26 @@ fn main() -> ExitCode {
     }
 
     match format {
-        Format::Json => print!("{}", to_json(&findings, &baselined)),
-        Format::Sarif => print!("{}", to_sarif(&findings, &baselined)),
+        Format::Json => print!("{}", to_json(&findings)),
+        Format::Sarif => print!("{}", to_sarif(&findings)),
         Format::Text => {
             if findings.is_empty() {
                 println!("cfa-audit: clean ({} rules, no findings)", Rule::ALL.len());
             } else {
-                for (f, &is_base) in findings.iter().zip(&baselined) {
-                    if is_base {
-                        println!("{f} [baselined]");
-                    } else {
-                        println!("{f}");
-                        println!("    fix: {}", f.rule.hint());
-                    }
+                for f in &findings {
+                    println!("{f}");
+                    println!("    fix: {}", f.rule.hint());
                 }
                 println!(
-                    "cfa-audit: {} finding{} ({} new, {} baselined) — see `cargo run -p cfa-audit -- --rules`",
+                    "cfa-audit: {} finding{} — see `cargo run -p cfa-audit -- --rules`",
                     findings.len(),
                     if findings.len() == 1 { "" } else { "s" },
-                    new,
-                    findings.len() - new,
                 );
             }
         }
     }
 
-    if new == 0 {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

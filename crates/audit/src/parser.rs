@@ -9,8 +9,11 @@
 //! This is deliberately not a full Rust grammar: it tracks brace nesting,
 //! angle-bracket balance in `impl` headers, and attribute spans, which is
 //! enough to attribute every call to the right function with zero
-//! dependencies. Trait `dyn`/generic dispatch is handled conservatively at
-//! resolution time (see [`graph`](crate::graph)), not here.
+//! dependencies. Alongside each function it records the two facts
+//! resolution narrows by: whether the `fn` is private (no `pub`, outside
+//! any trait), and the declared type head of each parameter. Trait
+//! `dyn`/generic dispatch is handled conservatively at resolution time
+//! (see [`graph`](crate::graph)), not here.
 
 use crate::dataflow::{self, BodyFacts};
 use crate::lexer::{lex, Token, TokenKind};
@@ -20,12 +23,14 @@ use crate::lexer::{lex, Token, TokenKind};
 pub enum CallKind {
     /// `name(...)` — a free-function call.
     Free,
-    /// `recv.name(...)`. `on_self` is true for a direct `self.name(...)`
-    /// (no field segment in between), which resolution scopes to the
-    /// enclosing impl before falling back to any method of that name.
+    /// `recv.name(...)`. `recv` is the receiver when it is one plain
+    /// identifier (`self`, a parameter, a local); resolution scopes
+    /// `self.name(...)` to the enclosing impl and `param.name(...)` to the
+    /// parameter's declared type before falling back to any method of
+    /// that name.
     Method {
-        /// Direct `self.method(...)` call.
-        on_self: bool,
+        /// The plain-identifier receiver, if any.
+        recv: Option<String>,
     },
     /// `Head::name(...)` — `head` is the path segment before the final
     /// `::`, e.g. `Vec` in `Vec::with_capacity`.
@@ -94,9 +99,15 @@ pub struct FnDef {
     pub grows: Vec<FieldOp>,
     /// Eviction calls on `self` fields (`remove`/`pop`/`retain`/…).
     pub evicts: Vec<FieldOp>,
-    /// Parameter names in declaration order (`self` excluded).
-    pub params: Vec<String>,
-    /// Dataflow facts (D009–D011) from the value-tracking pass.
+    /// No `pub`, outside any `trait`/`impl Trait for T`: callable only
+    /// from its defining module's subtree.
+    pub private: bool,
+    /// Parameters in declaration order (`self` excluded), each with its
+    /// declared type head (`Sim` for `&mut Sim<A>`; `None` for generic,
+    /// `dyn`/`impl`, `Self` or non-path types) unless the body may rebind
+    /// the name.
+    pub params: Vec<(String, Option<String>)>,
+    /// Dataflow facts (D009, D010, D014) from the value-tracking pass.
     pub flow: BodyFacts,
     /// Taint facts (D012–D014) mined from the body.
     pub taint: crate::taint::FnTaint,
@@ -211,9 +222,24 @@ pub fn parse_file(rel: &str, source: &str, path_is_test: bool) -> Vec<FnDef> {
             module: Vec::new(),
             owner: None,
             is_test: path_is_test,
+            in_trait: false,
+            generics: Vec::new(),
         },
     );
     p.fns
+}
+
+/// The receiver of the method call whose name token is at `name_at` (a
+/// `.` precedes it) when that receiver is one plain identifier: `self` in
+/// `self.step()`, `sim` in `sim.run()`. Field chains and expression
+/// receivers give `None`.
+pub(crate) fn plain_receiver(src: &str, toks: &[Token], name_at: usize) -> Option<String> {
+    let recv = toks.get(name_at.checked_sub(2)?)?;
+    let chained = name_at
+        .checked_sub(3)
+        .and_then(|k| toks.get(k))
+        .is_some_and(|t| t.kind == TokenKind::Punct && t.text(src) == ".");
+    (recv.kind == TokenKind::Ident && !chained).then(|| recv.text(src).to_string())
 }
 
 /// Lexical context an item is parsed in.
@@ -221,6 +247,10 @@ struct Scope {
     module: Vec<String>,
     owner: Option<String>,
     is_test: bool,
+    /// Inside a `trait` definition or an `impl Trait for T` block.
+    in_trait: bool,
+    /// Type parameters of the enclosing `impl`/`trait`.
+    generics: Vec<String>,
 }
 
 struct Parser<'s, 't> {
@@ -330,45 +360,31 @@ impl Parser<'_, '_> {
                         pending_test_attr = false;
                         continue;
                     }
-                    "impl" => {
-                        let (self_ty, body_open) = self.impl_header(i, end);
-                        if let Some(open) = body_open {
-                            let close = self.matching_brace(open, end);
-                            let was_test = scope.is_test;
-                            scope.is_test |= pending_test_attr;
-                            let prev_owner = scope.owner.replace(self_ty);
-                            self.items(open + 1, close - 1, scope);
-                            scope.owner = prev_owner;
-                            scope.is_test = was_test;
-                            i = close;
+                    "impl" | "trait" => {
+                        let is_impl = self.text(i) == "impl";
+                        let (owner, body_open, in_trait) = if is_impl {
+                            self.impl_header(i, end)
                         } else {
-                            i += 1;
-                        }
-                        pending_test_attr = false;
-                        continue;
-                    }
-                    "trait" => {
-                        let name = if i + 1 < end && self.toks[i + 1].kind == TokenKind::Ident {
-                            self.text(i + 1).to_string()
-                        } else {
-                            String::new()
+                            let name = self.toks.get(i + 1).filter(|t| t.kind == TokenKind::Ident);
+                            let name = name.map_or(String::new(), |t| t.text(self.src).to_string());
+                            (name, (i + 1..end).find(|&j| self.is_punct(j, "{")), true)
                         };
-                        let mut j = i + 1;
-                        while j < end && !self.is_punct(j, "{") {
-                            j += 1;
-                        }
-                        if j < end {
-                            let close = self.matching_brace(j, end);
-                            let was_test = scope.is_test;
-                            scope.is_test |= pending_test_attr;
-                            let prev_owner = scope.owner.replace(name);
-                            self.items(j + 1, close - 1, scope);
-                            scope.owner = prev_owner;
-                            scope.is_test = was_test;
-                            i = close;
-                        } else {
-                            i = end;
-                        }
+                        let Some(open) = body_open else {
+                            i += 1;
+                            pending_test_attr = false;
+                            continue;
+                        };
+                        let close = self.matching_brace(open, end);
+                        let mut inner = Scope {
+                            module: scope.module.clone(),
+                            owner: Some(owner),
+                            is_test: scope.is_test || pending_test_attr,
+                            in_trait,
+                            // `impl<A>` / `trait Name<T>` type parameters.
+                            generics: self.generic_names(i + 2 - usize::from(is_impl), open),
+                        };
+                        self.items(open + 1, close - 1, &mut inner);
+                        i = close;
                         pending_test_attr = false;
                         continue;
                     }
@@ -400,8 +416,9 @@ impl Parser<'_, '_> {
     }
 
     /// Parses an `impl` header starting at the `impl` token: returns the
-    /// self-type name and the index of the body `{`.
-    fn impl_header(&self, impl_at: usize, end: usize) -> (String, Option<usize>) {
+    /// self-type name, the index of the body `{`, and whether it is an
+    /// `impl Trait for T`.
+    fn impl_header(&self, impl_at: usize, end: usize) -> (String, Option<usize>, bool) {
         let mut i = impl_at + 1;
         // Find the body `{`; `<`/`>` never contain braces in a header.
         let mut body = None;
@@ -456,7 +473,32 @@ impl Parser<'_, '_> {
             }
             k += 1;
         }
-        (name, body)
+        (name, body, for_at.is_some())
+    }
+
+    /// Identifiers inside the `<…>` list at `open` (`A` and `Agent` in
+    /// `<A: Agent>`; empty when no list starts there): every type
+    /// parameter, plus bound names — harmless, since a generic name only
+    /// ever disables typed resolution.
+    fn generic_names(&self, open: usize, end: usize) -> Vec<String> {
+        let mut depth = 0i32;
+        (open..end)
+            .take_while(|&k| {
+                depth += i32::from(self.is_punct(k, "<")) - i32::from(self.is_punct(k, ">"));
+                depth > 0
+            })
+            .filter(|&k| self.toks[k].kind == TokenKind::Ident)
+            .map(|k| self.text(k).to_string())
+            .collect()
+    }
+
+    /// +1 for an opening bracket token, -1 for a closing one, else 0.
+    fn nesting(&self, k: usize) -> i32 {
+        match self.text(k) {
+            "(" | "[" | "{" if self.toks[k].kind == TokenKind::Punct => 1,
+            ")" | "]" | "}" if self.toks[k].kind == TokenKind::Punct => -1,
+            _ => 0,
+        }
     }
 
     /// Parses a `fn` item starting at the `fn` keyword; returns the index
@@ -478,6 +520,9 @@ impl Parser<'_, '_> {
             return j + 1;
         }
         let body_close = self.matching_brace(j, end);
+        let body = (j + 1, body_close - 1);
+        let mut generics = scope.generics.clone();
+        generics.extend(self.generic_names(name_at + 1, j));
         let mut def = FnDef {
             name,
             owner: scope.owner.clone(),
@@ -490,29 +535,36 @@ impl Parser<'_, '_> {
             allocs: Vec::new(),
             grows: Vec::new(),
             evicts: Vec::new(),
-            params: Vec::new(),
+            // Any `pub` form (`pub(crate)`, `pub(in …)`) since the item's
+            // start, past `const`/`unsafe`/`extern "abi"` qualifiers.
+            private: !scope.in_trait
+                && !(0..fn_at)
+                    .rev()
+                    .take_while(|&k| !["{", "}", ";", "]"].iter().any(|p| self.is_punct(k, p)))
+                    .any(|k| self.is_ident(k, "pub")),
+            params: self.params(name_at + 1, j, &generics, body),
             flow: BodyFacts::default(),
             taint: crate::taint::FnTaint::default(),
         };
-        def.params = self.param_names(name_at + 1, j);
-        self.mine_body(j + 1, body_close - 1, &mut def);
-        def.flow = dataflow::analyze(self.src, self.toks, (fn_at, j), (j + 1, body_close - 1));
-        def.taint = crate::taint::mine(
-            self.src,
-            self.toks,
-            (j + 1, body_close - 1),
-            self.rel,
-            &def.params,
-        );
+        self.mine_body(body.0, body.1, &mut def);
+        def.flow = dataflow::analyze(self.src, self.toks, (fn_at, j), body);
+        def.taint = crate::taint::mine(self.src, self.toks, body, self.rel);
         self.fns.push(def);
         body_close
     }
 
-    /// Mines the parameter names out of a signature token range
+    /// Mines the parameters out of a signature token range
     /// (`[after_name, body_open)`): identifiers at paren depth 1 that are
     /// immediately followed by `:`, skipping generic bounds (which may
-    /// themselves contain parens, e.g. `F: Fn(usize) -> T`).
-    fn param_names(&self, start: usize, end: usize) -> Vec<String> {
+    /// themselves contain parens, e.g. `F: Fn(usize) -> T`), each with
+    /// its [`type_head`](Self::type_head) unless the body may rebind it.
+    fn params(
+        &self,
+        start: usize,
+        end: usize,
+        generics: &[String],
+        body: (usize, usize),
+    ) -> Vec<(String, Option<String>)> {
         // The parameter list opens at the first `(` at angle depth 0.
         let mut angle = 0i32;
         let mut open = None;
@@ -549,11 +601,86 @@ impl Parser<'_, '_> {
                     self.is_punct(p, "(") || self.is_punct(p, ",") || self.is_ident(p, "mut")
                 })
             {
-                names.push(self.text(i).to_string());
+                let name = self.text(i).to_string();
+                let ty = self
+                    .type_head(i + 2, generics)
+                    .filter(|_| !self.may_rebind(body, &name));
+                names.push((name, ty));
             }
             i += 1;
         }
         names
+    }
+
+    /// The head of the type starting at token `k` when it names a concrete
+    /// type: `Sim` for `Sim`, `&Sim`, `&'a mut Sim<A>` or `a::Sim`. `None`
+    /// for generic parameters, `dyn`/`impl`, `Self` (or a path through
+    /// one of them), and non-path types (slices, tuples, arrays).
+    fn type_head(&self, mut k: usize, generics: &[String]) -> Option<String> {
+        let skip =
+            |t: &Token| t.kind == TokenKind::Lifetime || matches!(t.text(self.src), "&" | "mut");
+        while self.toks.get(k).is_some_and(skip) {
+            k += 1;
+        }
+        let mut head = None;
+        while let Some(t) = self.toks.get(k).filter(|t| t.kind == TokenKind::Ident) {
+            let seg = t.text(self.src);
+            if matches!(seg, "dyn" | "impl" | "Self") || generics.iter().any(|g| g == seg) {
+                return None;
+            }
+            head = Some(seg.to_string());
+            if !self.is_punct(k + 1, "::") {
+                break;
+            }
+            k += 2;
+        }
+        head
+    }
+
+    /// Whether the body may bind `name` anew, shadowing the parameter: it
+    /// occurs in a `let`/`for` pattern, a closure parameter list or a
+    /// match-arm head, or the body nests an `fn`. Over-approximate — a
+    /// false "yes" only costs the parameter its typed resolution.
+    fn may_rebind(&self, (start, end): (usize, usize), name: &str) -> bool {
+        for i in start..end {
+            let (a, b) = if self.is_ident(i, "fn") {
+                return true;
+            } else if self.is_ident(i, "let") || self.is_ident(i, "for") {
+                // To the `=` / `;` / `in` that ends the pattern.
+                let mut depth = 0;
+                let stop = (i + 1..end).find(|&k| {
+                    depth += self.nesting(k);
+                    depth <= 0
+                        && (self.is_punct(k, "=")
+                            || self.is_punct(k, ";")
+                            || self.is_ident(k, "in"))
+                });
+                (i + 1, stop.unwrap_or(end))
+            } else if self.is_punct(i, "|")
+                && match self.toks[i - 1].kind {
+                    TokenKind::Punct => !matches!(self.text(i - 1), ")" | "]" | "|"),
+                    _ => matches!(self.text(i - 1), "move" | "return" | "break"),
+                }
+            {
+                // A closure's parameter list, to the closing `|`.
+                let close = (i + 1..end).find(|&k| self.is_punct(k, "|"));
+                (i + 1, close.unwrap_or(end))
+            } else if self.is_punct(i, "=>") {
+                // Back to the `,` / `{` that opens this arm's head.
+                let mut depth = 0;
+                let open = (start..i).rev().find(|&k| {
+                    depth -= self.nesting(k);
+                    depth < 0 || depth == 0 && (self.is_punct(k, ",") || self.is_punct(k, ";"))
+                });
+                (open.unwrap_or(start), i)
+            } else {
+                continue;
+            };
+            if (a..b).any(|k| self.is_ident(k, name)) {
+                return true;
+            }
+        }
+        false
     }
 
     /// Extracts calls and rule sites from a body token range. Nested `fn`
@@ -724,10 +851,11 @@ impl Parser<'_, '_> {
             k = dot;
         }
         segs.reverse();
-        let on_self = segs.len() == 1 && segs[0] == "self";
         def.calls.push(Call {
             name: name.to_string(),
-            kind: CallKind::Method { on_self },
+            kind: CallKind::Method {
+                recv: plain_receiver(self.src, self.toks, i),
+            },
             line,
         });
         if PANIC_METHODS.contains(&name) {
@@ -823,7 +951,9 @@ mod tests {
             c[1],
             Call {
                 name: "dispatch".into(),
-                kind: CallKind::Method { on_self: true },
+                kind: CallKind::Method {
+                    recv: Some("self".into())
+                },
                 line: 3
             }
         );
@@ -831,7 +961,7 @@ mod tests {
             c[2],
             Call {
                 name: "push".into(),
-                kind: CallKind::Method { on_self: false },
+                kind: CallKind::Method { recv: None },
                 line: 4
             }
         );

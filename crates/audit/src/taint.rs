@@ -26,14 +26,14 @@
 //! ([`crate::dataflow::GuardedCall`]). This layer builds the
 //! lock-acquisition-order graph over `crates/serve`, flags any
 //! acquisition that closes a cycle (the classic AB/BA deadlock), and
-//! flags a guard held across a call that transitively reaches blocking
-//! socket I/O (`accept`/`read`/`write` family) — the interprocedural
-//! generalisation of D011, which keeps only the direct-I/O-under-guard
-//! case.
+//! flags a guard held across blocking socket I/O (`accept`/`read`/`write`
+//! family), whether the guarded call is that I/O itself or transitively
+//! reaches it.
 //!
 //! Suppression: `// audit: allow(D012, reason = "...")` at the sink (or
 //! the line above), same as every other rule.
 
+use crate::dataflow::BLOCKING_METHODS;
 use crate::graph::CallGraph;
 use crate::interproc::{render_chain, FileCtx};
 use crate::lexer::{Token, TokenKind};
@@ -173,13 +173,7 @@ const SANITIZER_TYPES: [&str; 1] = ["FrameLen"];
 /// seeding applies: only the serving crate, the bench crate, and the
 /// fleet driver under `src/` receive untrusted input by design — the
 /// audit tool's own file reads must not taint themselves.
-pub fn mine(
-    src: &str,
-    toks: &[Token],
-    body: (usize, usize),
-    rel: &str,
-    _params: &[String],
-) -> FnTaint {
+pub fn mine(src: &str, toks: &[Token], body: (usize, usize), rel: &str) -> FnTaint {
     let seed = rel.starts_with("crates/serve/")
         || rel.starts_with("crates/bench/")
         || rel.starts_with("src/");
@@ -644,10 +638,9 @@ impl Miner<'_, '_> {
                 }
             }
             let kind = if prev_dot {
-                let on_self = i
-                    .checked_sub(2)
-                    .is_some_and(|p| self.is_ident_at(p, "self"));
-                CallKind::Method { on_self }
+                CallKind::Method {
+                    recv: crate::parser::plain_receiver(self.src, self.toks, i),
+                }
             } else if prev_path {
                 let head = i
                     .checked_sub(2)
@@ -788,7 +781,7 @@ fn eval(
     let mut env: BTreeMap<String, Prov> = BTreeMap::new();
     if seeded {
         for (pos, prov) in &st.tainted[i] {
-            if let Some(p) = f.params.get(*pos) {
+            if let Some((p, _)) = f.params.get(*pos) {
                 env.entry(p.clone()).or_insert_with(|| prov.clone());
             }
         }
@@ -956,7 +949,7 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
                 }
             }
             let o2 = eval(graph, i, tgt, &st, false);
-            for (pos, pname) in graph.fns[i].params.iter().enumerate() {
+            for (pos, (pname, _)) in graph.fns[i].params.iter().enumerate() {
                 if let Some(prov) = o2.env.get(pname) {
                     st.out[i].entry(pos).or_insert_with(|| {
                         changed = true;
@@ -1194,7 +1187,8 @@ fn lock_rules(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findi
         });
     }
 
-    // Guard held across a call that transitively blocks on socket I/O.
+    // Guard held across socket I/O: the guarded call blocks itself (any
+    // live guard, named or not), or transitively reaches a call that does.
     for (i, f) in graph.fns.iter().enumerate() {
         if !in_serve(f) {
             continue;
@@ -1203,31 +1197,40 @@ fn lock_rules(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findi
             continue;
         };
         for g in &f.flow.guarded_calls {
-            let Some(h) = g.held.iter().find(|h| named(h)) else {
+            let direct = matches!(g.kind, CallKind::Method { .. })
+                && BLOCKING_METHODS.contains(&g.callee.as_str());
+            let named_guard = g.held.iter().find(|h| named(h));
+            let Some(h) = named_guard.or(g.held.first().filter(|_| direct)) else {
                 continue;
             };
             if ctx.is_allowed(Rule::D014, g.line - 1) {
                 continue;
             }
-            for t in graph.resolve(i, &g.callee, &g.kind) {
-                let Some(d) = &blocks[t] else { continue };
-                let key = (f.file.clone(), g.line, format!("block:{h}"));
-                if !emitted.insert(key) {
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: Rule::D014,
-                    file: f.file.clone(),
-                    line: g.line,
-                    snippet: ctx.snippet(g.line),
-                    note: Some(format!(
-                        "guard on `{h}` held across a blocking call: {} → {d}",
-                        graph.fns[t].qualified(),
-                    )),
-                    severity: Rule::D014.severity(),
-                });
-                break;
+            let path = if direct {
+                Some(format!("{}()", g.callee))
+            } else {
+                graph
+                    .resolve(i, &g.callee, &g.kind)
+                    .into_iter()
+                    .find_map(|t| {
+                        let d = blocks[t].as_ref()?;
+                        Some(format!("{} → {d}", graph.fns[t].qualified()))
+                    })
+            };
+            let Some(path) = path else { continue };
+            if !emitted.insert((f.file.clone(), g.line, format!("block:{h}"))) {
+                continue;
             }
+            findings.push(Finding {
+                rule: Rule::D014,
+                file: f.file.clone(),
+                line: g.line,
+                snippet: ctx.snippet(g.line),
+                note: Some(format!(
+                    "guard on `{h}` held across a blocking call: {path}"
+                )),
+                severity: Rule::D014.severity(),
+            });
         }
     }
 
@@ -1482,7 +1485,7 @@ mod tests {
 
     #[test]
     fn taint_decisions_are_file_order_independent() {
-        let a = "fn alloc_for(len: usize) { let v: Vec<u8> = Vec::with_capacity(len); v.capacity(); }\n";
+        let a = "pub fn alloc_for(len: usize) { let v: Vec<u8> = Vec::with_capacity(len); v.capacity(); }\n";
         let b = "fn recv(stream: &mut TcpStream) {\n\
                      let mut hdr = [0u8; 4];\n\
                      stream.read_exact(&mut hdr).ok();\n\
@@ -1559,12 +1562,12 @@ mod tests {
             src0.push_str("    f1(v);\n}\n");
             files.push(("crates/serve/src/g0.rs".to_string(), src0));
             for i in 1..=hops {
-                let mut s = format!("fn f{i}(v: usize) {{\n");
+                let mut s = format!("pub fn f{i}(v: usize) {{\n");
                 s.push_str(guard(i));
                 s.push_str(&format!("    let w = v + {i};\n    f{}(w);\n}}\n", i + 1));
                 files.push((format!("crates/serve/src/g{i}.rs"), s));
             }
-            let mut sink_src = format!("fn f{last}(v: usize) {{\n");
+            let mut sink_src = format!("pub fn f{last}(v: usize) {{\n");
             sink_src.push_str(guard(last));
             sink_src.push_str(match sink_kind {
                 0 => "    let buf: Vec<u8> = Vec::with_capacity(v);\n    buf.capacity();\n",

@@ -1,17 +1,18 @@
 //! The acceptance gates for the analyzer itself:
 //!
-//! 1. the shipped workspace is clean **modulo the committed baseline** —
-//!    every new violation has been fixed or carries a justified
-//!    `audit: allow`, and every grandfathered one is in `baseline.txt`,
+//! 1. the shipped workspace is clean — every violation has been fixed or
+//!    carries a justified `audit: allow`,
 //! 2. the seeded fixture tree trips every rule (lexical and
-//!    interprocedural), so the scan cannot have silently gone blind, and
-//! 3. two scans of the same tree emit byte-identical reports.
+//!    interprocedural), so the scan cannot have silently gone blind,
+//! 3. every reachability root names a live workspace function, and
+//! 4. two scans of the same tree emit byte-identical reports.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use cfa_audit::{
-    scan_tree, scan_tree_with_stats_at, to_json, to_sarif, Baseline, Rule, BASELINE_REL_PATH,
-};
+use cfa_audit::graph::CallGraph;
+use cfa_audit::interproc::{EVENT_ROOTS, PANIC_ROOTS, PREDICT_ROOTS};
+use cfa_audit::parser::{parse_file, FnDef};
+use cfa_audit::{scan_tree, scan_tree_with_stats_at, to_json, to_sarif, Rule};
 
 fn audit_crate_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -22,21 +23,65 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn shipped_workspace_is_clean_modulo_baseline() {
+fn shipped_workspace_is_clean() {
+    let findings = scan_tree(&workspace_root()).unwrap();
+    let shown: Vec<String> = findings.iter().map(ToString::to_string).collect();
+    assert!(
+        shown.is_empty(),
+        "the shipped tree must audit clean; findings:\n{}",
+        shown.join("\n")
+    );
+}
+
+/// Parses every `.rs` file under the `src/` trees of the workspace (the
+/// root crate and each member) into the call graph the rules run on.
+fn workspace_graph() -> CallGraph {
+    fn walk(root: &Path, dir: &Path, fns: &mut Vec<FnDef>) {
+        let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        entries.sort();
+        for path in entries {
+            if path.is_dir() {
+                walk(root, &path, fns);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let rel = path.strip_prefix(root).unwrap().to_string_lossy();
+                let src = std::fs::read_to_string(&path).unwrap();
+                fns.extend(parse_file(&rel.replace('\\', "/"), &src, false));
+            }
+        }
+    }
     let root = workspace_root();
-    let findings = scan_tree(&root).unwrap();
-    let baseline = Baseline::load(&root.join(BASELINE_REL_PATH));
-    let flags = baseline.classify(&findings);
-    let fresh: Vec<String> = findings
+    let mut fns = Vec::new();
+    walk(&root, &root.join("src"), &mut fns);
+    let mut members: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|e| e.unwrap().path().join("src"))
+        .filter(|p| p.is_dir())
+        .collect();
+    members.sort();
+    for src in members {
+        walk(&root, &src, &mut fns);
+    }
+    CallGraph::build(fns)
+}
+
+#[test]
+fn every_reachability_root_names_a_workspace_function() {
+    // A root that names nothing silently turns its rule off while the
+    // rule keeps passing — a rename elsewhere must fail here instead.
+    let graph = workspace_graph();
+    let dead: Vec<&str> = PANIC_ROOTS
         .iter()
-        .zip(&flags)
-        .filter(|&(_, &grandfathered)| !grandfathered)
-        .map(|(f, _)| f.to_string())
+        .chain(&EVENT_ROOTS)
+        .chain(&PREDICT_ROOTS)
+        .copied()
+        .filter(|r| graph.roots(&[r]).is_empty())
         .collect();
     assert!(
-        fresh.is_empty(),
-        "the shipped tree must audit clean modulo baseline.txt; new findings:\n{}",
-        fresh.join("\n")
+        dead.is_empty(),
+        "roots matching no non-test function: {dead:?}"
     );
 }
 
@@ -85,9 +130,9 @@ fn fixture_interprocedural_findings_carry_call_chains() {
 
 #[test]
 fn fixture_serve_request_path_roots_are_live() {
-    // The serving roots added with cfa-serve: `handle_conn` seeds D006
-    // reachability and `score_rows_into` seeds D008 reachability, so a
-    // panic or allocation on the network request path cannot go blind.
+    // The serving roots: `score_job` seeds D006 reachability and
+    // `score_rows_into` seeds D008 reachability, so a panic or
+    // allocation on the network request path cannot go blind.
     let root = audit_crate_dir().join("fixtures/seeded");
     let findings = scan_tree(&root).unwrap();
     let d006 = findings
@@ -95,8 +140,8 @@ fn fixture_serve_request_path_roots_are_live() {
         .find(|f| f.rule == Rule::D006 && f.file.ends_with("serve/src/handler.rs"))
         .expect("serve fixture D006");
     assert!(
-        d006.note.as_deref().unwrap_or("").contains("handle_conn"),
-        "serve D006 note must root at handle_conn, got: {:?}",
+        d006.note.as_deref().unwrap_or("").contains("score_job"),
+        "serve D006 note must root at score_job, got: {:?}",
         d006.note
     );
     let d008 = findings
@@ -275,15 +320,9 @@ fn parallel_scan_is_byte_identical_across_thread_counts() {
     // The `map_chunks` contract applied to the analyzer itself: the
     // report bytes must not depend on `--threads`.
     let root = workspace_root();
-    let baseline = Baseline::load(&root.join(BASELINE_REL_PATH));
     let run = |threads: usize| {
         let (findings, stats) = scan_tree_with_stats_at(&root, threads).unwrap();
-        let flags = baseline.classify(&findings);
-        (
-            to_json(&findings, &flags),
-            to_sarif(&findings, &flags),
-            stats,
-        )
+        (to_json(&findings), to_sarif(&findings), stats)
     };
     let (json_1, sarif_1, stats_1) = run(1);
     for threads in [2, 4] {
@@ -318,11 +357,9 @@ fn fixture_findings_are_ordered_and_located() {
 #[test]
 fn repeated_scans_emit_byte_identical_reports() {
     let root = workspace_root();
-    let baseline = Baseline::load(&root.join(BASELINE_REL_PATH));
     let run = || {
         let findings = scan_tree(&root).unwrap();
-        let flags = baseline.classify(&findings);
-        (to_json(&findings, &flags), to_sarif(&findings, &flags))
+        (to_json(&findings), to_sarif(&findings))
     };
     let (json_a, sarif_a) = run();
     let (json_b, sarif_b) = run();

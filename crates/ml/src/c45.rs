@@ -399,6 +399,7 @@ impl Classifier for C45Model {
         check_row_width(row.len(), class_col, self.attr_cards.len());
         let mut node = self.root;
         let counts = loop {
+            // audit: allow(D006, reason = "root and every non-sentinel child index are < nodes.len(): fit builds them so and read_from rejects any other")
             match &self.nodes[node] {
                 Node::Leaf { counts } => break counts,
                 Node::Split {
@@ -406,8 +407,11 @@ impl Classifier for C45Model {
                     children,
                     counts,
                 } => {
+                    // audit: allow(D006, reason = "read_from rejects a split attr >= attr_cards.len(), and fit only splits on table attributes")
                     let card = self.attr_cards[*attr];
+                    // audit: allow(D006, reason = "check_row_width above asserts one row value per attribute plus the class column")
                     let v = (row[attr_index(*attr, class_col)] as usize).min(card - 1);
+                    // audit: allow(D006, reason = "v <= card - 1 and children.len() == card >= 1: read_from rejects a zero card or a branch count != card")
                     let child = children[v];
                     if child == usize::MAX {
                         break counts; // empty branch: use this node's counts
@@ -475,6 +479,12 @@ impl Persist for C45Model {
         }
         let root = r.u32()? as usize;
         let attr_cards = read_vec_usize(r)?;
+        if attr_cards.contains(&0) {
+            // A split on it would have no branch for any value.
+            return Err(PersistError::Malformed(
+                "C4.5 attribute cardinality is zero",
+            ));
+        }
         let n_nodes = r.seq_len(1)?;
         let mut nodes = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
@@ -675,5 +685,37 @@ mod tests {
         let m = C45::default().fit(&table(rows, vec![3, 1]), 1);
         assert_eq!(m.predict(&[1]), 0);
         assert_eq!(m.n_classes(), 1);
+    }
+
+    #[test]
+    fn zero_cardinality_attributes_are_rejected_at_decode() {
+        use crate::persist::Persist;
+        // Only a crafted artifact can carry cardinality 0. A split on such
+        // an attribute has no children, which the predict walk would index
+        // past; an unused zero card is rejected just the same.
+        let leaf = Node::Leaf { counts: vec![1, 1] };
+        let crafted = [
+            vec![
+                Node::Split {
+                    attr: 0,
+                    children: vec![],
+                    counts: vec![1, 1],
+                },
+                leaf.clone(),
+            ],
+            vec![leaf],
+        ];
+        for nodes in crafted {
+            let model = C45Model {
+                nodes,
+                root: 0,
+                n_classes: 2,
+                attr_cards: vec![0, 2],
+            };
+            assert!(matches!(
+                C45Model::from_bytes(&model.to_bytes()),
+                Err(PersistError::Malformed(_))
+            ));
+        }
     }
 }

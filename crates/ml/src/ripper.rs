@@ -41,6 +41,7 @@ impl Rule {
     fn matches_row(&self, row: &[u8], class_col: usize) -> bool {
         self.conds
             .iter()
+            // audit: allow(D006, reason = "both callers run check_row_width first, and read_from rejects a cond attr >= the attribute count")
             .all(|&(a, v)| row[attr_index(a, class_col)] == v)
     }
 }

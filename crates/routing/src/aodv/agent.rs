@@ -182,6 +182,7 @@ impl AodvAgent {
         let mut ready = Vec::new();
         let mut i = 0;
         while i < self.buffer.len() {
+            // audit: allow(D006, reason = "the `while i < self.buffer.len()` condition bounds i")
             if self.buffer[i].dst == dst {
                 ready.push(self.buffer.remove(i));
             } else {

@@ -142,7 +142,7 @@ impl DsrAgent {
         count_found: bool,
     ) -> bool {
         let me = ctx.node();
-        let Some(path) = self.cache.best(ctx.now(), dst) else {
+        let Some(path @ &[next, ..]) = self.cache.best(ctx.now(), dst) else {
             return false;
         };
         let mut route = Vec::with_capacity(path.len() + 1);
@@ -152,7 +152,6 @@ impl DsrAgent {
             ctx.trace_route(RouteEventKind::Found, Some(path.len() as u8));
         }
         ctx.trace_packet(TracePacketKind::Data, Direction::Sent);
-        let next = route[1];
         let pkt = Packet {
             id: ctx.fresh_packet_id(),
             src: me,
@@ -176,6 +175,7 @@ impl DsrAgent {
             let mut taken = Vec::new();
             let mut i = 0;
             while i < self.buffer.len() {
+                // audit: allow(D006, reason = "the `while i < self.buffer.len()` condition bounds i")
                 if self.buffer[i].dst == dst {
                     taken.push(self.buffer.remove(i));
                 } else {
@@ -204,8 +204,13 @@ impl DsrAgent {
             return; // the source itself noticed the break; no RERR needed
         }
         // Path back to the source: my predecessors, reversed. `my_index >= 1`
-        // here, so the back route holds at least `[me, predecessor]`.
-        let back_route: Vec<NodeId> = data_route[..=my_index].iter().rev().copied().collect();
+        // here, so the back route holds at least `[me, predecessor]`. The
+        // index comes from the packet's hop field: a route too short for
+        // it sends no RERR.
+        let Some(walked) = data_route.get(..=my_index) else {
+            return;
+        };
+        let back_route: Vec<NodeId> = walked.iter().rev().copied().collect();
         debug_assert_eq!(back_route.first(), Some(&me));
         let (Some(&next), Some(&source)) = (back_route.get(1), back_route.last()) else {
             return;
@@ -311,12 +316,14 @@ impl DsrAgent {
             return; // degenerate: we are the origin
         }
         ctx.trace_packet(TracePacketKind::Rrep, Direction::Sent);
+        // audit: allow(D006, reason = "my_idx is a position() in route and the `my_idx == 0` return above makes my_idx - 1 valid")
         let next = route[my_idx - 1];
         let size = RREP_BASE_SIZE + ADDR_SIZE * (route.len() as u32);
         let pkt = Packet {
             id: ctx.fresh_packet_id(),
             src: me,
             link_src: me,
+            // audit: allow(D006, reason = "position() found me in route above, so route is non-empty")
             dst: route[0],
             ttl: Packet::<DsrHeader>::DEFAULT_TTL,
             size,
@@ -339,6 +346,7 @@ impl DsrAgent {
         };
         if my_idx == 0 {
             // We are the origin: the discovery succeeded.
+            // audit: allow(D006, reason = "the `route.get(i) == Some(&me)` filter above makes route non-empty, so 1.. is in bounds")
             self.learn_route(ctx, &route[1..], false);
             self.discoveries.remove(&route_end);
             self.flush_buffer_for(ctx, route_end);
@@ -350,12 +358,14 @@ impl DsrAgent {
             self.learn_route(ctx, &suffix, true);
         }
         ctx.trace_packet(TracePacketKind::Rrep, Direction::Forwarded);
+        // audit: allow(D006, reason = "the `route.get(i) == Some(&me)` filter bounds my_idx and the `my_idx == 0` return above makes my_idx - 1 valid")
         let next = route[my_idx - 1];
         let size = RREP_BASE_SIZE + ADDR_SIZE * (route.len() as u32);
         let pkt = Packet {
             id: ctx.fresh_packet_id(),
             src: route_end,
             link_src: me,
+            // audit: allow(D006, reason = "the `route.get(i) == Some(&me)` filter above makes route non-empty")
             dst: route[0],
             ttl: Packet::<DsrHeader>::DEFAULT_TTL,
             size,
@@ -382,28 +392,29 @@ impl DsrAgent {
         for _ in 0..removed {
             ctx.trace_route(RouteEventKind::Removed, None);
         }
-        if my_idx + 1 < back_route.len() {
-            let Some(&source) = back_route.last() else {
-                return; // unreachable: the bounds check above implies non-empty
-            };
-            ctx.trace_packet(TracePacketKind::Rerr, Direction::Forwarded);
-            let next = back_route[my_idx + 1];
-            let pkt = Packet {
-                id: ctx.fresh_packet_id(),
-                src: back_route[0],
-                link_src: me,
-                dst: source,
-                ttl: Packet::<DsrHeader>::DEFAULT_TTL,
-                size: RERR_SIZE,
-                header: DsrHeader::Rerr {
-                    broken,
-                    back_route,
-                    hop: my_idx,
-                },
-                app: None,
-            };
-            ctx.transmit(pkt, TxDest::Unicast(next));
-        }
+        let (Some(&next), Some(&first), Some(&source)) = (
+            back_route.get(my_idx + 1),
+            back_route.first(),
+            back_route.last(),
+        ) else {
+            return; // we are the source: the error has arrived
+        };
+        ctx.trace_packet(TracePacketKind::Rerr, Direction::Forwarded);
+        let pkt = Packet {
+            id: ctx.fresh_packet_id(),
+            src: first,
+            link_src: me,
+            dst: source,
+            ttl: Packet::<DsrHeader>::DEFAULT_TTL,
+            size: RERR_SIZE,
+            header: DsrHeader::Rerr {
+                broken,
+                back_route,
+                hop: my_idx,
+            },
+            app: None,
+        };
+        ctx.transmit(pkt, TxDest::Unicast(next));
     }
 
     fn handle_data(&mut self, ctx: &mut Ctx<'_, DsrHeader>, pkt: Packet<DsrHeader>) {
@@ -423,19 +434,19 @@ impl DsrAgent {
         if route.get(my_idx) != Some(&me) {
             return; // not the addressed relay
         }
-        if my_idx == route.len() - 1 {
+        let Some(&next) = route.get(my_idx + 1) else {
+            // We are the route's last hop: the destination.
             ctx.trace_packet(TracePacketKind::Data, Direction::Received);
             if let Some(data) = pkt.app {
                 ctx.deliver_app(data, pkt.size, pkt.src);
             }
             return;
-        }
+        };
         if pkt.ttl == 0 {
             ctx.trace_packet(TracePacketKind::DataTransit, Direction::Dropped);
             return;
         }
         ctx.trace_packet(TracePacketKind::DataTransit, Direction::Forwarded);
-        let next = route[my_idx + 1];
         let fwd = Packet {
             id: pkt.id,
             src: pkt.src,
@@ -483,10 +494,9 @@ impl DsrAgent {
         // Salvage: try an alternative cached route to the destination.
         ctx.trace_route(RouteEventKind::Repaired, None);
         let dst = pkt.dst;
-        if let Some(alt) = self.cache.best_avoiding(ctx.now(), dst, &[next_hop]) {
+        if let Some(alt @ &[next, ..]) = self.cache.best_avoiding(ctx.now(), dst, &[next_hop]) {
             let mut new_route = vec![me];
             new_route.extend_from_slice(alt);
-            let next = new_route[1];
             ctx.trace_packet(TracePacketKind::DataTransit, Direction::Forwarded);
             let fwd = Packet {
                 id: pkt.id,

@@ -5,7 +5,7 @@
 //! through named `SCORE_AS` models, and across registry hot-swaps.
 
 use cfa_core::{AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, ScoreMethod};
-use cfa_ml::{AnyLearner, Learner, NaiveBayes, NominalTable};
+use cfa_ml::{AnyLearner, Learner, NaiveBayes, NominalTable, Persist, C45};
 use cfa_serve::protocol::{
     put_u32, DEFAULT_MODEL, OP_PING, OP_SCORE, STATUS_BAD_WIDTH, STATUS_BUSY, STATUS_MALFORMED,
     STATUS_NO_MODEL, STATUS_TOO_LARGE,
@@ -56,6 +56,44 @@ fn two_copies() -> (ModelArtifact, ModelArtifact) {
     let a = ModelArtifact::load(&mut bytes.as_slice()).expect("load copy a");
     let b = ModelArtifact::load(&mut bytes.as_slice()).expect("load copy b");
     (a, b)
+}
+
+/// Artifact bytes whose sub-model 2 is a C4.5 tree declaring a
+/// zero-cardinality attribute, which only a crafted file can carry. The
+/// card is patched in place and the checksum recomputed, so the model
+/// decoder is what must reject it.
+fn zero_card_c45_bytes() -> Vec<u8> {
+    let mut art = tiny_artifact();
+    // A constant class: the tree is one leaf, so no split's branch count
+    // contradicts the patched card.
+    let table = NominalTable::new(
+        (0..3).map(|i| format!("c{i}")).collect(),
+        vec![4, 4, 2],
+        (0..16u8).map(|i| vec![i % 4, i / 4, 0]).collect(),
+    )
+    .expect("valid table");
+    let mut models = art.detector.model().sub_models().to_vec();
+    models[2] = AnyLearner::C45(C45::default()).fit(&table, 2);
+    let model = models[2].to_bytes();
+    art.detector = AnomalyDetector::with_threshold(
+        CrossFeatureModel::from_sub_models(models),
+        ScoreMethod::AvgProbability,
+        0.25,
+    );
+    let mut bytes = Vec::new();
+    art.save(&mut bytes).expect("save to memory");
+    // C4.5 encoding: tag u8, class count u32, root u32, card count u32,
+    // then the cards; sub-model 2 is the last one in the payload.
+    let at = bytes
+        .windows(model.len())
+        .rposition(|w| w == model)
+        .expect("sub-model 2 in the payload")
+        + 13;
+    bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+    // CFAM header: the FNV-1a checksum of the payload sits at 14..22.
+    let sum = cfa_ml::persist::fnv1a64(&bytes[22..]);
+    bytes[14..22].copy_from_slice(&sum.to_le_bytes());
+    bytes
 }
 
 fn start_server(cfg: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<cfa_serve::ServeStats>) {
@@ -348,10 +386,12 @@ fn wrong_width_sub_model_load_is_malformed_and_serving_continues() {
 
     let (addr, handle) = start_server(ServerConfig::default());
     let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");
-    for name in [DEFAULT_MODEL, "v2"] {
-        match client.load_model(name, &bad_bytes) {
-            Err(ClientError::Status(s)) => assert_eq!(s, STATUS_MALFORMED),
-            other => panic!("expected MALFORMED for {name}, got {other:?}"),
+    for bytes in [bad_bytes, zero_card_c45_bytes()] {
+        for name in [DEFAULT_MODEL, "v2"] {
+            match client.load_model(name, &bytes) {
+                Err(ClientError::Status(s)) => assert_eq!(s, STATUS_MALFORMED),
+                other => panic!("expected MALFORMED for {name}, got {other:?}"),
+            }
         }
     }
 
