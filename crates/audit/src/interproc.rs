@@ -69,7 +69,7 @@ pub const PANIC_ROOTS: [&str; 8] = [
 /// interpreted walk; they are qualified so the client-side convenience
 /// `Client::score_batch` (which builds a wire frame per request) stays
 /// out of the hot-path net.
-pub const PREDICT_ROOTS: [&str; 13] = [
+pub const PREDICT_ROOTS: [&str; 15] = [
     "predict_row",
     "prob_of_row",
     "class_probs_into",
@@ -89,6 +89,11 @@ pub const PREDICT_ROOTS: [&str; 13] = [
     // subscriber; it must reuse its frame scratch and never allocate (or
     // block) per event, or a popular model stalls the whole event loop.
     "fanout_alarms",
+    // Splitting a SCORE request across idle workers and merging its parts
+    // run on the reactor thread for every split request; they fill and
+    // drain recycled job buffers only.
+    "fill_part",
+    "merge_parts",
 ];
 
 /// Per-file context the interprocedural pass needs back from the lexical

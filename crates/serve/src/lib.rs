@@ -11,8 +11,10 @@
 //! feeding a bounded worker pool; each worker scores request batches
 //! through the zero-alloc `score_rows_with` path with its own reusable
 //! scratch buffers, so a served score is bit-identical to in-process
-//! scoring. Models live in a named [`registry::Registry`] with atomic
-//! hot-swap (`LOAD`/`UNLOAD`/`LIST` over the wire), and connections can
+//! scoring. A large batch that arrives while workers are idle is split
+//! into row ranges scored in parallel and answered as one reply. Models
+//! live in a named [`registry::Registry`] with atomic hot-swap
+//! (`LOAD`/`UNLOAD`/`LIST` over the wire), and connections can
 //! `SUBSCRIBE` to a model's alarm stream to have below-threshold scores
 //! pushed as they fire. Overload is answered with an explicit BUSY
 //! status at both the connection and the request level instead of

@@ -230,13 +230,14 @@ fn cmd_serve(args: &[String]) -> i32 {
     match server.run() {
         Ok(stats) => {
             println!(
-                "shutdown: accepted {} connections, served {} requests ({} protocol errors, {} busy-rejected, {} alarms pushed, {} slow-consumer disconnects)",
+                "shutdown: accepted {} connections, served {} requests ({} protocol errors, {} busy-rejected, {} alarms pushed, {} slow-consumer disconnects, {} split_requests)",
                 stats.accepted,
                 stats.requests_ok,
                 stats.protocol_errors,
                 stats.rejected_busy,
                 stats.alarms_pushed,
-                stats.slow_disconnects
+                stats.slow_disconnects,
+                stats.split_requests
             );
             0
         }

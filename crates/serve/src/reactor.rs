@@ -16,10 +16,14 @@
 //!
 //! Per-connection state machine:
 //!
-//! - at most one scoring job in flight (`busy`); read interest is
-//!   dropped while a job runs or while the outbox is above its high
-//!   water mark, so a flooding client is throttled by TCP backpressure
-//!   instead of unbounded buffering;
+//! - at most one scoring request in flight (`busy`); read interest is
+//!   dropped while it runs or while the outbox is above its high water
+//!   mark, so a flooding client is throttled by TCP backpressure instead
+//!   of unbounded buffering;
+//! - a request of at least 2 × [`MIN_PART_ROWS`] rows that arrives while
+//!   two or more workers are idle is split into contiguous row ranges,
+//!   one job per idle worker; finished parts park on the connection, and
+//!   the last one to arrive answers the request with every row in order;
 //! - control-plane ops (PING/LOAD/UNLOAD/LIST/SUBSCRIBE/SHUTDOWN) are
 //!   handled inline on the reactor thread — LOAD decodes and compiles an
 //!   artifact inline, which stalls the loop for the duration; that is an
@@ -41,12 +45,12 @@
 
 use crate::poll::PollSet;
 use crate::protocol::{
-    put_u32, FrameLen, StatsFrame, DEFAULT_MODEL, OP_LIST, OP_LOAD, OP_PING, OP_SCORE, OP_SCORE_AS,
-    OP_SHUTDOWN, OP_SUBSCRIBE, OP_UNLOAD, STATUS_BAD_NAME, STATUS_BUSY, STATUS_MALFORMED,
-    STATUS_NO_MODEL, STATUS_OK, STATUS_SHUTTING_DOWN, STATUS_TOO_LARGE,
+    put_u32, u32_le, FrameLen, StatsFrame, DEFAULT_MODEL, OP_LIST, OP_LOAD, OP_PING, OP_SCORE,
+    OP_SCORE_AS, OP_SHUTDOWN, OP_SUBSCRIBE, OP_UNLOAD, STATUS_BAD_NAME, STATUS_BUSY,
+    STATUS_MALFORMED, STATUS_NO_MODEL, STATUS_OK, STATUS_SHUTTING_DOWN, STATUS_TOO_LARGE,
 };
-use crate::registry::RegistryError;
-use crate::server::{lock, reject_busy, Job, Shared};
+use crate::registry::{ModelEntry, RegistryError};
+use crate::server::{lock, parse_score_body, reject_busy, Job, ScoreBody, Shared, MIN_PART_ROWS};
 use crate::subscribe::SubscriberTable;
 use cfa_core::ModelArtifact;
 use std::io::{Read, Write};
@@ -129,8 +133,11 @@ pub(crate) struct Conn {
     /// Queued response/event bytes; `out_pos` is the flush cursor.
     pub outbox: Vec<u8>,
     pub out_pos: usize,
-    /// A scoring job is in flight; reads pause until it completes.
+    /// A scoring request is in flight; reads pause until it is answered.
     pub busy: bool,
+    /// Finished parts of the in-flight request, when it was split; the
+    /// last part to arrive merges them all.
+    pub parked: Vec<Job>,
     /// Drain the outbox, then drop the socket.
     pub close_after_flush: bool,
     /// Model name this connection subscribed to, if any.
@@ -184,7 +191,11 @@ pub(crate) struct Reactor {
     slot_map: Vec<usize>,
     job_pool: Vec<Job>,
     done_scratch: Vec<Job>,
+    /// The jobs of one request between build and enqueue.
+    staged: Vec<Job>,
     resp_scratch: Vec<u8>,
+    /// Worker threads in the pool, the most parts a request is split into.
+    workers: usize,
     max_conns: usize,
     sub_outbox_cap: usize,
     drain_ticks: u32,
@@ -196,6 +207,7 @@ impl Reactor {
         listener: TcpListener,
         wake_rx: WakeStream,
         shared: Arc<Shared>,
+        workers: usize,
         max_conns: usize,
         sub_outbox_cap: usize,
     ) -> Reactor {
@@ -213,7 +225,9 @@ impl Reactor {
             slot_map: Vec::new(),
             job_pool: Vec::new(),
             done_scratch: Vec::new(),
+            staged: Vec::new(),
             resp_scratch: Vec::new(),
+            workers: workers.max(1),
             max_conns: max_conns.max(1),
             sub_outbox_cap: sub_outbox_cap.max(64),
             drain_ticks: 0,
@@ -343,6 +357,7 @@ impl Reactor {
             outbox: Vec::new(),
             out_pos: 0,
             busy: false,
+            parked: Vec::new(),
             close_after_flush: false,
             subscribed: None,
         };
@@ -370,16 +385,20 @@ impl Reactor {
         }
     }
 
-    /// Drops a connection: slot freed, subscriptions swept, socket
-    /// closed on drop. A job still in flight for it will be recognized
-    /// as stale by its generation stamp and discarded.
+    /// Drops a connection: slot freed, parked parts recycled,
+    /// subscriptions swept, socket closed on drop. A job still in flight
+    /// for it will be recognized as stale by its generation stamp and
+    /// discarded.
     fn close(&mut self, idx: usize) {
         let Some(slot) = self.conns.get_mut(idx) else {
             return;
         };
-        let Some(conn) = slot.take() else {
+        let Some(mut conn) = slot.take() else {
             return;
         };
+        for part in conn.parked.drain(..) {
+            recycle(&mut self.job_pool, part);
+        }
         self.open_conns = self.open_conns.saturating_sub(1);
         if conn.subscribed.is_some() {
             // Slot indices are bounded by `max_conns`, far below u32::MAX.
@@ -711,51 +730,82 @@ impl Reactor {
         self.flush_conn(idx);
     }
 
-    /// SCORE / SCORE_AS: resolve the model, admit into the bounded job
-    /// queue (or answer BUSY), and mark the connection busy until the
-    /// completion comes back.
+    /// SCORE / SCORE_AS: resolve the model, cut the body into parts when
+    /// workers are idle, admit every part into the bounded job queue or
+    /// none (answering BUSY), and mark the connection busy until the
+    /// request is answered.
     fn dispatch_score(&mut self, idx: usize, token: ConnToken, name: &str, body: &[u8]) {
         let Some(entry) = self.shared.registry.get(name) else {
             self.count_protocol_error();
             self.with_conn(idx, |c| c.queue_status(STATUS_NO_MODEL));
             return;
         };
-        let mut job = self.job_pool.pop().unwrap_or_default();
-        job.conn = token;
-        job.entry = Some(entry);
-        job.payload.clear();
-        job.payload.extend_from_slice(body);
-        job.resp.clear();
-        job.alarms.clear();
-        let mut pending = Some(job);
-        {
-            let mut q = lock(&self.shared.jobs);
-            if q.len() < self.shared.queue_cap {
-                if let Some(j) = pending.take() {
-                    q.push_back(j);
+        // Queued jobs count as in flight, so parts never push the queue
+        // past its cap either.
+        let idle = self
+            .workers
+            .min(self.shared.queue_cap)
+            .saturating_sub(self.in_flight);
+        let mut staged = std::mem::take(&mut self.staged);
+        match parse_score_body(&entry, body) {
+            Ok(batch) if idle >= 2 && batch.n_rows / MIN_PART_ROWS >= 2 => {
+                let parts = idle.min(batch.n_rows / MIN_PART_ROWS);
+                for part in 0..parts {
+                    let mut job = self.fresh_job(token, &entry);
+                    fill_part(&mut job, &batch, part, parts);
+                    staged.push(job);
                 }
             }
+            // A whole request, or one whose header the worker answers
+            // with an error status.
+            _ => {
+                let mut job = self.fresh_job(token, &entry);
+                job.payload.extend_from_slice(body);
+                staged.push(job);
+            }
         }
-        match pending {
-            None => {
+        let parts = staged.len();
+        let admitted = {
+            let mut q = lock(&self.shared.jobs);
+            let fits = q.len() + parts <= self.shared.queue_cap;
+            if fits {
+                q.extend(staged.drain(..));
+            }
+            fits
+        };
+        if admitted {
+            for _ in 0..parts {
                 self.shared.job_ready.notify_one();
-                self.in_flight += 1;
-                self.with_conn(idx, |c| c.busy = true);
             }
-            Some(job) => {
-                self.recycle_job(job);
-                self.shared
-                    .counters
-                    .rejected_busy
-                    .fetch_add(1, Ordering::Relaxed);
-                self.with_conn(idx, |c| c.queue_status(STATUS_BUSY));
+            self.in_flight += parts;
+            self.with_conn(idx, |c| c.busy = true);
+        } else {
+            for job in staged.drain(..) {
+                recycle(&mut self.job_pool, job);
             }
+            self.shared
+                .counters
+                .rejected_busy
+                .fetch_add(1, Ordering::Relaxed);
+            self.with_conn(idx, |c| c.queue_status(STATUS_BUSY));
         }
+        self.staged = staged;
     }
 
-    /// Harvests completed jobs: queue each response on its connection,
-    /// fan out its alarms to subscribers, resume parsing any pipelined
-    /// frames, and recycle the job carcass.
+    /// A pooled job addressed to `token`, scoring against `entry`, as a
+    /// whole request with an empty payload.
+    fn fresh_job(&mut self, token: ConnToken, entry: &Arc<ModelEntry>) -> Job {
+        let mut job = self.job_pool.pop().unwrap_or_default();
+        job.conn = token;
+        job.entry = Some(Arc::clone(entry));
+        job.parts = 1;
+        job.first_row = 0;
+        job
+    }
+
+    /// Harvests completed jobs: a whole request is answered at once, a
+    /// part parks on its connection until the request's last part
+    /// arrives. Jobs for a closed connection are recycled unanswered.
     fn drain_done(&mut self) {
         {
             let mut done = lock(&self.shared.done);
@@ -765,29 +815,62 @@ impl Reactor {
             self.in_flight = self.in_flight.saturating_sub(1);
             let token = job.conn;
             let idx = token.idx as usize;
-            let live = matches!(self.conns.get(idx), Some(Some(c)) if c.gen == token.gen);
-            if live {
-                if let Some(Some(conn)) = self.conns.get_mut(idx) {
-                    conn.queue_payload(&job.resp);
-                    conn.busy = false;
-                }
-                if !job.alarms.is_empty() {
-                    if let Some(entry) = job.entry.as_ref() {
-                        self.subs.fanout_alarms(
-                            &entry.name,
-                            &job.alarms,
-                            &mut self.conns,
-                            self.sub_outbox_cap,
-                            &self.shared.counters,
-                        );
-                    }
-                    self.close_doomed();
-                }
-                self.parse_conn(idx);
-                self.flush_conn(idx);
+            let Some(Some(conn)) = self.conns.get_mut(idx) else {
+                recycle(&mut self.job_pool, job);
+                continue;
+            };
+            if conn.gen != token.gen {
+                recycle(&mut self.job_pool, job);
+                continue;
             }
-            self.recycle_job(job);
+            if job.parts <= 1 {
+                self.answer(idx, job);
+                continue;
+            }
+            let parts = job.parts as usize;
+            conn.parked.push(job);
+            if conn.parked.len() < parts {
+                continue;
+            }
+            let merged = merge_parts(&mut conn.parked, &mut self.job_pool);
+            if let Some(job) = merged {
+                self.shared
+                    .counters
+                    .split_requests
+                    .fetch_add(1, Ordering::Relaxed);
+                self.answer(idx, job);
+            }
         }
+    }
+
+    /// Answers a finished request on its (live) connection: count it,
+    /// queue the response, fan its alarms out to subscribers, resume
+    /// parsing any pipelined frames, and recycle the job carcass.
+    fn answer(&mut self, idx: usize, job: Job) {
+        if job.resp.first() == Some(&STATUS_OK) {
+            self.count_ok();
+        } else {
+            self.count_protocol_error();
+        }
+        if let Some(Some(conn)) = self.conns.get_mut(idx) {
+            conn.queue_payload(&job.resp);
+            conn.busy = false;
+        }
+        if !job.alarms.is_empty() {
+            if let Some(entry) = job.entry.as_ref() {
+                self.subs.fanout_alarms(
+                    &entry.name,
+                    &job.alarms,
+                    &mut self.conns,
+                    self.sub_outbox_cap,
+                    &self.shared.counters,
+                );
+            }
+            self.close_doomed();
+        }
+        self.parse_conn(idx);
+        self.flush_conn(idx);
+        recycle(&mut self.job_pool, job);
     }
 
     /// Closes subscribers the last fan-out marked as slow consumers.
@@ -801,25 +884,6 @@ impl Reactor {
                     .fetch_add(1, Ordering::Relaxed);
                 self.close(idx);
             }
-        }
-    }
-
-    /// Returns a job carcass to the pool, shedding oversized buffers so
-    /// a one-off 8 MiB LOAD-sized payload does not pin memory forever.
-    fn recycle_job(&mut self, mut job: Job) {
-        job.entry = None;
-        job.conn = ConnToken::default();
-        job.payload.clear();
-        job.resp.clear();
-        job.alarms.clear();
-        if job.payload.capacity() > (1 << 20) {
-            job.payload = Vec::new();
-        }
-        if job.resp.capacity() > (1 << 20) {
-            job.resp = Vec::new();
-        }
-        if self.job_pool.len() < 64 {
-            self.job_pool.push(job);
         }
     }
 
@@ -890,5 +954,235 @@ impl Reactor {
             subscribers: self.subs.len() as u32,
             open_conns: self.open_conns as u32,
         }
+    }
+}
+
+/// Fills `job` with part `part` of `parts` of a checked SCORE body: an
+/// even, contiguous share of its rows behind their own header.
+fn fill_part(job: &mut Job, batch: &ScoreBody<'_>, part: usize, parts: usize) {
+    let first = batch.n_rows * part / parts;
+    let end = batch.n_rows * (part + 1) / parts;
+    let row_bytes = batch.n_cols * 8;
+    // Both bounds are at most `n_rows`, which came off the wire as a u32.
+    job.parts = parts as u32;
+    job.first_row = first as u32;
+    job.payload.clear();
+    put_u32(&mut job.payload, (end - first) as u32);
+    put_u32(&mut job.payload, batch.n_cols as u32);
+    job.payload.extend_from_slice(
+        batch
+            .rows
+            .get(first * row_bytes..end * row_bytes)
+            .unwrap_or(&[]),
+    );
+}
+
+/// Merges the finished parts of one split request into the response of
+/// the whole: the rows in request order under one header, and every
+/// alarm with its part's row offset added, in row order. If a part failed
+/// (a validated body never does), the request answers that part's status.
+/// Returns the merged job; the other parts go back to `pool`.
+fn merge_parts(parked: &mut Vec<Job>, pool: &mut Vec<Job>) -> Option<Job> {
+    parked.sort_unstable_by_key(|part| part.first_row);
+    let failed = parked
+        .iter()
+        .map(|part| part.resp.first().copied().unwrap_or(STATUS_MALFORMED))
+        .find(|&status| status != STATUS_OK);
+    let mut parts = parked.drain(..);
+    let mut head = parts.next()?;
+    let mut n_rows = u32_le(head.resp.get(1..).unwrap_or(&[])).unwrap_or(0);
+    for part in parts {
+        n_rows += u32_le(part.resp.get(1..).unwrap_or(&[])).unwrap_or(0);
+        head.resp
+            .extend_from_slice(part.resp.get(5..).unwrap_or(&[]));
+        head.alarms.extend(
+            part.alarms
+                .iter()
+                .map(|&(row, score)| (row + part.first_row, score)),
+        );
+        recycle(pool, part);
+    }
+    if let Some(header) = head.resp.get_mut(1..5) {
+        header.copy_from_slice(&n_rows.to_le_bytes());
+    }
+    if let Some(status) = failed {
+        head.resp.clear();
+        head.resp.push(status);
+        head.alarms.clear();
+    }
+    Some(head)
+}
+
+/// Returns a job carcass to the pool, shedding oversized buffers so a
+/// one-off 8 MiB LOAD-sized payload does not pin memory forever.
+fn recycle(pool: &mut Vec<Job>, mut job: Job) {
+    job.entry = None;
+    job.conn = ConnToken::default();
+    job.payload.clear();
+    job.resp.clear();
+    job.alarms.clear();
+    if job.payload.capacity() > (1 << 20) {
+        // audit: allow(D008, reason = "frees a buffer a one-off request grew past 1 MiB; Vec::new does not allocate")
+        job.payload = Vec::new();
+    }
+    if job.resp.capacity() > (1 << 20) {
+        // audit: allow(D008, reason = "frees a buffer a one-off request grew past 1 MiB; Vec::new does not allocate")
+        job.resp = Vec::new();
+    }
+    if pool.len() < 64 {
+        pool.push(job);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::{tests::tiny_artifact, Registry};
+    use std::net::SocketAddr;
+
+    /// A reactor serving the three-feature test model as the default,
+    /// with no worker threads: the tests play the workers by moving jobs
+    /// from the queue to the completion list themselves.
+    fn reactor(workers: usize) -> (Reactor, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        listener
+            .set_nonblocking(true)
+            .expect("non-blocking listener");
+        let addr = listener.local_addr().expect("local addr");
+        let registry = Registry::default();
+        registry
+            .insert_artifact(DEFAULT_MODEL, tiny_artifact(0.25))
+            .expect("register the test model");
+        let (wake_rx, _) = wake_pair().expect("wake pair");
+        let shared = Arc::new(Shared::new(registry, 64));
+        (
+            Reactor::new(listener, wake_rx, shared, workers, 16, 64),
+            addr,
+        )
+    }
+
+    /// Connects a client and admits it into the table.
+    fn admit(r: &mut Reactor, addr: SocketAddr) -> (TcpStream, ConnToken) {
+        let client = TcpStream::connect(addr).expect("connect");
+        let before = r.open_conns;
+        for _ in 0..1000 {
+            r.accept_ready();
+            if r.open_conns > before {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let idx = r.conns.iter().rposition(Option::is_some).expect("admitted");
+        let conn = r.conns[idx].as_ref().expect("admitted");
+        let token = ConnToken {
+            idx: idx as u32,
+            gen: conn.gen,
+        };
+        (client, token)
+    }
+
+    /// A SCORE body of `n_rows` rows of the test model's three features.
+    fn score_body(n_rows: usize) -> Vec<u8> {
+        let mut body = Vec::new();
+        put_u32(&mut body, n_rows as u32);
+        put_u32(&mut body, 3);
+        for i in 0..n_rows * 3 {
+            body.extend_from_slice(&(i as f64).to_le_bytes());
+        }
+        body
+    }
+
+    fn conn(r: &Reactor, token: ConnToken) -> &Conn {
+        r.conns[token.idx as usize]
+            .as_ref()
+            .expect("live connection")
+    }
+
+    /// Dispatches one request of `n_rows` on `token`, takes its jobs off
+    /// the queue and checks they cover the rows contiguously and in order.
+    /// Returns the jobs.
+    fn dispatch(r: &mut Reactor, token: ConnToken, n_rows: usize) -> Vec<Job> {
+        let body = score_body(n_rows);
+        r.dispatch_score(token.idx as usize, token, DEFAULT_MODEL, &body);
+        let jobs: Vec<Job> = lock(&r.shared.jobs).drain(..).collect();
+        let mut next_row = 0;
+        for job in &jobs {
+            assert_eq!(job.parts as usize, jobs.len());
+            assert_eq!(job.first_row as usize, next_row);
+            let rows = u32_le(&job.payload).expect("row count") as usize;
+            let start = 8 + next_row * 24;
+            assert_eq!(&job.payload[8..], &body[start..start + rows * 24]);
+            next_row += rows;
+        }
+        assert_eq!(next_row, n_rows);
+        jobs
+    }
+
+    #[test]
+    fn requests_split_into_one_part_per_idle_worker_of_at_least_min_part_rows() {
+        let (mut r, addr) = reactor(4);
+        let (_client, token) = admit(&mut r, addr);
+        for (n_rows, in_flight, parts) in [
+            (1, 0, 1),
+            (2 * MIN_PART_ROWS - 1, 0, 1),
+            (2 * MIN_PART_ROWS, 0, 2),
+            (3 * MIN_PART_ROWS, 0, 3),
+            (253, 0, 4),
+            (256, 0, 4),
+            (256, 1, 3),
+            (256, 2, 2),
+            (256, 3, 1),
+        ] {
+            r.in_flight = in_flight;
+            let jobs = dispatch(&mut r, token, n_rows);
+            assert_eq!(jobs.len(), parts, "{n_rows} rows, {in_flight} in flight");
+            assert_eq!(r.in_flight, in_flight + parts);
+            for job in jobs {
+                recycle(&mut r.job_pool, job);
+            }
+            r.conns[token.idx as usize].as_mut().expect("live").busy = false;
+        }
+        // A body whose header does not match the model goes whole, for
+        // the worker to answer with its error status.
+        r.in_flight = 0;
+        let mut wrong_width = score_body(256);
+        wrong_width[4] = 4;
+        r.dispatch_score(token.idx as usize, token, DEFAULT_MODEL, &wrong_width);
+        let jobs: Vec<Job> = lock(&r.shared.jobs).drain(..).collect();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].payload, wrong_width);
+    }
+
+    #[test]
+    fn parked_parts_of_a_closed_connection_never_reach_the_next_one_in_its_slot() {
+        let (mut r, addr) = reactor(4);
+        let (client_a, a) = admit(&mut r, addr);
+        let mut parts = dispatch(&mut r, a, 4 * MIN_PART_ROWS).into_iter();
+        assert_eq!(r.in_flight, 4);
+        // Two parts finish and park; then the connection goes away.
+        lock(&r.shared.done).extend(parts.by_ref().take(2));
+        r.drain_done();
+        assert_eq!(conn(&r, a).parked.len(), 2);
+        assert!(conn(&r, a).busy);
+        drop(client_a);
+        r.close(a.idx as usize);
+        assert_eq!(r.job_pool.len(), 2, "parked parts are recycled at close");
+        // The next connection takes over the slot; the late parts are stale.
+        let (_client_b, b) = admit(&mut r, addr);
+        assert_eq!(b.idx, a.idx);
+        assert_ne!(b.gen, a.gen);
+        lock(&r.shared.done).extend(parts);
+        r.drain_done();
+        let next = conn(&r, b);
+        assert!(next.parked.is_empty());
+        assert!(!next.busy);
+        assert_eq!(
+            next.pending_out(),
+            0,
+            "nothing is answered on the new connection"
+        );
+        assert_eq!(r.in_flight, 0);
+        assert_eq!(r.job_pool.len(), 4);
+        assert_eq!(r.shared.counters.split_requests.load(Ordering::Relaxed), 0);
     }
 }

@@ -148,13 +148,14 @@ impl Registry {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cfa_core::{CrossFeatureModel, FittedThreshold, ScoreMethod};
     use cfa_ml::{AnyLearner, Learner, NaiveBayes};
     use manet_features::FeatureMatrix;
 
-    fn tiny_artifact(threshold: f64) -> ModelArtifact {
+    /// A naive Bayes artifact over three correlated features.
+    pub(crate) fn tiny_artifact(threshold: f64) -> ModelArtifact {
         let rows: Vec<Vec<f64>> = (0..60)
             .map(|i| {
                 let v = f64::from(i % 10);

@@ -10,7 +10,9 @@
 //!   workers as `Job`s;
 //! - workers only score: pop a job, validate and score the batch into
 //!   the job's response buffer, push it on the completion list, and poke
-//!   the wake pipe — they never touch a socket or the registry map;
+//!   the wake pipe — they never touch a socket or the registry map, and
+//!   a job is one request or one contiguous row range of a request the
+//!   reactor split across idle workers (they score both alike);
 //! - the [`crate::registry`] maps names to `Arc`ed model entries; a job
 //!   captures its entry at dispatch, which is the hot-swap atomicity
 //!   contract (see registry docs).
@@ -34,10 +36,29 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+/// Fewest rows a part of a split SCORE request may hold. A request of n
+/// rows is split into k = min(idle workers, n / `MIN_PART_ROWS`) parts
+/// when k ≥ 2.
+///
+/// Each extra part costs one more job round trip (queue push, condvar
+/// wake-up, completion push, wake pipe, poll return). On a two-vCPU
+/// x86-64 VM that round trip measured 17–19 µs: the median RTT of an
+/// empty SCORE minus that of an inline PING, 3 × 20 000 pairs on one
+/// connection, at 1 and at 2 workers. The cheapest family to score,
+/// compiled C4.5, costs ≈ 4.7 µs per 140-feature row (perfbench `serve`
+/// trace), so a part of 32 rows carries ≈ 150 µs of work, about eight
+/// round trips: the dispatch a split adds stays under an eighth of the
+/// scoring it moves to another core, and a wake-up five times slower
+/// than the median still leaves the split ahead. 32 is also a multiple
+/// of the naive Bayes kernel's four-row block.
+pub const MIN_PART_ROWS: usize = 32;
+
 /// Tuning knobs for [`Server::bind`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads scoring requests (each owns one scratch set).
+    /// Worker threads scoring requests (each owns one scratch set). A
+    /// request of at least 2 × [`MIN_PART_ROWS`] rows is split across the
+    /// workers that are idle when it arrives.
     pub workers: usize,
     /// Scoring jobs that may wait for a worker before new requests are
     /// answered with a per-request [`STATUS_BUSY`].
@@ -78,6 +99,9 @@ pub struct ServeStats {
     pub alarms_pushed: u64,
     /// Subscribers disconnected for not draining their alarm queue.
     pub slow_disconnects: u64,
+    /// SCORE requests answered from two or more parts scored on different
+    /// workers. Not part of the PING stats frame.
+    pub split_requests: u64,
 }
 
 pub(crate) struct Counters {
@@ -87,6 +111,7 @@ pub(crate) struct Counters {
     pub protocol_errors: AtomicU64,
     pub alarms_pushed: AtomicU64,
     pub slow_disconnects: AtomicU64,
+    pub split_requests: AtomicU64,
 }
 
 impl Counters {
@@ -98,13 +123,15 @@ impl Counters {
             protocol_errors: AtomicU64::new(0),
             alarms_pushed: AtomicU64::new(0),
             slow_disconnects: AtomicU64::new(0),
+            split_requests: AtomicU64::new(0),
         }
     }
 }
 
-/// One SCORE round-trip between the reactor and a worker. The buffers
-/// are recycled through the reactor's job pool, so steady-state scoring
-/// allocates nothing.
+/// One SCORE round-trip between the reactor and a worker: a whole
+/// request, or one part of a request the reactor split into contiguous
+/// row ranges. The buffers are recycled through the reactor's job pool,
+/// so steady-state scoring allocates nothing.
 #[derive(Default)]
 pub(crate) struct Job {
     /// Which connection gets the response (generation-stamped, so a
@@ -112,9 +139,14 @@ pub(crate) struct Job {
     pub conn: ConnToken,
     /// The model entry captured at dispatch — the hot-swap atomicity
     /// point: every row of this batch scores against exactly this
-    /// generation.
+    /// generation. All parts of a split request share the one `Arc`.
     pub entry: Option<Arc<ModelEntry>>,
-    /// The SCORE body: `[u32 n_rows][u32 n_cols]` + packed rows.
+    /// Parts the request was split into (1: the job is the whole request).
+    pub parts: u32,
+    /// Request row at which this part's rows start (0 for a whole request).
+    pub first_row: u32,
+    /// The SCORE body: `[u32 n_rows][u32 n_cols]` + packed rows (a part
+    /// carries its own row count and only its rows).
     pub payload: Vec<u8>,
     /// The response payload (status byte first).
     pub resp: Vec<u8>,
@@ -132,6 +164,20 @@ pub(crate) struct Shared {
     pub queue_cap: usize,
     pub done: Mutex<Vec<Job>>,
     pub counters: Counters,
+}
+
+impl Shared {
+    pub(crate) fn new(registry: Registry, queue_cap: usize) -> Shared {
+        Shared {
+            registry,
+            shutdown: AtomicBool::new(false),
+            jobs: Mutex::new(VecDeque::new()),
+            job_ready: Condvar::new(),
+            queue_cap: queue_cap.max(1),
+            done: Mutex::new(Vec::new()),
+            counters: Counters::new(),
+        }
+    }
 }
 
 /// Per-worker reusable buffers: after warm-up, a SCORE request touches no
@@ -190,18 +236,9 @@ impl Server {
                 "boot artifact could not be registered",
             ));
         }
-        let shared = Arc::new(Shared {
-            registry,
-            shutdown: AtomicBool::new(false),
-            jobs: Mutex::new(VecDeque::new()),
-            job_ready: Condvar::new(),
-            queue_cap: cfg.queue_cap.max(1),
-            done: Mutex::new(Vec::new()),
-            counters: Counters::new(),
-        });
         Ok(Server {
             listener,
-            shared,
+            shared: Arc::new(Shared::new(registry, cfg.queue_cap)),
             cfg,
         })
     }
@@ -235,6 +272,7 @@ impl Server {
             self.listener,
             wake_rx,
             Arc::clone(&self.shared),
+            workers.len(),
             self.cfg.max_conns,
             self.cfg.sub_outbox_cap,
         );
@@ -254,6 +292,7 @@ impl Server {
             protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
             alarms_pushed: c.alarms_pushed.load(Ordering::Relaxed),
             slow_disconnects: c.slow_disconnects.load(Ordering::Relaxed),
+            split_requests: c.split_requests.load(Ordering::Relaxed),
         })
     }
 }
@@ -287,7 +326,7 @@ fn worker_loop(shared: &Shared, wake_tx: &WakeStream) {
             }
         };
         let Some(mut job) = job else { return };
-        score_job(&mut job, &mut scratch, &shared.counters);
+        score_job(&mut job, &mut scratch);
         {
             let mut done = lock(&shared.done);
             done.push(job);
@@ -299,10 +338,11 @@ fn worker_loop(shared: &Shared, wake_tx: &WakeStream) {
 }
 
 /// Validates one SCORE body and fills the job's response with either the
-/// OK payload or an error status. Runs on a worker thread; alongside the
-/// reactor loop this is a cfa-audit D006 panic-reachability root, and
-/// everything it calls must stay panic-free on network input.
-fn score_job(job: &mut Job, scratch: &mut Scratch, counters: &Counters) {
+/// OK payload or an error status; the reactor counts the outcome when it
+/// answers. Runs on a worker thread; alongside the reactor loop this is a
+/// cfa-audit D006 panic-reachability root, and everything it calls must
+/// stay panic-free on network input.
+fn score_job(job: &mut Job, scratch: &mut Scratch) {
     let Job {
         entry,
         payload,
@@ -312,48 +352,65 @@ fn score_job(job: &mut Job, scratch: &mut Scratch, counters: &Counters) {
     } = job;
     resp.clear();
     alarms.clear();
-    let served = match entry.as_ref() {
-        None => {
-            resp.push(STATUS_MALFORMED);
-            false
-        }
+    match entry.as_ref() {
+        None => resp.push(STATUS_MALFORMED),
         Some(entry) => score_body(entry, payload, scratch, resp, alarms),
-    };
-    if served {
-        counters.requests_ok.fetch_add(1, Ordering::Relaxed);
-    } else {
-        counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Parses `[u32 n_rows][u32 n_cols]` + rows, checks the width against
-/// the model, and scores. Returns whether the request was served.
+/// A SCORE body whose header matches its model: `n_rows` rows of
+/// `n_cols` little-endian `f64` cells, packed row-major in `rows`.
+pub(crate) struct ScoreBody<'a> {
+    pub n_rows: usize,
+    pub n_cols: usize,
+    pub rows: &'a [u8],
+}
+
+/// Parses a SCORE body's `[u32 n_rows][u32 n_cols]` header and checks it
+/// against `entry`: the width must be the model's and the row bytes must
+/// be exactly `n_rows × n_cols × 8`. The error is the status to answer.
+pub(crate) fn parse_score_body<'a>(
+    entry: &ModelEntry,
+    body: &'a [u8],
+) -> Result<ScoreBody<'a>, u8> {
+    let (Some(n_rows), Some(n_cols)) = (u32_le(body), u32_le(body.get(4..).unwrap_or(&[]))) else {
+        return Err(STATUS_MALFORMED);
+    };
+    let (n_rows, n_cols) = (n_rows as usize, n_cols as usize);
+    if n_cols != entry.n_features {
+        return Err(STATUS_BAD_WIDTH);
+    }
+    let expected = n_rows
+        .checked_mul(n_cols)
+        .and_then(|cells| cells.checked_mul(8));
+    let rows = body.get(8..).unwrap_or(&[]);
+    if expected != Some(rows.len()) {
+        return Err(STATUS_MALFORMED);
+    }
+    Ok(ScoreBody {
+        n_rows,
+        n_cols,
+        rows,
+    })
+}
+
+/// Checks and scores one SCORE body into `resp` (status byte first).
 fn score_body(
     entry: &ModelEntry,
     body: &[u8],
     scratch: &mut Scratch,
     resp: &mut Vec<u8>,
     alarms: &mut Vec<(u32, f64)>,
-) -> bool {
-    let (Some(n_rows), Some(n_cols)) = (u32_le(body), u32_le(body.get(4..).unwrap_or(&[]))) else {
-        resp.push(STATUS_MALFORMED);
-        return false;
+) {
+    let body = match parse_score_body(entry, body) {
+        Ok(body) => body,
+        Err(status) => {
+            resp.push(status);
+            return;
+        }
     };
-    let (n_rows, n_cols) = (n_rows as usize, n_cols as usize);
-    if n_cols != entry.n_features {
-        resp.push(STATUS_BAD_WIDTH);
-        return false;
-    }
-    let expected = n_rows
-        .checked_mul(n_cols)
-        .and_then(|cells| cells.checked_mul(8));
-    let rows_bytes = body.get(8..).unwrap_or(&[]);
-    if expected != Some(rows_bytes.len()) {
-        resp.push(STATUS_MALFORMED);
-        return false;
-    }
     resp.push(STATUS_OK);
-    put_u32(resp, n_rows as u32);
+    put_u32(resp, body.n_rows as u32);
     let Scratch {
         row_f64,
         row_u8,
@@ -364,8 +421,8 @@ fn score_body(
     score_rows_into(
         &entry.disc,
         &entry.detector,
-        rows_bytes,
-        n_cols,
+        body.rows,
+        body.n_cols,
         row_f64,
         row_u8,
         rows_u8,
@@ -374,7 +431,6 @@ fn score_body(
         resp,
         alarms,
     );
-    true
 }
 
 /// Scores one packed request batch: decode `f64`s and discretize every

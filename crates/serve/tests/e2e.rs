@@ -7,9 +7,10 @@
 use cfa_core::{AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, ScoreMethod};
 use cfa_ml::{AnyLearner, Learner, NaiveBayes, NominalTable, Persist, C45};
 use cfa_serve::protocol::{
-    put_u32, DEFAULT_MODEL, OP_PING, OP_SCORE, STATUS_BAD_WIDTH, STATUS_BUSY, STATUS_MALFORMED,
-    STATUS_NO_MODEL, STATUS_TOO_LARGE,
+    f64_le, put_u32, u32_le, DEFAULT_MODEL, OP_PING, OP_SCORE, STATUS_BAD_WIDTH, STATUS_BUSY,
+    STATUS_MALFORMED, STATUS_NO_MODEL, STATUS_OK, STATUS_TOO_LARGE,
 };
+use cfa_serve::server::MIN_PART_ROWS;
 use cfa_serve::{Client, ClientError, Server, ServerConfig};
 use manet_features::{EqualFrequencyDiscretizer, FeatureMatrix};
 use std::io::{Read, Write};
@@ -104,17 +105,59 @@ fn start_server(cfg: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<cfa_s
     (addr, handle)
 }
 
-/// Sends raw bytes and reads one response payload (status byte + body).
+/// Sends raw bytes on a new connection and reads one response payload
+/// (status byte + body).
 fn raw_round_trip(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
-    s.write_all(bytes).expect("write");
-    let mut len4 = [0u8; 4];
-    s.read_exact(&mut len4).expect("read len");
-    let mut payload = vec![0u8; u32::from_le_bytes(len4) as usize];
-    s.read_exact(&mut payload).expect("read payload");
-    payload
+    raw_request(&mut s, bytes).split_off(4)
+}
+
+/// Sends `frame` and returns the raw reply frame, length prefix included.
+fn raw_request(s: &mut TcpStream, frame: &[u8]) -> Vec<u8> {
+    s.write_all(frame).expect("write");
+    let mut reply = vec![0u8; 4];
+    s.read_exact(&mut reply).expect("read len");
+    let len = u32::from_le_bytes([reply[0], reply[1], reply[2], reply[3]]) as usize;
+    reply.resize(4 + len, 0);
+    s.read_exact(&mut reply[4..]).expect("read payload");
+    reply
+}
+
+/// `n_rows` rows of the three test features, mixing in- and
+/// out-of-distribution values so that some rows alarm.
+fn mixed_rows(n_rows: u32) -> Vec<f64> {
+    let mut rows = Vec::new();
+    for i in 0..n_rows {
+        let a = f64::from(i % 5);
+        rows.extend_from_slice(&[a * 10.0, f64::from(i % 7) * 5.0, f64::from(i % 2)]);
+    }
+    rows
+}
+
+/// A complete SCORE request frame (length prefix included).
+fn score_frame(rows: &[f64], n_cols: usize) -> Vec<u8> {
+    let mut frame = Vec::new();
+    put_u32(&mut frame, (9 + rows.len() * 8) as u32);
+    frame.push(OP_SCORE);
+    put_u32(&mut frame, (rows.len() / n_cols) as u32);
+    put_u32(&mut frame, n_cols as u32);
+    for v in rows {
+        frame.extend_from_slice(&v.to_le_bytes());
+    }
+    frame
+}
+
+/// The `(score, alarm)` rows of a raw OK reply to SCORE.
+fn reply_rows(reply: &[u8]) -> Vec<(f64, bool)> {
+    assert_eq!(reply[4], STATUS_OK);
+    let n_rows = u32_le(&reply[5..]).expect("row count") as usize;
+    let rows = &reply[9..];
+    assert_eq!(rows.len(), n_rows * 9);
+    rows.chunks_exact(9)
+        .map(|r| (f64_le(r).expect("score"), r[8] == 1))
+        .collect()
 }
 
 #[test]
@@ -209,6 +252,141 @@ fn served_bits_match_interpreted_and_compiled_references() {
     }
     client.shutdown_server().expect("shutdown");
     handle.join().expect("join server");
+}
+
+#[test]
+fn split_batches_answer_byte_for_byte_as_one_worker_does() {
+    // A one-worker server never splits; a four-worker one splits every
+    // batch of at least 2 × MIN_PART_ROWS rows across its idle workers.
+    // Replies, scores and pushed alarms must not tell them apart.
+    let (interpreted, mut compiled) = two_copies();
+    compiled.detector.compile();
+    let n_cols = 3;
+    let sizes = [1, 2 * MIN_PART_ROWS - 1, 2 * MIN_PART_ROWS, 253, 256];
+
+    let servers: Vec<_> = [1, 4]
+        .into_iter()
+        .map(|workers| {
+            let (addr, handle) = start_server(ServerConfig {
+                workers,
+                ..ServerConfig::default()
+            });
+            let mut subscriber = Client::connect(addr, Duration::from_secs(5)).expect("connect");
+            subscriber.subscribe(DEFAULT_MODEL).expect("subscribe");
+            let scorer = TcpStream::connect(addr).expect("connect scorer");
+            scorer
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("timeout");
+            (addr, handle, subscriber, scorer)
+        })
+        .collect();
+    let (mut one, mut four) = {
+        let mut it = servers.into_iter();
+        (it.next().expect("one"), it.next().expect("four"))
+    };
+
+    let mut row_u8 = Vec::new();
+    let mut probs = Vec::new();
+    let mut alarms = Vec::new();
+    for &n_rows in &sizes {
+        let rows = mixed_rows(n_rows as u32);
+        let frame = score_frame(&rows, n_cols);
+        let whole = raw_request(&mut one.3, &frame);
+        let split = raw_request(&mut four.3, &frame);
+        assert_eq!(whole, split, "{n_rows}-row reply frames differ");
+        let served = reply_rows(&split);
+        assert_eq!(served.len(), n_rows);
+        for (i, (row, &(score, alarm))) in rows.chunks_exact(n_cols).zip(&served).enumerate() {
+            for (name, reference) in [("interpreted", &interpreted), ("compiled", &compiled)] {
+                reference.discretizer.transform_row_into(row, &mut row_u8);
+                let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
+                assert_eq!(
+                    local.score.to_bits(),
+                    score.to_bits(),
+                    "row {i} of {n_rows} diverges from the {name} reference"
+                );
+                assert_eq!(local.verdict == cfa_core::Verdict::Anomaly, alarm);
+            }
+            if alarm {
+                alarms.push((i as u32, score.to_bits()));
+            }
+        }
+    }
+    assert!(!alarms.is_empty(), "the batches must raise alarms");
+
+    for (workers, server) in [(1, &mut one), (4, &mut four)] {
+        for (seq, &(row, score_bits)) in (1u64..).zip(&alarms) {
+            let evt = server.2.recv_alarm().expect("alarm event");
+            assert_eq!(
+                (evt.seq, evt.row, evt.score.to_bits()),
+                (seq, row, score_bits),
+                "alarm {seq} at {workers} workers"
+            );
+        }
+    }
+
+    let split_sized = sizes.iter().filter(|&&n| n >= 2 * MIN_PART_ROWS).count() as u64;
+    for (workers, (addr, handle, _, _)) in [(1, one), (4, four)] {
+        let mut admin = Client::connect(addr, Duration::from_secs(5)).expect("connect admin");
+        admin.shutdown_server().expect("shutdown");
+        let stats = handle.join().expect("join server");
+        assert_eq!(stats.alarms_pushed, alarms.len() as u64);
+        assert_eq!(stats.protocol_errors, 0);
+        let expected = if workers == 1 { 0 } else { split_sized };
+        assert_eq!(stats.split_requests, expected, "{workers} workers");
+    }
+}
+
+#[test]
+fn a_client_gone_mid_split_leaves_the_next_one_in_its_slot_untouched() {
+    let (_, reference) = two_copies();
+    let (addr, handle) = start_server(ServerConfig {
+        workers: 4,
+        ..ServerConfig::default()
+    });
+    let n_cols = 3;
+    let rows = mixed_rows(256);
+    let frame = score_frame(&rows, n_cols);
+
+    // A split-sized request whose sender hangs up before the reply.
+    {
+        let mut gone = TcpStream::connect(addr).expect("connect");
+        gone.write_all(&frame).expect("write");
+    }
+    // Wait until the server has dropped it, freeing its slot.
+    let mut watcher = Client::connect(addr, Duration::from_secs(5)).expect("connect watcher");
+    let mut open = u32::MAX;
+    for _ in 0..500 {
+        open = watcher.ping().expect("ping").open_conns;
+        if open == 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(open, 1, "the hung-up connection must be closed");
+
+    // The next connection takes the freed slot: its reply is its own,
+    // bit for bit, and nothing stray follows it.
+    let mut next = TcpStream::connect(addr).expect("connect next");
+    next.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let served = reply_rows(&raw_request(&mut next, &frame));
+    let mut row_u8 = Vec::new();
+    let mut probs = Vec::new();
+    assert_eq!(served.len(), 256);
+    for (row, &(score, _)) in rows.chunks_exact(n_cols).zip(&served) {
+        reference.discretizer.transform_row_into(row, &mut row_u8);
+        let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
+        assert_eq!(local.score.to_bits(), score.to_bits());
+    }
+    let ping = raw_request(&mut next, &[1, 0, 0, 0, OP_PING]);
+    assert_eq!(ping.len(), 4 + 1 + 64, "a PING reply, nothing else");
+    assert_eq!(ping[4], STATUS_OK);
+
+    watcher.shutdown_server().expect("shutdown");
+    let stats = handle.join().expect("join server");
+    assert!(stats.split_requests >= 1);
+    assert_eq!(stats.protocol_errors, 0);
 }
 
 #[test]

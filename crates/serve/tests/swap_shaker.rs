@@ -4,11 +4,14 @@
 //! during, and after each swap. A final swap to a *different* artifact
 //! must be atomic: every response matches exactly one of the two
 //! references in full, never a mix, and responses issued after the LOAD
-//! acknowledgement serve only the new model.
+//! acknowledgement serve only the new model. One scorer sends batches
+//! large enough for the server to split across idle workers, so a part
+//! scored on another generation than its siblings shows as a torn swap.
 
 use cfa_core::{AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, ScoreMethod};
 use cfa_ml::{AnyLearner, NaiveBayes};
 use cfa_serve::protocol::DEFAULT_MODEL;
+use cfa_serve::server::MIN_PART_ROWS;
 use cfa_serve::{Client, Server, ServerConfig};
 use manet_features::{EqualFrequencyDiscretizer, FeatureMatrix};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -74,14 +77,33 @@ fn scores_stay_bit_identical_across_live_hot_swaps() {
     let bytes_b = artifact_bytes(3);
 
     let n_cols = 3;
-    let mut rows = Vec::new();
-    for i in 0..30u32 {
-        let a = f64::from(i % 5);
-        rows.extend_from_slice(&[a * 10.0, f64::from(i % 7) * 5.0, f64::from(i % 2)]);
-    }
-    let ref_a = reference_bits(&bytes_a, &rows, n_cols);
-    let ref_b = reference_bits(&bytes_b, &rows, n_cols);
+    let batch = |n_rows: u32| {
+        let mut rows = Vec::new();
+        for i in 0..n_rows {
+            let a = f64::from(i % 5);
+            rows.extend_from_slice(&[a * 10.0, f64::from(i % 7) * 5.0, f64::from(i % 2)]);
+        }
+        rows
+    };
+    // Two scorers send 30-row batches, which never split; the third sends
+    // four parts' worth of rows, which the server splits whenever two of
+    // its four workers are idle.
+    let small = batch(30);
+    let large = batch(4 * MIN_PART_ROWS as u32);
+    let refs: Vec<(Vec<u64>, Vec<u64>)> = [&small, &small, &large]
+        .iter()
+        .map(|rows| {
+            (
+                reference_bits(&bytes_a, rows, n_cols),
+                reference_bits(&bytes_b, rows, n_cols),
+            )
+        })
+        .collect();
+    let (ref_a, ref_b) = &refs[0];
     assert_ne!(ref_a, ref_b, "the two artifacts must be distinguishable");
+    // Every row scores differently under A and B, so a batch whose parts
+    // scored on different generations matches neither reference.
+    assert!(refs[2].0.iter().zip(&refs[2].1).all(|(a, b)| a != b));
 
     let boot = ModelArtifact::load(&mut &bytes_a[..]).expect("load boot");
     let server = Server::bind(boot, "127.0.0.1:0", ServerConfig::default()).expect("bind");
@@ -90,11 +112,13 @@ fn scores_stay_bit_identical_across_live_hot_swaps() {
 
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        // Two scoring connections hammer the server throughout the swap
+        // Three scoring connections hammer the server throughout the swap
         // storm; each response must match reference A or B in full.
-        let scorers: Vec<_> = (0..2)
-            .map(|_| {
-                let (stop, rows, ref_a, ref_b) = (&stop, &rows, &ref_a, &ref_b);
+        let scorers: Vec<_> = [&small, &small, &large]
+            .into_iter()
+            .zip(&refs)
+            .map(|(rows, (ref_a, ref_b))| {
+                let stop = &stop;
                 scope.spawn(move || {
                     let mut client =
                         Client::connect(addr, Duration::from_secs(10)).expect("connect scorer");
@@ -124,10 +148,10 @@ fn scores_stay_bit_identical_across_live_hot_swaps() {
         admin.load_model(DEFAULT_MODEL, &bytes_b).expect("load B");
 
         // Let the scorers observe the post-swap world before stopping.
-        let after = admin.score_batch(&rows, n_cols).expect("score after swap");
+        let after = admin.score_batch(&small, n_cols).expect("score after swap");
         let after_bits: Vec<u64> = after.iter().map(|s| s.score.to_bits()).collect();
         assert_eq!(
-            after_bits, ref_b,
+            &after_bits, ref_b,
             "a request issued after the LOAD ack must serve the new model"
         );
         stop.store(true, Ordering::Relaxed);
@@ -144,4 +168,5 @@ fn scores_stay_bit_identical_across_live_hot_swaps() {
     });
     let stats = server_handle.join().expect("join server");
     assert_eq!(stats.protocol_errors, 0);
+    assert!(stats.split_requests > 0, "the large batches must be split");
 }
