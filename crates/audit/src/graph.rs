@@ -4,21 +4,21 @@
 //! Resolution policy (no type inference beyond declared signatures):
 //!
 //! * **Free calls** `name(...)` resolve to free functions only — same
-//!   module first, then same file, then same crate, then workspace-wide.
+//!   module first, then same file, then same package, then workspace-wide.
 //!   A method of the same name never captures a free call (shadowing
 //!   stays sound).
-//! * **Direct self calls** `self.name(...)` resolve to the method of the
-//!   enclosing impl/trait type when one exists; otherwise they fall back
-//!   to every method of that name (trait default methods live on the
-//!   trait type).
+//! * **Direct self calls** `self.name(...)` and `Self::name(...)` resolve
+//!   to the method of the enclosing impl/trait type when one exists;
+//!   otherwise they fall back to every method of that name (trait default
+//!   methods live on the trait type).
 //! * **Typed parameter calls** `p.name(...)`, where `p` is declared as
 //!   `T`, `&T`, `&mut T` or `T<…>` and never rebound in the body, resolve
 //!   to `T::name` when the workspace defines it: rustc's method probe
 //!   tries the receiver's own type before any deref or trait object.
 //! * **Other method calls** `recv.name(...)` resolve to *every* workspace
 //!   method named `name` — the conservative answer for trait-object and
-//!   generic dispatch (`Box<dyn App>`, `A: Agent`), `Self`, std wrappers,
-//!   and receivers of unknown type.
+//!   generic dispatch (`Box<dyn App>`, `A: Agent`), std wrappers, and
+//!   receivers of unknown type.
 //! * **Qualified calls** `Head::name(...)` resolve to `Head`'s method if
 //!   the workspace defines one, else to free functions named `name`
 //!   (module-qualified paths like `helpers::score`).
@@ -29,6 +29,14 @@
 //! defining module's subtree — the same file, or files under `dir/stem/`
 //! (`dir/` for a `lib.rs`/`main.rs`/`mod.rs`). Any `pub(…)` counts as
 //! `pub`; `trait` items and `impl Trait for T` methods are never private.
+//!
+//! For the same reason a free fn or inherent method is a candidate only
+//! for callers in its own package or in a package that depends on it,
+//! directly or transitively ([`Packages`], read from the tree's
+//! `Cargo.toml` files). Trait items and `impl Trait for T` methods stay
+//! candidates from every package: generic and `dyn` dispatch runs against
+//! the dependency direction (the simulator calls the routing agents it
+//! never names). A tree without manifests is not filtered.
 //!
 //! Calls that resolve to nothing are std/vendored-API calls and simply
 //! add no edges. Edges are deduplicated and sorted, and BFS visits in
@@ -50,20 +58,151 @@ pub struct CallGraph {
     methods_by_name: BTreeMap<String, Vec<usize>>,
     /// Methods by `(owner, name)` (non-test only).
     methods_by_owner: BTreeMap<(String, String), Vec<usize>>,
+    /// The tree's packages, and `pkg[i]` = the package of `fns[i]`.
+    packages: Packages,
+    pkg: Vec<Option<usize>>,
 }
 
-/// Strips a workspace-relative path to its crate root (`crates/sim/` or
-/// `src/`), the granularity used for same-crate resolution preferences.
-fn crate_root(rel: &str) -> &str {
-    if let Some(rest) = rel.strip_prefix("crates/") {
-        match rest.find('/') {
-            Some(end) => rel.get(..7 + end + 1).unwrap_or(rel),
-            None => rel,
+/// The Cargo packages of a scanned tree: which package each file belongs
+/// to, and which packages each one may call into. A package is named by
+/// its directory, so a renamed dependency still resolves.
+#[derive(Debug, Default)]
+pub struct Packages {
+    /// Package directories relative to the tree root with a trailing `/`
+    /// (`""` for a package at the root), longest first.
+    dirs: Vec<String>,
+    /// `reach[p][q]`: package `p` is `q` or depends on it, directly or
+    /// transitively.
+    reach: Vec<Vec<bool>>,
+}
+
+/// What resolution needs from one `Cargo.toml`.
+#[derive(Default)]
+struct Manifest {
+    dir: String,
+    package: bool,
+    /// `[dependencies]`: the key, and the directory of a `path` entry
+    /// (`None` for `key.workspace = true`).
+    deps: Vec<(String, Option<String>)>,
+    /// `[workspace.dependencies]` path entries: key and directory.
+    workspace_deps: Vec<(String, String)>,
+}
+
+/// `dir` joined with the relative `path`, `..` resolved, as a package
+/// directory (trailing `/`, `""` for the root).
+fn join_dir(dir: &str, path: &str) -> String {
+    let mut segs: Vec<&str> = dir.split('/').filter(|s| !s.is_empty()).collect();
+    for seg in path.split('/') {
+        match seg {
+            "" | "." => {}
+            ".." => {
+                segs.pop();
+            }
+            seg => segs.push(seg),
         }
-    } else {
-        match rel.find('/') {
-            Some(end) => rel.get(..end + 1).unwrap_or(rel),
-            None => rel,
+    }
+    segs.iter().map(|s| format!("{s}/")).collect()
+}
+
+/// Reads the sections resolution uses out of the manifest at `rel`: line
+/// by line, enough for `key = { path = "…" }`, `key.workspace = true` and
+/// `key = { workspace = true }` entries.
+fn parse_manifest(rel: &str, text: &str) -> Manifest {
+    let mut m = Manifest {
+        dir: join_dir(rel.trim_end_matches("Cargo.toml"), ""),
+        ..Manifest::default()
+    };
+    let mut section = "";
+    for line in text.lines().map(str::trim).filter(|l| !l.starts_with('#')) {
+        if let Some(header) = line.strip_prefix('[') {
+            section = header.split(']').next().unwrap_or("").trim();
+            m.package |= section == "package";
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let key = key.trim();
+        let (key, mut via_workspace) = match key.strip_suffix(".workspace") {
+            Some(k) => (k.trim(), value.trim() == "true"),
+            None => (key, false),
+        };
+        let mut path = None;
+        for field in value.split(['{', ',', '}']) {
+            match field.split_once('=').map(|(k, v)| (k.trim(), v.trim())) {
+                Some(("path", v)) => path = Some(join_dir(&m.dir, v.trim_matches('"'))),
+                Some(("workspace", "true")) => via_workspace = true,
+                _ => {}
+            }
+        }
+        match (section, path) {
+            ("dependencies", path) if path.is_some() || via_workspace => {
+                m.deps.push((key.to_string(), path));
+            }
+            ("workspace.dependencies", Some(dir)) => m.workspace_deps.push((key.to_string(), dir)),
+            _ => {}
+        }
+    }
+    m
+}
+
+impl Packages {
+    /// Builds the package map from `(path, text)` of every `Cargo.toml`
+    /// in the tree, paths relative to its root. A `key.workspace = true`
+    /// dependency resolves through the root manifest's
+    /// `[workspace.dependencies]`.
+    pub fn from_manifests(manifests: &[(String, String)]) -> Packages {
+        let mut parsed: Vec<Manifest> = manifests
+            .iter()
+            .map(|(rel, text)| parse_manifest(rel, text))
+            .collect();
+        parsed.sort_by(|a, b| b.dir.len().cmp(&a.dir.len()).then(a.dir.cmp(&b.dir)));
+        let root = parsed.iter().find(|m| m.dir.is_empty());
+        let packages: Vec<&Manifest> = parsed.iter().filter(|m| m.package).collect();
+        let dirs: Vec<String> = packages.iter().map(|m| m.dir.clone()).collect();
+        let direct: Vec<Vec<usize>> = packages
+            .iter()
+            .map(|m| {
+                m.deps
+                    .iter()
+                    .filter_map(|(key, path)| {
+                        let dir = path.as_ref().or_else(|| {
+                            let ws = &root?.workspace_deps;
+                            ws.iter().find(|(k, _)| k == key).map(|(_, dir)| dir)
+                        })?;
+                        dirs.iter().position(|d| d == dir)
+                    })
+                    .collect()
+            })
+            .collect();
+        let reach = (0..dirs.len())
+            .map(|p| {
+                let mut seen = vec![false; dirs.len()];
+                let mut stack = vec![p];
+                while let Some(q) = stack.pop() {
+                    if let Some(slot @ false) = seen.get_mut(q) {
+                        *slot = true;
+                        stack.extend(direct.get(q).into_iter().flatten());
+                    }
+                }
+                seen
+            })
+            .collect();
+        Packages { dirs, reach }
+    }
+
+    /// The package `file` belongs to: the deepest package directory that
+    /// contains it.
+    fn of(&self, file: &str) -> Option<usize> {
+        self.dirs.iter().position(|d| file.starts_with(d.as_str()))
+    }
+
+    /// Whether code in package `caller` may name an item of package
+    /// `def`. A file outside every package is unrestricted.
+    fn reaches(&self, caller: Option<usize>, def: Option<usize>) -> bool {
+        match (caller, def) {
+            (Some(c), Some(d)) => self.reach.get(c).and_then(|r| r.get(d)) == Some(&true),
+            _ => true,
         }
     }
 }
@@ -82,10 +221,11 @@ fn private_visible(def: &str, caller: &str) -> bool {
 }
 
 impl CallGraph {
-    /// Builds the graph from parsed functions. Test functions participate
-    /// as callees only if a non-test function actually names them — roots
-    /// and rule reporting both exclude them downstream.
-    pub fn build(fns: Vec<FnDef>) -> CallGraph {
+    /// Builds the graph from parsed functions and the tree's packages.
+    /// Test functions participate as callees only if a non-test function
+    /// actually names them — roots and rule reporting both exclude them
+    /// downstream.
+    pub fn build(fns: Vec<FnDef>, packages: Packages) -> CallGraph {
         // Lookup indexes, retained for per-call-site resolution by the
         // taint layer. BTreeMap: lookups only, but ordered anyway so
         // that no future iteration can introduce nondeterminism.
@@ -107,12 +247,15 @@ impl CallGraph {
                 }
             }
         }
+        let pkg = fns.iter().map(|f| packages.of(&f.file)).collect();
         let mut g = CallGraph {
             fns,
             edges: Vec::new(),
             free_by_name,
             methods_by_name,
             methods_by_owner,
+            packages,
+            pkg,
         };
         let mut edges: Vec<Vec<usize>> = Vec::with_capacity(g.fns.len());
         for (i, f) in g.fns.iter().enumerate() {
@@ -129,21 +272,27 @@ impl CallGraph {
     }
 
     /// Resolves one call site in `fns[caller]` to its candidate callee
-    /// indices under the privacy-, module- and type-scoped policy
-    /// documented above.
+    /// indices under the privacy-, package-, module- and type-scoped
+    /// policy documented above.
     pub fn resolve(&self, caller: usize, name: &str, kind: &CallKind) -> Vec<usize> {
         let Some(f) = self.fns.get(caller) else {
             return Vec::new();
         };
-        // The candidates of `set` that privacy lets `f` call.
+        // The candidates of `set` that privacy and the package graph
+        // let `f` call.
+        let caller_pkg = self.pkg.get(caller).copied().flatten();
         let visible = |set: Option<&Vec<usize>>| -> Vec<usize> {
             set.into_iter()
                 .flatten()
                 .copied()
                 .filter(|&c| {
-                    self.fns
-                        .get(c)
-                        .is_some_and(|g| !g.private || private_visible(&g.file, &f.file))
+                    self.fns.get(c).is_some_and(|g| {
+                        (!g.private || private_visible(&g.file, &f.file))
+                            && (g.trait_item
+                                || self
+                                    .packages
+                                    .reaches(caller_pkg, self.pkg.get(c).copied().flatten()))
+                    })
                 })
                 .collect()
         };
@@ -151,11 +300,20 @@ impl CallGraph {
             self.methods_by_owner
                 .get(&(owner.to_string(), name.to_string()))
         };
+        // The owner's method, else every method of that name.
+        let owned_or_any = |owner: Option<String>| {
+            let scoped = visible(owner.and_then(|o| method(&o)));
+            if scoped.is_empty() {
+                visible(self.methods_by_name.get(name))
+            } else {
+                scoped
+            }
+        };
         match kind {
             CallKind::Free => {
                 let cands = visible(self.free_by_name.get(name));
                 // Narrow by proximity: same module+file, then same file,
-                // then same crate, then anywhere.
+                // then same package, then anywhere.
                 let same_file: Vec<usize> = cands
                     .iter()
                     .copied()
@@ -166,21 +324,17 @@ impl CallGraph {
                     .copied()
                     .filter(|&c| self.fns.get(c).is_some_and(|g| g.module == f.module))
                     .collect();
-                let same_crate: Vec<usize> = cands
+                let same_package: Vec<usize> = cands
                     .iter()
                     .copied()
-                    .filter(|&c| {
-                        self.fns
-                            .get(c)
-                            .is_some_and(|g| crate_root(&g.file) == crate_root(&f.file))
-                    })
+                    .filter(|&c| self.pkg.get(c).copied().flatten() == caller_pkg)
                     .collect();
                 if !same_mod.is_empty() {
                     same_mod
                 } else if !same_file.is_empty() {
                     same_file
-                } else if !same_crate.is_empty() {
-                    same_crate
+                } else if !same_package.is_empty() {
+                    same_package
                 } else {
                     cands
                 }
@@ -188,7 +342,7 @@ impl CallGraph {
             CallKind::Method { recv } => {
                 // `self.m()` scopes to the enclosing impl, `p.m()` on a
                 // typed parameter to its declared type.
-                let owner = match recv.as_deref() {
+                owned_or_any(match recv.as_deref() {
                     Some("self") => f.owner.clone(),
                     Some(r) => f
                         .params
@@ -196,14 +350,9 @@ impl CallGraph {
                         .find(|(p, _)| p == r)
                         .and_then(|(_, t)| t.clone()),
                     None => None,
-                };
-                let scoped = visible(owner.and_then(|o| method(&o)));
-                if scoped.is_empty() {
-                    visible(self.methods_by_name.get(name))
-                } else {
-                    scoped
-                }
+                })
             }
+            CallKind::Qualified { head } if head == "Self" => owned_or_any(f.owner.clone()),
             CallKind::Qualified { head } => {
                 let scoped = visible(method(head));
                 if !scoped.is_empty() {
@@ -305,11 +454,23 @@ mod tests {
     use crate::parser::parse_file;
 
     fn graph_of(files: &[(&str, &str)]) -> CallGraph {
+        graph_in(files, Packages::default())
+    }
+
+    fn graph_in(files: &[(&str, &str)], packages: Packages) -> CallGraph {
         let mut fns = Vec::new();
         for (rel, src) in files {
             fns.extend(parse_file(rel, src, false));
         }
-        CallGraph::build(fns)
+        CallGraph::build(fns, packages)
+    }
+
+    fn packages(manifests: &[(&str, &str)]) -> Packages {
+        let owned: Vec<(String, String)> = manifests
+            .iter()
+            .map(|(rel, text)| (rel.to_string(), text.to_string()))
+            .collect();
+        Packages::from_manifests(&owned)
     }
 
     /// `file:Qualified::name` of every callee the fn named `caller` has
@@ -533,5 +694,110 @@ mod tests {
         )]);
         let parent = g.reachable(&g.roots(&["root"]));
         assert!(parent[idx(&g, "Table::new")].is_some());
+    }
+
+    #[test]
+    fn self_qualified_calls_resolve_to_the_enclosing_impl() {
+        let g = graph_of(&[(
+            "crates/a/src/lib.rs",
+            "impl A { fn go(&self) { Self::helper(); } fn helper() {} }\n\
+             impl B { fn helper() { Some(1).unwrap(); } }\n",
+        )]);
+        assert_eq!(callees(&g, "A::go"), ["crates/a/src/lib.rs:A::helper"]);
+    }
+
+    #[test]
+    fn calls_resolve_only_along_package_dependencies() {
+        // `sim` depends on nothing, `routing` on `sim`, `bench` on `routing`.
+        let packages = packages(&[
+            ("crates/sim/Cargo.toml", "[package]\nname = \"sim\"\n"),
+            (
+                "crates/routing/Cargo.toml",
+                "[package]\nname = \"routing\"\n[dependencies]\nsim.workspace = true\n",
+            ),
+            (
+                "bench/Cargo.toml",
+                "[package]\nname = \"bench\"\n[workspace]\n\n[dependencies]\n\
+                 routing = { path = \"../crates/routing\" }\n",
+            ),
+            (
+                "Cargo.toml",
+                "[workspace.dependencies]\nsim = { path = \"crates/sim\", version = \"1\" }\n",
+            ),
+        ]);
+        let g = graph_in(
+            &[
+                (
+                    "crates/sim/src/radio.rs",
+                    "impl Radio { pub fn count_within(&self) { it.count(); } }\n\
+                     impl Simulator { pub fn run(&mut self) { agent.on_packet(); } }\n\
+                     impl Queue { pub fn len(&self) {} }\n",
+                ),
+                (
+                    "crates/routing/src/aodv.rs",
+                    "impl Agent for AodvAgent { fn on_packet(&mut self) { q.len(); } }\n\
+                     impl Table { pub fn count(&self) {} }\n\
+                     fn route() { helper(); }\n",
+                ),
+                ("crates/routing/src/util.rs", "pub fn helper() {}\n"),
+                ("crates/sim/src/util.rs", "pub fn helper() {}\n"),
+                (
+                    "bench/src/report.rs",
+                    "impl Report { pub fn count(&mut self) {} }\n\
+                     impl Report { pub fn on_packet(&mut self) {} }\n",
+                ),
+            ],
+            packages,
+        );
+        // No package below `sim` defines an inherent `count`.
+        assert!(callees(&g, "Radio::count_within").is_empty());
+        // Trait dispatch runs against the dependency direction; the
+        // inherent `Report::on_packet` of a dependent package does not.
+        assert_eq!(
+            callees(&g, "Simulator::run"),
+            ["crates/routing/src/aodv.rs:AodvAgent::on_packet"]
+        );
+        // An inherent `pub` method of a dependency still resolves.
+        assert_eq!(
+            callees(&g, "AodvAgent::on_packet"),
+            ["crates/sim/src/radio.rs:Queue::len"]
+        );
+        // A free call prefers its own package over a dependency's.
+        assert_eq!(callees(&g, "route"), ["crates/routing/src/util.rs:helper"]);
+    }
+
+    #[test]
+    fn manifests_of_this_repository_give_its_dependency_graph() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let (mut sources, mut paths) = (Vec::new(), Vec::new());
+        crate::collect_files(&root, &mut sources, &mut paths).expect("the repository walks");
+        let manifests: Vec<(String, String)> = paths
+            .iter()
+            .map(|p| {
+                let rel = p.strip_prefix(&root).expect("under the root");
+                let text = std::fs::read_to_string(p).expect("a readable manifest");
+                (rel.to_string_lossy().replace('\\', "/"), text)
+            })
+            .collect();
+        let pk = Packages::from_manifests(&manifests);
+        let dir = |d: &str| pk.dirs.iter().position(|x| x == d);
+        let reached = |from: &str| -> Vec<&str> {
+            pk.dirs
+                .iter()
+                .filter(|to| pk.reaches(dir(from), dir(to)))
+                .map(String::as_str)
+                .collect()
+        };
+        assert_eq!(reached("crates/sim/"), ["crates/rand/", "crates/sim/"]);
+        let bench = reached("perfbench/");
+        for dep in ["crates/serve/", "", "crates/sim/"] {
+            assert!(
+                bench.contains(&dep),
+                "perfbench/ must reach {dep:?}: {bench:?}"
+            );
+        }
+        assert!(!reached("crates/sim/").contains(&"perfbench/"));
+        assert_eq!(pk.of("perfbench/src/report.rs"), dir("perfbench/"));
+        assert_eq!(pk.of("src/fleet.rs"), dir(""));
     }
 }

@@ -16,8 +16,8 @@
 //! hand-rolled [`lexer`] is the shared front end, an item [`parser`]
 //! extracts functions and call expressions, and a [`graph::CallGraph`]
 //! resolves them workspace-wide (name-based, with module/impl scoping,
-//! Rust's privacy rules and declared parameter types, conservative on
-//! trait dispatch).
+//! Rust's privacy rules, package dependencies and declared parameter
+//! types, conservative on trait dispatch).
 //!
 //! ## Rules
 //!
@@ -59,16 +59,13 @@
 
 pub mod dataflow;
 pub mod emit;
-pub mod fix;
 pub mod graph;
 pub mod interproc;
 pub mod lexer;
-pub mod par;
 pub mod parser;
 pub mod taint;
 
 pub use emit::{to_json, to_sarif};
-pub use fix::apply_fixes;
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -198,7 +195,7 @@ impl Rule {
             Rule::D007 => "bound the collection like FloodAgent's RREQ memory (time horizon + hard cap) or evict in the same type; a by-design full-retention sink needs `// audit: allow(D007, reason = \"...\")`",
             Rule::D008 => "pre-size and reuse caller-owned buffers (scratch pattern); a cold-path or setup allocation needs `// audit: allow(D008, reason = \"...\")`",
             Rule::D009 => "make the combine order canonical (ordered left-fold over map_chunks output, joins in spawn order) and document it with `// audit: allow(D009, reason = \"...\")` stating why the order is thread-count invariant",
-            Rule::D010 => "use `Target::try_from(x)` and handle the error (`cfa-audit --fix` rewrites simple sites), or document the range invariant with `// audit: allow(D010, reason = \"...\")`",
+            Rule::D010 => "use `Target::try_from(x)` and handle the error, or document the range invariant with `// audit: allow(D010, reason = \"...\")`",
             Rule::D012 => "validate the value against a cap before sizing an allocation with it — compare against a limit, go through a validated newtype like FrameLen, or use try_into/checked ops; a proven bound needs `// audit: allow(D012, reason = \"...\")`",
             Rule::D013 => "bound-check the value before indexing (get()/get_mut() degrade gracefully) and replace wrapping/unchecked arithmetic on untrusted input with checked ops; a proven bound needs `// audit: allow(D013, reason = \"...\")`",
             Rule::D014 => "acquire locks in one global order everywhere and drop every guard before calling anything that can block on a socket; an intentional ordering needs `// audit: allow(D014, reason = \"...\")`",
@@ -658,9 +655,14 @@ fn scan_source_inner(rel: &str, source: &str) -> FileScan {
     }
 }
 
-/// Recursively collects the `.rs` files under `root`, skipping build
-/// output and VCS internals, in sorted (deterministic) order.
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Recursively collects the `.rs` files and the `Cargo.toml` manifests
+/// under `dir`, skipping build output and VCS internals, in sorted
+/// (deterministic) order.
+fn collect_files(
+    dir: &Path,
+    sources: &mut Vec<PathBuf>,
+    manifests: &mut Vec<PathBuf>,
+) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();
@@ -673,9 +675,11 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
             if name == "target" || name == ".git" || name == "fixtures" {
                 continue;
             }
-            collect_rs_files(&path, out)?;
+            collect_files(&path, sources, manifests)?;
         } else if name.ends_with(".rs") {
-            out.push(path);
+            sources.push(path);
+        } else if name == "Cargo.toml" {
+            manifests.push(path);
         }
     }
     Ok(())
@@ -692,90 +696,46 @@ pub struct ScanStats {
     pub functions: usize,
 }
 
-/// Per-file output of the parallel scan phase, merged in input order.
-struct FileResult {
-    rel: String,
-    lines: usize,
-    findings: Vec<Finding>,
-    fns: Vec<parser::FnDef>,
-    ctx: interproc::FileCtx,
-    err: Option<std::io::Error>,
-}
-
 /// Scans every `.rs` file under `root` (a workspace checkout) with all
 /// four layers — the lexical rules per file, the dataflow pass per
 /// function body, then the interprocedural reachability and taint rules
-/// over the workspace call graph — and returns all findings (ordered by
-/// file, line, then rule) plus scan-size statistics.
-///
-/// The per-file phase (read + lex + parse + line rules) fans out over
-/// `threads` scoped threads via [`par::map_chunks`]; results are merged
-/// in input order and the graph phases stay serial, so the output is
-/// byte-identical at every thread count.
-pub fn scan_tree_with_stats_at(
-    root: &Path,
-    threads: usize,
-) -> std::io::Result<(Vec<Finding>, ScanStats)> {
-    let mut files = Vec::new();
-    collect_rs_files(root, &mut files)?;
-    let per_file = par::map_chunks(threads, files.len(), |range| {
-        let mut out = Vec::with_capacity(range.len());
-        for i in range {
-            let path = &files[i];
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let source = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    out.push(FileResult {
-                        rel,
-                        lines: 0,
-                        findings: Vec::new(),
-                        fns: Vec::new(),
-                        ctx: interproc::FileCtx {
-                            lines: Vec::new(),
-                            allowed: Vec::new(),
-                        },
-                        err: Some(e),
-                    });
-                    continue;
-                }
-            };
-            let scan = scan_source_inner(&rel, &source);
-            let fns = parser::parse_file(&rel, &source, is_test_path(&rel));
-            out.push(FileResult {
-                lines: source.lines().count(),
-                findings: scan.findings,
-                fns,
-                ctx: interproc::FileCtx {
-                    lines: source.lines().map(str::to_string).collect(),
-                    allowed: scan.allowed_lines,
-                },
-                rel,
-                err: None,
-            });
-        }
-        out
-    });
+/// over the workspace call graph, scoped by the packages its `Cargo.toml`
+/// files declare — and returns all findings (ordered by file, line, then
+/// rule) plus scan-size statistics.
+pub fn scan_tree_with_stats(root: &Path) -> std::io::Result<(Vec<Finding>, ScanStats)> {
+    let mut sources = Vec::new();
+    let mut manifests = Vec::new();
+    collect_files(root, &mut sources, &mut manifests)?;
+    let rel = |path: &Path| {
+        path.strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace('\\', "/")
+    };
     let mut findings = Vec::new();
     let mut fns: Vec<parser::FnDef> = Vec::new();
     let mut contexts: BTreeMap<String, interproc::FileCtx> = BTreeMap::new();
     let mut stats = ScanStats::default();
-    for file in per_file {
-        if let Some(e) = file.err {
-            return Err(e);
-        }
+    for path in &sources {
+        let rel = rel(path);
+        let source = std::fs::read_to_string(path)?;
+        let scan = scan_source_inner(&rel, &source);
+        fns.extend(parser::parse_file(&rel, &source, is_test_path(&rel)));
         stats.files += 1;
-        stats.lines += file.lines;
-        findings.extend(file.findings);
-        fns.extend(file.fns);
-        contexts.insert(file.rel, file.ctx);
+        stats.lines += source.lines().count();
+        findings.extend(scan.findings);
+        let ctx = interproc::FileCtx {
+            lines: source.lines().map(str::to_string).collect(),
+            allowed: scan.allowed_lines,
+        };
+        contexts.insert(rel, ctx);
     }
+    let manifests = manifests
+        .iter()
+        .map(|path| Ok((rel(path), std::fs::read_to_string(path)?)))
+        .collect::<std::io::Result<Vec<_>>>()?;
     stats.functions = fns.len();
-    let graph = graph::CallGraph::build(fns);
+    let graph = graph::CallGraph::build(fns, graph::Packages::from_manifests(&manifests));
     findings.extend(interproc::check(&graph, &contexts));
     findings.extend(taint::check(&graph, &contexts));
     findings.sort_by(|a, b| {
@@ -787,11 +747,6 @@ pub fn scan_tree_with_stats_at(
         ))
     });
     Ok((findings, stats))
-}
-
-/// [`scan_tree_with_stats_at`] on a single thread.
-pub fn scan_tree_with_stats(root: &Path) -> std::io::Result<(Vec<Finding>, ScanStats)> {
-    scan_tree_with_stats_at(root, 1)
 }
 
 /// [`scan_tree_with_stats`] without the statistics.
@@ -873,7 +828,7 @@ mod tests {
     fn d002_allowed_with_reason() {
         let src = "// audit: allow(D002, reason = \"bench harness measures wall time\")\n\
                    fn f() { let t = Instant::now(); }\n";
-        assert!(rules("crates/criterion/src/fixture.rs", src).is_empty());
+        assert!(rules("crates/serve/src/fixture.rs", src).is_empty());
     }
 
     #[test]

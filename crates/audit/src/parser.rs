@@ -9,11 +9,11 @@
 //! This is deliberately not a full Rust grammar: it tracks brace nesting,
 //! angle-bracket balance in `impl` headers, and attribute spans, which is
 //! enough to attribute every call to the right function with zero
-//! dependencies. Alongside each function it records the two facts
-//! resolution narrows by: whether the `fn` is private (no `pub`, outside
-//! any trait), and the declared type head of each parameter. Trait
-//! `dyn`/generic dispatch is handled conservatively at resolution time
-//! (see [`graph`](crate::graph)), not here.
+//! dependencies. Alongside each function it records the facts resolution
+//! narrows by: whether the `fn` is a trait item, whether it is private
+//! (no `pub`, outside any trait), and the declared type head of each
+//! parameter. Trait `dyn`/generic dispatch is handled conservatively at
+//! resolution time (see [`graph`](crate::graph)), not here.
 
 use crate::dataflow::{self, BodyFacts};
 use crate::lexer::{lex, Token, TokenKind};
@@ -99,6 +99,9 @@ pub struct FnDef {
     pub grows: Vec<FieldOp>,
     /// Eviction calls on `self` fields (`remove`/`pop`/`retain`/…).
     pub evicts: Vec<FieldOp>,
+    /// Inside a `trait` or an `impl Trait for T`: reachable through
+    /// generic and `dyn` dispatch from any package.
+    pub trait_item: bool,
     /// No `pub`, outside any `trait`/`impl Trait for T`: callable only
     /// from its defining module's subtree.
     pub private: bool,
@@ -132,13 +135,13 @@ impl FnDef {
 }
 
 /// Keywords that look like call heads but are not calls.
-const NON_CALL_KEYWORDS: [&str; 10] = [
+pub(crate) const NON_CALL_KEYWORDS: [&str; 10] = [
     "if", "while", "for", "match", "loop", "return", "fn", "move", "else", "in",
 ];
 
 /// Keywords allowed immediately before `[` without making it an index
 /// expression (slice patterns, bindings).
-const NON_INDEX_KEYWORDS: [&str; 12] = [
+pub(crate) const NON_INDEX_KEYWORDS: [&str; 12] = [
     "let", "in", "mut", "ref", "return", "if", "else", "match", "loop", "while", "for", "box",
 ];
 
@@ -535,6 +538,7 @@ impl Parser<'_, '_> {
             allocs: Vec::new(),
             grows: Vec::new(),
             evicts: Vec::new(),
+            trait_item: scope.in_trait,
             // Any `pub` form (`pub(crate)`, `pub(in …)`) since the item's
             // start, past `const`/`unsafe`/`extern "abi"` qualifiers.
             private: !scope.in_trait

@@ -37,7 +37,7 @@ use crate::dataflow::BLOCKING_METHODS;
 use crate::graph::CallGraph;
 use crate::interproc::{render_chain, FileCtx};
 use crate::lexer::{Token, TokenKind};
-use crate::parser::CallKind;
+use crate::parser::{CallKind, NON_CALL_KEYWORDS, NON_INDEX_KEYWORDS};
 use crate::{Finding, Rule};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -127,16 +127,6 @@ pub struct FnTaint {
     /// Ops in source order.
     pub ops: Vec<TaintOp>,
 }
-
-/// Keywords that look like call heads but are not calls.
-const NON_CALL_KEYWORDS: [&str; 10] = [
-    "if", "while", "for", "match", "loop", "return", "fn", "move", "else", "in",
-];
-
-/// Keywords allowed before `[` without making it an index expression.
-const NON_INDEX_KEYWORDS: [&str; 12] = [
-    "let", "in", "mut", "ref", "return", "if", "else", "match", "loop", "while", "for", "box",
-];
 
 /// Identifiers never collected as taint carriers.
 const IDENT_SKIP: [&str; 22] = [
@@ -1263,7 +1253,13 @@ fn reaches(order: &BTreeMap<String, BTreeSet<String>>, from: &str, to: &str) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_file;
+    use crate::graph::Packages;
+    use crate::parser::{parse_file, FnDef};
+
+    /// The call graph of a tree without manifests (no package filter).
+    fn graph_of(fns: Vec<FnDef>) -> CallGraph {
+        CallGraph::build(fns, Packages::default())
+    }
 
     fn mine_one(src: &str) -> FnTaint {
         let fns = parse_file("crates/serve/src/x.rs", src, false);
@@ -1384,7 +1380,7 @@ mod tests {
                 v.capacity()\n\
             }\n";
         let fns = parse_file("crates/serve/src/x.rs", src, false);
-        let graph = CallGraph::build(fns);
+        let graph = graph_of(fns);
         let mut files = BTreeMap::new();
         files.insert(
             "crates/serve/src/x.rs".to_string(),
@@ -1415,7 +1411,7 @@ mod tests {
                 v.capacity()\n\
             }\n";
         let fns = parse_file("crates/serve/src/x.rs", src, false);
-        let graph = CallGraph::build(fns);
+        let graph = graph_of(fns);
         let mut files = BTreeMap::new();
         files.insert(
             "crates/serve/src/x.rs".to_string(),
@@ -1460,7 +1456,7 @@ mod tests {
                 }\n\
             }\n";
         let fns = parse_file("crates/serve/src/x.rs", src, false);
-        let graph = CallGraph::build(fns);
+        let graph = graph_of(fns);
         let mut files = BTreeMap::new();
         files.insert(
             "crates/serve/src/x.rs".to_string(),
@@ -1520,8 +1516,8 @@ mod tests {
             k.sort();
             k
         };
-        let f1 = key(check(&CallGraph::build(order1), &files));
-        let f2 = key(check(&CallGraph::build(order2), &files));
+        let f1 = key(check(&graph_of(order1), &files));
+        let f2 = key(check(&graph_of(order2), &files));
         assert_eq!(f1, f2);
         assert!(!f1.is_empty(), "the D012 sink must fire in both orders");
     }
@@ -1604,9 +1600,9 @@ mod tests {
             };
             let fwd: Vec<&(String, String)> = files.iter().collect();
             let rev: Vec<&(String, String)> = files.iter().rev().collect();
-            let k_fwd = key(check(&CallGraph::build(parse_all(&fwd)), &ctxs));
-            let k_fwd2 = key(check(&CallGraph::build(parse_all(&fwd)), &ctxs));
-            let k_rev = key(check(&CallGraph::build(parse_all(&rev)), &ctxs));
+            let k_fwd = key(check(&graph_of(parse_all(&fwd)), &ctxs));
+            let k_fwd2 = key(check(&graph_of(parse_all(&fwd)), &ctxs));
+            let k_rev = key(check(&graph_of(parse_all(&rev)), &ctxs));
             prop_assert_eq!(&k_fwd, &k_fwd2, "same inputs must decide identically");
             prop_assert_eq!(&k_fwd, &k_rev, "file order must not change taint decisions");
 

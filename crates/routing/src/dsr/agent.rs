@@ -88,7 +88,7 @@ impl DsrAgent {
     /// a full source route, if this node appears on it.
     fn suffix_from_self(me: NodeId, route: &[NodeId]) -> Option<&[NodeId]> {
         let idx = route.iter().position(|&n| n == me)?;
-        let suffix = &route[idx + 1..];
+        let suffix = route.get(idx + 1..)?;
         if suffix.is_empty() {
             None
         } else {

@@ -138,7 +138,7 @@ impl RouteCache {
     fn has_duplicates(path: &[NodeId]) -> bool {
         let mut seen = path.to_vec();
         seen.sort_unstable();
-        seen.windows(2).any(|w| w[0] == w[1])
+        seen.windows(2).any(|w| matches!(w, [a, b] if a == b))
     }
 
     fn path_uses_link(owner: NodeId, path: &[NodeId], from: NodeId, to: NodeId) -> bool {
