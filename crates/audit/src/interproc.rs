@@ -17,7 +17,7 @@
 //! * **D008 — allocation in the hot predict path.** `Vec::new`,
 //!   `to_vec`, `clone`, `format!`, `collect`, … must not be reachable
 //!   from the per-row scoring path (`predict_row`, `class_probs_into`,
-//!   `score_all`, `score_snapshot`, …): that path is advertised
+//!   `score_all`, `score_snapshot_with`, …): that path is advertised
 //!   zero-alloc and the ensemble calls it `L` times per event.
 //!
 //! The dataflow rules D009–D010 are emitted here too: the
@@ -76,7 +76,7 @@ pub const PREDICT_ROOTS: [&str; 15] = [
     "score_all",
     "score_indices",
     "one_model_score",
-    "score_snapshot",
+    "score_snapshot_with",
     "score_rows_into",
     "CompiledEnsemble::score_row",
     "CompiledEnsemble::score_batch",

@@ -186,7 +186,7 @@ impl Rule {
     /// The fix-it hint printed with each finding.
     pub fn hint(self) -> &'static str {
         match self {
-            Rule::D001 => "use manet_sim::det::{DetMap, DetSet} (ordered iteration) or IndexedMap (hot lookups); if order provably cannot escape, annotate `// audit: allow(D001, reason = \"...\")`",
+            Rule::D001 => "use manet_sim::det::DetMap or std's BTreeSet (ordered iteration) or IndexedMap (hot lookups); if order provably cannot escape, annotate `// audit: allow(D001, reason = \"...\")`",
             Rule::D002 => "derive all randomness from the scenario seed (SimRng streams) and all time from SimTime; benches belong in crates/bench",
             Rule::D003 => "compare with f64::to_bits()/total_cmp for exact identity, or an explicit epsilon for tolerance",
             Rule::D004 => "restructure with let-else/match so malformed input degrades gracefully; a documented panic contract needs `// audit: allow(D004, reason = \"...\")`",

@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use cfa_core::{AnomalyDetector, ScoreMethod, Verdict};
-//! use cfa_ml::{NominalTable, naive_bayes::NaiveBayes};
+//! use cfa_ml::{AnyLearner, NominalTable, naive_bayes::NaiveBayes};
 //!
 //! // Normal data: feature 1 always equals feature 0; feature 2 free.
 //! let rows: Vec<Vec<u8>> = (0..60).map(|i| {
@@ -37,7 +37,7 @@
 //!     rows,
 //! ).unwrap();
 //! let det = AnomalyDetector::fit(
-//!     &NaiveBayes::default(), &normal, ScoreMethod::AvgProbability, 0.05,
+//!     &AnyLearner::Bayes(NaiveBayes::default()), &normal, ScoreMethod::AvgProbability, 0.05,
 //! );
 //! // A vector violating the a == b correlation scores as anomalous.
 //! assert_eq!(det.classify(&[0, 1, 0]), Verdict::Anomaly);
@@ -58,7 +58,7 @@ pub use cfa_ml::compiled::{CompiledEnsemble, CompiledMethod, CompiledModel};
 pub use detector::{AnomalyDetector, SnapshotVerdict, Verdict};
 pub use eval::{PrPoint, ScoredEvent};
 pub use model::{CrossFeatureModel, ScoreMethod};
-pub use online::{Alarm, MonitorReport, NodeScoreSeries, OnlineMonitor, MONITOR_STEP_SECS};
+pub use online::{smooth, Alarm, MonitorReport, NodeScoreSeries, OnlineMonitor, MONITOR_STEP_SECS};
 pub use parallel::Parallelism;
 pub use persist::{ModelArtifact, FORMAT_VERSION, MAGIC, MAX_PAYLOAD_BYTES};
 pub use reduction::{

@@ -1,8 +1,8 @@
 //! The cross-feature ensemble: Algorithms 1–3 of the paper.
 
 use crate::parallel::{map_chunks, Parallelism};
-use cfa_ml::compiled::{CompiledEnsemble, CompiledMethod};
-use cfa_ml::{AnyModel, Classifier, Learner, NominalTable};
+use cfa_ml::compiled::CompiledMethod;
+use cfa_ml::{Classifier, Learner, NominalTable};
 
 /// How sub-model outputs are combined into an event score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +32,10 @@ impl From<ScoreMethod> for CompiledMethod {
 /// `CrossFeatureModel::train` fits one classifier per feature column on a
 /// table of **normal** events; [`CrossFeatureModel::score`] evaluates how
 /// normal a (full-width) feature vector looks, in `[0, 1]` — higher is more
-/// normal.
+/// normal. These scorers are the interpreted walk: an
+/// [`AnomalyDetector`](crate::AnomalyDetector) scores on the compiled
+/// engine lowered from this ensemble, and tests hold that engine to this
+/// walk's bits.
 #[derive(Debug)]
 pub struct CrossFeatureModel<M> {
     sub_models: Vec<M>,
@@ -199,11 +202,6 @@ impl<M: Classifier> CrossFeatureModel<M> {
         }
     }
 
-    /// Scores every row of a table with the default thread budget.
-    pub fn scores(&self, table: &NominalTable, method: ScoreMethod) -> Vec<f64> {
-        self.scores_with(table, method, Parallelism::default())
-    }
-
     /// Scores every row of a table, fanning the rows out across `par`
     /// threads in contiguous chunks. Each row's score is a deterministic
     /// function of the row alone, and chunk results are reassembled in row
@@ -257,15 +255,6 @@ impl<M: Classifier> CrossFeatureModel<M> {
                 })
                 .collect()
         })
-    }
-}
-
-impl CrossFeatureModel<AnyModel> {
-    /// Lowers every sub-model into the flat compiled engine
-    /// ([`CompiledEnsemble`]), whose scores are bit-identical to this
-    /// ensemble's interpreted path (see `cfa_ml::compiled`).
-    pub fn compile(&self) -> CompiledEnsemble {
-        CompiledEnsemble::compile(&self.sub_models)
     }
 }
 

@@ -18,7 +18,6 @@
 //! same run reproduces the monitor's decisions exactly.
 
 use crate::detector::{AnomalyDetector, Verdict};
-use cfa_ml::Classifier;
 use manet_features::{EqualFrequencyDiscretizer, IncrementalExtractor};
 use manet_sim::sink::NullSink;
 use manet_sim::{Agent, NodeId, SimTime, Simulator};
@@ -80,9 +79,9 @@ type AlarmSink<'a> = Box<dyn FnMut(&Alarm) + 'a>;
 
 /// Couples a running [`Simulator`] to per-node extractors and a trained
 /// detector; see the module docs.
-pub struct OnlineMonitor<'a, A: Agent, M> {
+pub struct OnlineMonitor<'a, A: Agent> {
     sim: Simulator<A>,
-    detector: &'a AnomalyDetector<M>,
+    detector: &'a AnomalyDetector,
     discretizer: &'a EqualFrequencyDiscretizer,
     smoothing: usize,
     taps: Vec<Tap>,
@@ -99,7 +98,31 @@ pub struct OnlineMonitor<'a, A: Agent, M> {
 /// The snapshot cadence in seconds, which is also the monitor's step size.
 pub const MONITOR_STEP_SECS: f64 = 5.0;
 
-impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
+/// Trailing moving average over `k` scores (`k <= 1` is the identity):
+/// score *i* becomes the mean of scores `i + 1 - k ..= i` (of all scores
+/// so far near the start). The batch pipeline smooths with this, and
+/// [`OnlineMonitor`] takes the same mean one snapshot at a time, so batch
+/// and streamed scores are bit-identical.
+pub fn smooth(scores: &[f64], k: usize) -> Vec<f64> {
+    if k <= 1 {
+        return scores.to_vec();
+    }
+    (0..scores.len())
+        .map(|i| {
+            // audit: allow(D006, reason = "i.saturating_sub(k - 1) <= i < len by construction")
+            trailing_mean(scores[i.saturating_sub(k - 1)..=i].iter())
+        })
+        .collect()
+}
+
+/// The mean of a score window, summed oldest to newest: the one float
+/// order batch and streaming smoothing share.
+fn trailing_mean<'w>(window: impl ExactSizeIterator<Item = &'w f64>) -> f64 {
+    let n = window.len();
+    window.sum::<f64>() / n as f64
+}
+
+impl<'a, A: Agent> OnlineMonitor<'a, A> {
     /// Prepares a monitor over a configured, **not yet started** simulator.
     /// Installs an incremental extractor as the trace sink of every node in
     /// `monitored` and a [`NullSink`] on every other node.
@@ -111,9 +134,9 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
     pub fn new(
         mut sim: Simulator<A>,
         monitored: &[NodeId],
-        detector: &'a AnomalyDetector<M>,
+        detector: &'a AnomalyDetector,
         discretizer: &'a EqualFrequencyDiscretizer,
-    ) -> OnlineMonitor<'a, A, M> {
+    ) -> OnlineMonitor<'a, A> {
         assert!(!monitored.is_empty(), "monitor at least one node");
         let mut taps: Vec<Tap> = Vec::with_capacity(monitored.len());
         for i in 0..sim.config().n_nodes {
@@ -151,7 +174,7 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
 
     /// Applies the batch pipeline's trailing moving-average smoothing over
     /// `k` snapshots before the threshold decision (`k = 1` is raw scores).
-    pub fn with_smoothing(mut self, k: usize) -> OnlineMonitor<'a, A, M> {
+    pub fn with_smoothing(mut self, k: usize) -> OnlineMonitor<'a, A> {
         self.smoothing = k.max(1);
         self
     }
@@ -161,7 +184,7 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
     /// returns its report). The final [`MonitorReport`] still contains
     /// every alarm; the sink is for streaming consumers that cannot wait
     /// for the run to end.
-    pub fn with_alarm_sink(mut self, sink: impl FnMut(&Alarm) + 'a) -> OnlineMonitor<'a, A, M> {
+    pub fn with_alarm_sink(mut self, sink: impl FnMut(&Alarm) + 'a) -> OnlineMonitor<'a, A> {
         self.sink = Some(Box::new(sink));
         self
     }
@@ -213,9 +236,7 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
                 if tap.recent.len() > self.smoothing {
                     tap.recent.pop_front();
                 }
-                // Oldest-to-newest sum: the exact float order of the batch
-                // pipeline's trailing moving average.
-                let smoothed = tap.recent.iter().sum::<f64>() / tap.recent.len() as f64;
+                let smoothed = trailing_mean(tap.recent.iter());
                 tap.series.push((row.time, smoothed));
                 let verdict = if smoothed >= self.detector.threshold() {
                     Verdict::Normal
@@ -243,7 +264,7 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
 mod tests {
     use super::*;
     use crate::model::ScoreMethod;
-    use cfa_ml::NaiveBayes;
+    use cfa_ml::{AnyLearner, NaiveBayes};
     use manet_features::FeatureExtractor;
     use manet_sim::agent::FloodAgent;
     use manet_sim::app::{App, AppCtx, AppData, AppKind, FlowId};
@@ -302,7 +323,8 @@ mod tests {
         sim
     }
 
-    /// The batch pipeline's trailing moving average, verbatim.
+    /// The batch pipeline's trailing moving average as first written:
+    /// the oracle for [`super::smooth`] and the monitor's window.
     fn smooth(scores: &[f64], k: usize) -> Vec<f64> {
         if k <= 1 {
             return scores.to_vec();
@@ -332,7 +354,7 @@ mod tests {
         let disc = EqualFrequencyDiscretizer::fit(&train_matrix, 5, None, 7);
         let table = disc.transform(&train_matrix).expect("schema");
         let detector = AnomalyDetector::fit(
-            &NaiveBayes::default(),
+            &AnyLearner::Bayes(NaiveBayes::default()),
             &table,
             ScoreMethod::AvgProbability,
             0.2,
@@ -399,7 +421,7 @@ mod tests {
         let disc = EqualFrequencyDiscretizer::fit(&m, 5, None, 7);
         let table = disc.transform(&m).expect("schema");
         let det = AnomalyDetector::fit(
-            &NaiveBayes::default(),
+            &AnyLearner::Bayes(NaiveBayes::default()),
             &table,
             ScoreMethod::AvgProbability,
             0.2,
@@ -424,7 +446,7 @@ mod tests {
         let disc = EqualFrequencyDiscretizer::fit(&m, 5, None, 1);
         let table = disc.transform(&m).expect("schema");
         let det = AnomalyDetector::fit(
-            &NaiveBayes::default(),
+            &AnyLearner::Bayes(NaiveBayes::default()),
             &table,
             ScoreMethod::AvgProbability,
             0.0,

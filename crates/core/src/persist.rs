@@ -52,8 +52,9 @@ pub struct ModelArtifact {
     pub spec: Option<FeatureSpec>,
     /// The fitted equal-frequency discretizer (continuous row → buckets).
     pub discretizer: EqualFrequencyDiscretizer,
-    /// The trained detector: ensemble + method + threshold.
-    pub detector: AnomalyDetector<AnyModel>,
+    /// The trained detector: ensemble + method + threshold, lowered to
+    /// the compiled engine when it was built.
+    pub detector: AnomalyDetector,
     /// The threshold/false-alarm-rate pair the detector was calibrated to.
     pub fitted: FittedThreshold,
     /// Trailing moving-average window applied to score streams (1 = none).
@@ -335,22 +336,26 @@ mod tests {
     #[test]
     fn sub_model_of_the_wrong_width_is_rejected() {
         // Sub-model 2 trained on a four-column table conditions on three
-        // attributes where the three-feature ensemble supplies two.
-        let mut artifact = tiny_artifact();
+        // attributes where the three-feature ensemble supplies two. No
+        // detector can hold it (building one asserts the widths), so its
+        // encoding is spliced into valid bytes and the header's length
+        // and checksum recomputed: the decoder is what must reject it.
+        let artifact = tiny_artifact();
         let wide = NominalTable::new(
             (0..4).map(|i| format!("w{i}")).collect(),
             vec![2; 4],
             (0..8u8).map(|i| vec![i % 2, i / 2 % 2, i / 4, 0]).collect(),
         )
         .unwrap();
-        let mut models = artifact.detector.model().sub_models().to_vec();
-        models[2] = AnyLearner::Bayes(NaiveBayes::default()).fit(&wide, 2);
-        artifact.detector = AnomalyDetector::with_threshold(
-            CrossFeatureModel::from_sub_models(models),
-            ScoreMethod::AvgProbability,
-            0.25,
-        );
-        let bytes = saved_bytes(&artifact);
+        let mut bytes = saved_bytes(&artifact);
+        let old = artifact.detector.model().sub_models()[2].to_bytes();
+        let at = bytes.windows(old.len()).rposition(|w| w == old).unwrap();
+        let wide_model = AnyLearner::Bayes(NaiveBayes::default()).fit(&wide, 2);
+        bytes.splice(at..at + old.len(), wide_model.to_bytes());
+        let payload_len = (bytes.len() - HEADER_BYTES) as u64;
+        bytes[6..14].copy_from_slice(&payload_len.to_le_bytes());
+        let sum = fnv1a64(&bytes[HEADER_BYTES..]);
+        bytes[14..22].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             ModelArtifact::load(&mut bytes.as_slice()),
             Err(PersistError::Malformed(_))

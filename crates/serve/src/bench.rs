@@ -32,9 +32,10 @@ pub struct BenchConfig {
     pub connections: usize,
     /// Seed for the synthetic row generator.
     pub seed: u64,
-    /// Re-score every row in-process with the uncompiled artifact (the
-    /// interpreted walk, independent of the server's compiled engine)
-    /// and count bitwise mismatches.
+    /// Re-score every row in-process with the interpreted walk of the
+    /// artifact's ensemble and its threshold (independent of the
+    /// server's compiled engine) and count rows whose score bits or alarm
+    /// bit differ.
     pub verify: bool,
     /// Dedicated connections subscribed to the scored model's alarm
     /// stream for the duration of the run (mixed score + subscribe load).
@@ -196,9 +197,6 @@ fn subscriber_loop(addr: &str, model: &str, stop: &AtomicBool) -> SubOutcome {
 /// no connection can be established at all; per-request failures are
 /// counted in the report instead.
 pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
-    // Left uncompiled: the verification reference is the interpreted
-    // walk, so every served (compiled) score is checked against an
-    // independent execution of the same artifact.
     let trained = load_artifact(&cfg.model)?;
     let n_cols = trained.discretizer().cards().len();
     let disc = trained.discretizer();
@@ -258,11 +256,19 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
                                     .latencies_us
                                     .push(u64::try_from(dt.as_micros()).unwrap_or(u64::MAX));
                                 if cfg.verify {
+                                    // The reference is the interpreted walk
+                                    // and the threshold, never the engine
+                                    // the server runs.
                                     for (row, s) in rows.chunks_exact(n_cols).zip(&scored) {
                                         disc.transform_row_into(row, &mut row_u8);
-                                        let local =
-                                            detector.score_snapshot_with(&row_u8, &mut probs);
-                                        if local.score.to_bits() != s.score.to_bits() {
+                                        let local = detector.model().score_with(
+                                            &row_u8,
+                                            detector.method(),
+                                            &mut probs,
+                                        );
+                                        // The server alarms unless score >= θ.
+                                        let same_alarm = s.alarm != (local >= detector.threshold());
+                                        if local.to_bits() != s.score.to_bits() || !same_alarm {
                                             outcome.mismatches += 1;
                                         }
                                     }

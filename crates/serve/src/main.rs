@@ -216,7 +216,7 @@ fn cmd_serve(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let server = match Server::bind(trained.to_artifact(), addr.as_str(), cfg) {
+    let server = match Server::bind(trained.into_artifact(), addr.as_str(), cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cfa-serve serve: cannot bind {addr}: {e}");

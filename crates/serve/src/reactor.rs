@@ -25,10 +25,10 @@
 //!   one job per idle worker; finished parts park on the connection, and
 //!   the last one to arrive answers the request with every row in order;
 //! - control-plane ops (PING/LOAD/UNLOAD/LIST/SUBSCRIBE/SHUTDOWN) are
-//!   handled inline on the reactor thread — LOAD decodes and compiles an
-//!   artifact inline, which stalls the loop for the duration; that is an
-//!   accepted cost for a rare control operation and keeps the registry
-//!   swap trivially ordered before the LOAD response;
+//!   handled inline on the reactor thread — LOAD decodes an artifact
+//!   (which lowers its ensemble) inline, stalling the loop for the
+//!   duration; that is an accepted cost for a rare control operation and
+//!   keeps the registry swap trivially ordered before the LOAD response;
 //! - responses and pushed alarm frames queue into a per-connection
 //!   outbox flushed on writability; `close_after_flush` drains the
 //!   outbox before the socket drops.

@@ -3,10 +3,11 @@
 //! A fleet deployment serves one model per protocol/region/tenant and
 //! retrains as traffic drifts, so the server keeps a name → model map
 //! instead of a single baked-in artifact. Each value is an
-//! `Arc<ModelEntry>` holding the fitted discretizer and the compiled
-//! detector; `LOAD` of an existing name builds the replacement entry
-//! completely *outside* the map lock, then swaps the `Arc` in one
-//! `BTreeMap::insert` under it.
+//! `Arc<ModelEntry>` holding the fitted discretizer and the detector
+//! (lowered to the compiled engine when the artifact was decoded);
+//! `LOAD` of an existing name builds the replacement entry completely
+//! *outside* the map lock, then swaps the `Arc` in one `BTreeMap::insert`
+//! under it.
 //!
 //! That swap is the whole atomicity story: a scoring job captures its
 //! `Arc<ModelEntry>` once at dispatch, so every row of a batch is scored
@@ -17,13 +18,12 @@
 //! identity before/during/after a live `LOAD`.
 //!
 //! Lock discipline (cfa-audit D014): the map mutex is held only for
-//! `BTreeMap` operations — never across artifact decode, ensemble
-//! compilation, or any socket I/O.
+//! `BTreeMap` operations — never across artifact decode (which lowers the
+//! ensemble) or any socket I/O.
 
 use crate::protocol::{put_name, put_u32, put_u64, valid_name};
 use crate::server::lock;
 use cfa_core::{AnomalyDetector, ModelArtifact};
-use cfa_ml::AnyModel;
 use manet_features::EqualFrequencyDiscretizer;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -40,8 +40,8 @@ pub struct ModelEntry {
     pub name: String,
     /// The fitted equal-frequency discretizer (continuous row → buckets).
     pub disc: EqualFrequencyDiscretizer,
-    /// The trained detector, compiled at insert.
-    pub detector: AnomalyDetector<AnyModel>,
+    /// The trained detector, already lowered to the compiled engine.
+    pub detector: AnomalyDetector,
     /// Row width the model scores.
     pub n_features: usize,
     /// Per-name swap counter, starting at 1; bumps on every `LOAD` over
@@ -67,10 +67,10 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Registers `artifact` under `name`, compiling its ensemble, and
-    /// atomically replacing any previous entry. The decode and compile
-    /// run before the map lock is taken; the lock covers only the
-    /// generation read and the `insert`.
+    /// Registers `artifact` under `name`, atomically replacing any
+    /// previous entry. The artifact arrives decoded and lowered, before
+    /// the map lock is taken; the lock covers only the generation read
+    /// and the `insert`.
     ///
     /// # Errors
     ///
@@ -86,12 +86,10 @@ impl Registry {
             return Err(RegistryError::BadName);
         }
         let n_features = artifact.discretizer.cards().len();
-        let mut detector = artifact.detector;
-        detector.compile();
         let mut entry = ModelEntry {
             name: name.to_string(),
             disc: artifact.discretizer,
-            detector,
+            detector: artifact.detector,
             n_features,
             generation: 1,
         };
@@ -190,12 +188,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// Inserts and checks the entry came out compiled: every `LOAD`
-    /// compiles, so no insert may leave an interpreted entry behind.
     fn insert(reg: &Registry, name: &str, threshold: f64) -> Arc<ModelEntry> {
-        let entry = reg.insert_artifact(name, tiny_artifact(threshold)).unwrap();
-        assert!(entry.detector.is_compiled());
-        entry
+        reg.insert_artifact(name, tiny_artifact(threshold)).unwrap()
     }
 
     #[test]

@@ -435,8 +435,8 @@ fn score_body(
 
 /// Scores one packed request batch: decode `f64`s and discretize every
 /// row into one row-major buffer, push the whole batch through the
-/// detector's compiled structure-of-arrays batch entry (the registry
-/// compiles every entry at load), then append `[f64 score][u8 alarm]`
+/// detector's compiled structure-of-arrays batch entry (every detector
+/// is built lowered), then append `[f64 score][u8 alarm]`
 /// per row and collect `(row, score)` for every alarm so the reactor can
 /// fan them out to subscribers. This is the steady-state hot loop —
 /// cfa-audit's D008 zero-alloc rule roots here, so nothing below may
@@ -445,7 +445,7 @@ fn score_body(
 #[allow(clippy::too_many_arguments)] // flat borrows keep the scratch fields disjoint
 fn score_rows_into(
     disc: &EqualFrequencyDiscretizer,
-    detector: &cfa_core::AnomalyDetector<cfa_ml::AnyModel>,
+    detector: &cfa_core::AnomalyDetector,
     rows_bytes: &[u8],
     n_cols: usize,
     row_f64: &mut Vec<f64>,

@@ -1,11 +1,12 @@
 //! End-to-end tests: a real `Server` on a loopback socket, queried with
 //! the real `Client`, against a persisted-and-reloaded artifact. The
-//! core promise under test: a served score is bit-identical to in-process
-//! `score_snapshot` scoring of the same row — through the default model,
-//! through named `SCORE_AS` models, and across registry hot-swaps.
+//! core promise under test: a served score and alarm bit are
+//! bit-identical to the interpreted walk of the same artifact's ensemble
+//! and its threshold — through the default model, through named
+//! `SCORE_AS` models, and across registry hot-swaps.
 
 use cfa_core::{AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, ScoreMethod};
-use cfa_ml::{AnyLearner, Learner, NaiveBayes, NominalTable, Persist, C45};
+use cfa_ml::{AnyLearner, AnyModel, Learner, NaiveBayes, NominalTable, Persist, C45};
 use cfa_serve::protocol::{
     f64_le, put_u32, u32_le, DEFAULT_MODEL, OP_PING, OP_SCORE, STATUS_BAD_WIDTH, STATUS_BUSY,
     STATUS_MALFORMED, STATUS_NO_MODEL, STATUS_OK, STATUS_TOO_LARGE,
@@ -59,12 +60,38 @@ fn two_copies() -> (ModelArtifact, ModelArtifact) {
     (a, b)
 }
 
+/// Recomputes a CFAM header's payload length (at 6..14) and FNV-1a
+/// checksum (at 14..22) after the payload was edited.
+fn reseal(bytes: &mut [u8]) {
+    let len = (bytes.len() - 22) as u64;
+    bytes[6..14].copy_from_slice(&len.to_le_bytes());
+    let sum = cfa_ml::persist::fnv1a64(&bytes[22..]);
+    bytes[14..22].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// `tiny_artifact`'s bytes with sub-model 2's encoding replaced by
+/// `model`'s, spliced in place with no detector built on the way (one
+/// asserts its ensemble's widths), so the decoder is what must judge it.
+/// Sub-model 2 is the last one in the payload.
+fn with_sub_model_2(model: &AnyModel) -> Vec<u8> {
+    let art = tiny_artifact();
+    let mut bytes = Vec::new();
+    art.save(&mut bytes).expect("save to memory");
+    let old = art.detector.model().sub_models()[2].to_bytes();
+    let at = bytes
+        .windows(old.len())
+        .rposition(|w| w == old)
+        .expect("sub-model 2 in the payload");
+    bytes.splice(at..at + old.len(), model.to_bytes());
+    reseal(&mut bytes);
+    bytes
+}
+
 /// Artifact bytes whose sub-model 2 is a C4.5 tree declaring a
 /// zero-cardinality attribute, which only a crafted file can carry. The
 /// card is patched in place and the checksum recomputed, so the model
 /// decoder is what must reject it.
 fn zero_card_c45_bytes() -> Vec<u8> {
-    let mut art = tiny_artifact();
     // A constant class: the tree is one leaf, so no split's branch count
     // contradicts the patched card.
     let table = NominalTable::new(
@@ -73,28 +100,46 @@ fn zero_card_c45_bytes() -> Vec<u8> {
         (0..16u8).map(|i| vec![i % 4, i / 4, 0]).collect(),
     )
     .expect("valid table");
-    let mut models = art.detector.model().sub_models().to_vec();
-    models[2] = AnyLearner::C45(C45::default()).fit(&table, 2);
-    let model = models[2].to_bytes();
-    art.detector = AnomalyDetector::with_threshold(
-        CrossFeatureModel::from_sub_models(models),
-        ScoreMethod::AvgProbability,
-        0.25,
-    );
-    let mut bytes = Vec::new();
-    art.save(&mut bytes).expect("save to memory");
+    let model = AnyLearner::C45(C45::default()).fit(&table, 2);
+    let mut bytes = with_sub_model_2(&model);
     // C4.5 encoding: tag u8, class count u32, root u32, card count u32,
-    // then the cards; sub-model 2 is the last one in the payload.
+    // then the cards.
+    let encoded = model.to_bytes();
     let at = bytes
-        .windows(model.len())
-        .rposition(|w| w == model)
+        .windows(encoded.len())
+        .rposition(|w| w == encoded)
         .expect("sub-model 2 in the payload")
         + 13;
     bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
-    // CFAM header: the FNV-1a checksum of the payload sits at 14..22.
-    let sum = cfa_ml::persist::fnv1a64(&bytes[22..]);
-    bytes[14..22].copy_from_slice(&sum.to_le_bytes());
+    reseal(&mut bytes);
     bytes
+}
+
+/// The independent reference for one continuous row: the interpreted
+/// walk of `reference`'s ensemble and its threshold, called explicitly so
+/// that no detector engine takes part. Returns `(score, alarm)`.
+fn interpreted(
+    reference: &ModelArtifact,
+    row: &[f64],
+    row_u8: &mut Vec<u8>,
+    probs: &mut Vec<f64>,
+) -> (f64, bool) {
+    reference.discretizer.transform_row_into(row, row_u8);
+    let det = &reference.detector;
+    let score = det.model().score_with(row_u8, det.method(), probs);
+    (score, score < det.threshold())
+}
+
+/// The in-process engine's `(score, alarm)` for one continuous row.
+fn in_process(
+    reference: &ModelArtifact,
+    row: &[f64],
+    row_u8: &mut Vec<u8>,
+    probs: &mut Vec<f64>,
+) -> (f64, bool) {
+    reference.discretizer.transform_row_into(row, row_u8);
+    let snap = reference.detector.score_snapshot_with(row_u8, probs);
+    (snap.score, snap.verdict == cfa_core::Verdict::Anomaly)
 }
 
 fn start_server(cfg: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<cfa_serve::ServeStats>) {
@@ -181,18 +226,13 @@ fn served_scores_are_bit_identical_to_in_process_scoring() {
     let mut row_u8 = Vec::new();
     let mut probs = Vec::new();
     for (row, s) in rows.chunks_exact(n_cols).zip(&served) {
-        reference.discretizer.transform_row_into(row, &mut row_u8);
-        let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
+        let (score, alarm) = interpreted(&reference, row, &mut row_u8, &mut probs);
         assert_eq!(
-            local.score.to_bits(),
+            score.to_bits(),
             s.score.to_bits(),
             "served score must be bit-identical"
         );
-        assert_eq!(
-            local.verdict == cfa_core::Verdict::Anomaly,
-            s.alarm,
-            "alarm bit must match the in-process verdict"
-        );
+        assert_eq!(alarm, s.alarm, "alarm bit must match the reference");
     }
     // Both anomaly and normal rows should appear in the mix.
     assert!(served.iter().any(|s| s.alarm));
@@ -212,14 +252,11 @@ fn served_scores_are_bit_identical_to_in_process_scoring() {
 
 #[test]
 fn served_bits_match_interpreted_and_compiled_references() {
-    // The compiled-engine leg of the e2e promise: the server compiles at
-    // load, and every row it puts on the wire must be bit-identical both
-    // to the interpreted walk and to an artifact that went CFAM bytes →
-    // load → `compile()` in process. One server, two references.
-    let (interpreted, mut compiled) = two_copies();
-    compiled.detector.compile();
-    assert!(!interpreted.detector.is_compiled());
-    assert!(compiled.detector.is_compiled());
+    // Every row the server puts on the wire must be bit-identical both
+    // to the interpreted walk with the threshold applied explicitly and
+    // to the engine of an artifact that went CFAM bytes → load in
+    // process. One server, two references.
+    let (_, reference) = two_copies();
 
     let n_cols = 3;
     let mut rows = Vec::new();
@@ -235,19 +272,23 @@ fn served_bits_match_interpreted_and_compiled_references() {
     let mut row_u8 = Vec::new();
     let mut probs = Vec::new();
     for (row, s) in rows.chunks_exact(n_cols).zip(&served) {
-        for (name, reference) in [("interpreted", &interpreted), ("compiled", &compiled)] {
-            reference.discretizer.transform_row_into(row, &mut row_u8);
-            let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
+        let references = [
+            (
+                "interpreted",
+                interpreted(&reference, row, &mut row_u8, &mut probs),
+            ),
+            (
+                "in-process",
+                in_process(&reference, row, &mut row_u8, &mut probs),
+            ),
+        ];
+        for (name, (score, alarm)) in references {
             assert_eq!(
-                local.score.to_bits(),
+                score.to_bits(),
                 s.score.to_bits(),
                 "server diverges from the {name} reference"
             );
-            assert_eq!(
-                local.verdict == cfa_core::Verdict::Anomaly,
-                s.alarm,
-                "alarm bit diverges from the {name} verdict"
-            );
+            assert_eq!(alarm, s.alarm, "alarm bit diverges from the {name} verdict");
         }
     }
     client.shutdown_server().expect("shutdown");
@@ -259,8 +300,7 @@ fn split_batches_answer_byte_for_byte_as_one_worker_does() {
     // A one-worker server never splits; a four-worker one splits every
     // batch of at least 2 × MIN_PART_ROWS rows across its idle workers.
     // Replies, scores and pushed alarms must not tell them apart.
-    let (interpreted, mut compiled) = two_copies();
-    compiled.detector.compile();
+    let (_, reference) = two_copies();
     let n_cols = 3;
     let sizes = [1, 2 * MIN_PART_ROWS - 1, 2 * MIN_PART_ROWS, 253, 256];
 
@@ -297,15 +337,23 @@ fn split_batches_answer_byte_for_byte_as_one_worker_does() {
         let served = reply_rows(&split);
         assert_eq!(served.len(), n_rows);
         for (i, (row, &(score, alarm))) in rows.chunks_exact(n_cols).zip(&served).enumerate() {
-            for (name, reference) in [("interpreted", &interpreted), ("compiled", &compiled)] {
-                reference.discretizer.transform_row_into(row, &mut row_u8);
-                let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
+            let references = [
+                (
+                    "interpreted",
+                    interpreted(&reference, row, &mut row_u8, &mut probs),
+                ),
+                (
+                    "in-process",
+                    in_process(&reference, row, &mut row_u8, &mut probs),
+                ),
+            ];
+            for (name, (local, local_alarm)) in references {
                 assert_eq!(
-                    local.score.to_bits(),
+                    local.to_bits(),
                     score.to_bits(),
                     "row {i} of {n_rows} diverges from the {name} reference"
                 );
-                assert_eq!(local.verdict == cfa_core::Verdict::Anomaly, alarm);
+                assert_eq!(local_alarm, alarm);
             }
             if alarm {
                 alarms.push((i as u32, score.to_bits()));
@@ -374,10 +422,10 @@ fn a_client_gone_mid_split_leaves_the_next_one_in_its_slot_untouched() {
     let mut row_u8 = Vec::new();
     let mut probs = Vec::new();
     assert_eq!(served.len(), 256);
-    for (row, &(score, _)) in rows.chunks_exact(n_cols).zip(&served) {
-        reference.discretizer.transform_row_into(row, &mut row_u8);
-        let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
-        assert_eq!(local.score.to_bits(), score.to_bits());
+    for (row, &served_row) in rows.chunks_exact(n_cols).zip(&served) {
+        let local = interpreted(&reference, row, &mut row_u8, &mut probs);
+        assert_eq!(local.0.to_bits(), served_row.0.to_bits());
+        assert_eq!(local.1, served_row.1);
     }
     let ping = raw_request(&mut next, &[1, 0, 0, 0, OP_PING]);
     assert_eq!(ping.len(), 4 + 1 + 64, "a PING reply, nothing else");
@@ -510,10 +558,10 @@ fn registry_lifecycle_load_list_score_as_unload() {
     let mut row_u8 = Vec::new();
     let mut probs = Vec::new();
     for ((row, d), v) in rows.chunks_exact(n_cols).zip(&via_default).zip(&via_v2) {
-        reference.discretizer.transform_row_into(row, &mut row_u8);
-        let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
-        assert_eq!(local.score.to_bits(), d.score.to_bits());
-        assert_eq!(local.score.to_bits(), v.score.to_bits());
+        let (score, alarm) = interpreted(&reference, row, &mut row_u8, &mut probs);
+        assert_eq!(score.to_bits(), d.score.to_bits());
+        assert_eq!(score.to_bits(), v.score.to_bits());
+        assert_eq!((alarm, alarm), (d.alarm, v.alarm));
     }
 
     // Re-LOAD bumps the generation (hot swap of the same name).
@@ -545,22 +593,13 @@ fn wrong_width_sub_model_load_is_malformed_and_serving_continues() {
     let (_, reference) = two_copies();
     // Sub-model 2 retrained on a four-column table: the sub-model count
     // still matches the discretizer, the attribute count does not.
-    let mut bad = tiny_artifact();
     let wide = NominalTable::new(
         (0..4).map(|i| format!("w{i}")).collect(),
         vec![2; 4],
         (0..8u8).map(|i| vec![i % 2, i / 2 % 2, i / 4, 0]).collect(),
     )
     .expect("valid table");
-    let mut models = bad.detector.model().sub_models().to_vec();
-    models[2] = AnyLearner::Bayes(NaiveBayes::default()).fit(&wide, 2);
-    bad.detector = AnomalyDetector::with_threshold(
-        CrossFeatureModel::from_sub_models(models),
-        ScoreMethod::AvgProbability,
-        0.25,
-    );
-    let mut bad_bytes = Vec::new();
-    bad.save(&mut bad_bytes).expect("save to memory");
+    let bad_bytes = with_sub_model_2(&AnyLearner::Bayes(NaiveBayes::default()).fit(&wide, 2));
 
     let (addr, handle) = start_server(ServerConfig::default());
     let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");
@@ -587,9 +626,9 @@ fn wrong_width_sub_model_load_is_malformed_and_serving_continues() {
     let mut row_u8 = Vec::new();
     let mut probs = Vec::new();
     for (row, s) in rows.chunks_exact(n_cols).zip(&served) {
-        reference.discretizer.transform_row_into(row, &mut row_u8);
-        let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
-        assert_eq!(local.score.to_bits(), s.score.to_bits());
+        let (score, alarm) = interpreted(&reference, row, &mut row_u8, &mut probs);
+        assert_eq!(score.to_bits(), s.score.to_bits());
+        assert_eq!(alarm, s.alarm);
     }
 
     client.shutdown_server().expect("shutdown");

@@ -54,18 +54,19 @@ fn artifact_bytes(bins: usize) -> Vec<u8> {
     buf
 }
 
-/// In-process reference score bits for `rows` under the given artifact.
+/// Reference score bits for `rows` under the given artifact: the
+/// interpreted walk of its ensemble, independent of the engine the
+/// server runs.
 fn reference_bits(bytes: &[u8], rows: &[f64], n_cols: usize) -> Vec<u64> {
     let artifact = ModelArtifact::load(&mut &bytes[..]).expect("load reference");
+    let det = &artifact.detector;
     let mut row_u8 = Vec::new();
     let mut probs = Vec::new();
     rows.chunks_exact(n_cols)
         .map(|row| {
             artifact.discretizer.transform_row_into(row, &mut row_u8);
-            artifact
-                .detector
-                .score_snapshot_with(&row_u8, &mut probs)
-                .score
+            det.model()
+                .score_with(&row_u8, det.method(), &mut probs)
                 .to_bits()
         })
         .collect()

@@ -12,9 +12,9 @@
 //! instead, and the `cfa-audit` static analyzer (rule **D001**) pushes the
 //! deterministic crates onto them:
 //!
-//! * [`DetMap`] / [`DetSet`] — BTree-backed maps/sets whose iteration order
-//!   is the key order, always. Drop-in for the common `HashMap`/`HashSet`
-//!   API surface. Use these for protocol and kernel state.
+//! * [`DetMap`] — a BTree-backed map whose iteration order is the key
+//!   order, always. Drop-in for the common `HashMap` API surface. Use it
+//!   for protocol and kernel state.
 //! * [`IndexedMap`] — insertion-ordered map with an O(1) hash lookup path,
 //!   for hot lookup tables that are built once and probed per event (e.g.
 //!   the simulator's flow-endpoint table). The internal hash index is never
@@ -25,7 +25,7 @@
 //!   two are trace-compatible.
 
 use crate::packet::NodeId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// An ordered map with deterministic (key-ordered) iteration.
@@ -164,98 +164,6 @@ impl<K: Ord, V> IntoIterator for DetMap<K, V> {
     type IntoIter = std::collections::btree_map::IntoIter<K, V>;
     fn into_iter(self) -> Self::IntoIter {
         self.inner.into_iter()
-    }
-}
-
-/// An ordered set with deterministic (element-ordered) iteration.
-///
-/// A thin wrapper around [`BTreeSet`] exposing the `HashSet` methods the
-/// simulator and protocol agents need.
-#[derive(Clone, PartialEq, Eq)]
-pub struct DetSet<T> {
-    inner: BTreeSet<T>,
-}
-
-impl<T: Ord> DetSet<T> {
-    /// Creates an empty set.
-    pub fn new() -> DetSet<T> {
-        DetSet {
-            inner: BTreeSet::new(),
-        }
-    }
-
-    /// Inserts a value; returns `true` if it was not already present.
-    pub fn insert(&mut self, value: T) -> bool {
-        self.inner.insert(value)
-    }
-
-    /// Removes a value; returns `true` if it was present.
-    pub fn remove(&mut self, value: &T) -> bool {
-        self.inner.remove(value)
-    }
-
-    /// Whether `value` is present.
-    pub fn contains(&self, value: &T) -> bool {
-        self.inner.contains(value)
-    }
-
-    /// Keeps only the elements for which `f` returns `true`, visited in
-    /// order.
-    pub fn retain(&mut self, f: impl FnMut(&T) -> bool) {
-        self.inner.retain(f);
-    }
-
-    /// Iterates elements in order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.inner.iter()
-    }
-
-    /// Removes and returns the smallest element.
-    pub fn pop_first(&mut self) -> Option<T> {
-        self.inner.pop_first()
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Removes all elements.
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-}
-
-impl<T: Ord> Default for DetSet<T> {
-    fn default() -> Self {
-        DetSet::new()
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for DetSet<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-impl<T: Ord> FromIterator<T> for DetSet<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        DetSet {
-            inner: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl<'a, T: Ord> IntoIterator for &'a DetSet<T> {
-    type Item = &'a T;
-    type IntoIter = std::collections::btree_set::Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.iter()
     }
 }
 
@@ -542,20 +450,6 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m.remove(&"b"), Some(7));
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn det_set_iterates_in_order() {
-        let mut s = DetSet::new();
-        for v in [4u8, 2, 8, 6] {
-            assert!(s.insert(v));
-        }
-        assert!(!s.insert(4));
-        let got: Vec<u8> = s.iter().copied().collect();
-        assert_eq!(got, vec![2, 4, 6, 8]);
-        assert_eq!(s.pop_first(), Some(2));
-        s.retain(|&v| v > 4);
-        assert_eq!(s.len(), 2);
     }
 
     #[test]

@@ -54,12 +54,12 @@ pub mod trace;
 pub use agent::{Agent, AgentHarness, Ctx, TimerToken};
 pub use app::{App, AppCtx, AppData, AppKind, FlowId};
 pub use config::{SimConfig, SimConfigBuilder};
-pub use det::{DetMap, DetSet, IndexedMap, NodeMap};
+pub use det::{DetMap, IndexedMap, NodeMap};
 pub use grid::SpatialGrid;
 pub use mobility::{Point, RandomWaypoint, Waypoint};
 pub use packet::{NodeId, Packet, PacketId, TxDest};
 pub use radio::RadioModel;
 pub use simulator::Simulator;
-pub use sink::{AuditEvent, ForwardingSink, NullSink, TeeSink, TraceSink};
+pub use sink::{AuditEvent, ForwardingSink, NullSink, TraceSink};
 pub use time::SimTime;
 pub use trace::{Direction, NodeTrace, PacketEvent, RouteEvent, RouteEventKind, TracePacketKind};

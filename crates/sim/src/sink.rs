@@ -5,8 +5,8 @@
 //! write into a concrete [`NodeTrace`] — their context routes every
 //! observation through a [`TraceSink`]. The in-memory [`NodeTrace`] is one
 //! sink implementation (the post-hoc path); a [`ForwardingSink`] pushes
-//! events to a subscriber as they occur (the streaming path); [`TeeSink`]
-//! and [`NullSink`] compose and disable recording.
+//! events to a subscriber as they occur (the streaming path); a
+//! [`NullSink`] disables recording.
 //!
 //! Downstream crates build on this: `manet-features` implements
 //! [`TraceSink`] for its incremental extractor, so a running simulator can
@@ -141,31 +141,6 @@ impl<F: FnMut(AuditEvent)> TraceSink for ForwardingSink<F> {
     }
 }
 
-/// Duplicates every observation into two sinks (e.g. stream *and* retain).
-#[derive(Debug, Default)]
-pub struct TeeSink<A, B>(pub A, pub B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn packet(&mut self, t: SimTime, kind: TracePacketKind, dir: Direction) {
-        self.0.packet(t, kind, dir);
-        self.1.packet(t, kind, dir);
-    }
-
-    fn route(&mut self, t: SimTime, kind: RouteEventKind, route_len: Option<u8>) {
-        self.0.route(t, kind, route_len);
-        self.1.route(t, kind, route_len);
-    }
-
-    fn mobility(&mut self, t: SimTime, velocity: f64) {
-        self.0.mobility(t, velocity);
-        self.1.mobility(t, velocity);
-    }
-
-    fn as_node_trace(&self) -> Option<&NodeTrace> {
-        self.0.as_node_trace().or_else(|| self.1.as_node_trace())
-    }
-}
-
 /// Discards every observation. Installed on nodes whose audit stream is
 /// not monitored, so long runs don't accumulate traces nobody reads.
 #[derive(Debug, Default, Clone, Copy)]
@@ -216,16 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn tee_duplicates_and_null_discards() {
-        let mut tee = TeeSink(NodeTrace::new(), NodeTrace::new());
-        tee.packet(
-            SimTime::from_secs(0.5),
-            TracePacketKind::Data,
-            Direction::Received,
-        );
-        assert_eq!(tee.0.packet_events, tee.1.packet_events);
-        assert_eq!(tee.as_node_trace().unwrap().packet_events.len(), 1);
-
+    fn null_discards() {
         let mut null = NullSink;
         null.packet(
             SimTime::from_secs(0.5),

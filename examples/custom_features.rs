@@ -6,7 +6,7 @@
 
 use manet_cfa::core::{AnomalyDetector, ScoreMethod, Verdict};
 use manet_cfa::features::{EqualFrequencyDiscretizer, FeatureExtractor};
-use manet_cfa::ml::naive_bayes::NaiveBayes;
+use manet_cfa::ml::{naive_bayes::NaiveBayes, AnyLearner};
 use manet_cfa::sim::trace::NodeTrace;
 use manet_cfa::sim::{Direction, SimTime, TracePacketKind};
 use rand::{Rng, SeedableRng};
@@ -48,7 +48,7 @@ fn main() {
     let disc = EqualFrequencyDiscretizer::fit(&matrix, 5, None, 7);
     let table = disc.transform(&matrix).expect("schema");
     let detector = AnomalyDetector::fit(
-        &NaiveBayes::default(),
+        &AnyLearner::Bayes(NaiveBayes::default()),
         &table,
         ScoreMethod::AvgProbability,
         0.05,

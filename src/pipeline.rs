@@ -7,7 +7,7 @@ use cfa_core::eval::{
     auc_above_diagonal, average_timeseries, optimal_point, recall_precision_curve,
 };
 use cfa_core::{
-    AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, MonitorReport,
+    smooth, AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, MonitorReport,
     OnlineMonitor, Parallelism, PrPoint, ScoreMethod, ScoredEvent,
 };
 use cfa_ml::persist::PersistError;
@@ -140,22 +140,6 @@ impl Outcome {
     }
 }
 
-/// Trailing moving average over `k` scores (`k = 1` is the identity).
-fn smooth(scores: &[f64], k: usize) -> Vec<f64> {
-    if k <= 1 {
-        return scores.to_vec();
-    }
-    scores
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let lo = i.saturating_sub(k - 1);
-            let w = &scores[lo..=i]; // audit: allow(D006, reason = "lo = i.saturating_sub(k-1) <= i < len by construction")
-            w.iter().sum::<f64>() / w.len() as f64
-        })
-        .collect()
-}
-
 /// The experiment pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -263,7 +247,8 @@ impl Pipeline {
     /// Trains the discretizer, ensemble, and threshold on pre-computed
     /// normal bundles, producing a [`TrainedPipeline`] that can score
     /// batch matrices or monitor live simulations. Training rows are the
-    /// concatenation of all `train` bundles.
+    /// concatenation of all `train` bundles; the threshold is fitted on
+    /// the detector's own smoothed scores of them.
     ///
     /// # Panics
     ///
@@ -287,18 +272,26 @@ impl Pipeline {
             train[0].scenario.seed, // audit: allow(D006, reason = "fit() asserts a non-empty training set on entry")
         );
         let train_table = disc.transform(&train_matrix).expect("same schema"); // audit: allow(D006, reason = "discretizer was fitted on this very matrix; schemas match by construction")
+
+        // The f64 rows are done with: free them before the ensemble is
+        // trained and lowered.
+        drop(train_matrix);
         let learner = DynLearner(self.classifier);
         let model = CrossFeatureModel::train_with(&learner, &train_table, self.parallelism);
+        let detector = AnomalyDetector::with_threshold(model, self.method, f64::NEG_INFINITY);
         let train_scores = smooth(
-            &model.scores_with(&train_table, self.method, self.parallelism),
+            &detector.score_table(&train_table, self.parallelism),
             self.smoothing,
         );
         let fitted = cfa_core::fit_threshold(&train_scores, self.false_alarm_rate);
         TrainedPipeline {
-            disc,
-            detector: AnomalyDetector::with_threshold(model, self.method, fitted.threshold),
-            fitted,
-            smoothing: self.smoothing,
+            artifact: ModelArtifact {
+                spec: Some(FeatureSpec::new()),
+                discretizer: disc,
+                detector: detector.at_threshold(fitted.threshold),
+                fitted,
+                smoothing: u32::try_from(self.smoothing.max(1)).unwrap_or(u32::MAX),
+            },
             parallelism: self.parallelism,
         }
     }
@@ -357,10 +350,7 @@ impl Pipeline {
 /// pipeline trained with, so their scores are bit-identical for identical
 /// audit streams.
 pub struct TrainedPipeline {
-    disc: EqualFrequencyDiscretizer,
-    detector: AnomalyDetector<AnyModel>,
-    fitted: FittedThreshold,
-    smoothing: usize,
+    artifact: ModelArtifact,
     parallelism: Parallelism,
 }
 
@@ -368,43 +358,27 @@ impl TrainedPipeline {
     /// The fitted threshold together with the target false-alarm rate it
     /// was selected for — the pair the artifact writer persists.
     pub fn fitted_threshold(&self) -> FittedThreshold {
-        self.fitted
+        self.artifact.fitted
     }
 
     /// The fitted discretizer.
     pub fn discretizer(&self) -> &EqualFrequencyDiscretizer {
-        &self.disc
+        &self.artifact.discretizer
     }
 
     /// The trained detector (ensemble + threshold).
-    pub fn detector(&self) -> &AnomalyDetector<AnyModel> {
-        &self.detector
+    pub fn detector(&self) -> &AnomalyDetector {
+        &self.artifact.detector
     }
 
-    /// Lowers the detector's ensemble into the flat compiled engine.
-    /// Afterwards every scoring path of this pipeline — the streaming
-    /// monitor, snapshot scoring, and [`TrainedPipeline::score_matrix_compiled`]
-    /// — executes the compiled form; scores stay bit-identical to the
-    /// interpreted path. Idempotent.
-    pub fn compile(&mut self) {
-        self.detector.compile();
-    }
+    /// Does nothing: the detector is built lowered. It stays only because
+    /// `perfbench/` still calls it, and that harness changes only together
+    /// with the benchmark definition.
+    pub fn compile(&mut self) {}
 
-    /// Packages the trained state as a persistable [`ModelArtifact`]
-    /// (cloning the ensemble; the pipeline remains usable).
-    pub fn to_artifact(&self) -> ModelArtifact {
-        let models = self.detector.model().sub_models().to_vec();
-        ModelArtifact {
-            spec: Some(FeatureSpec::new()),
-            discretizer: self.disc.clone(),
-            detector: AnomalyDetector::with_threshold(
-                CrossFeatureModel::from_sub_models(models),
-                self.detector.method(),
-                self.detector.threshold(),
-            ),
-            fitted: self.fitted,
-            smoothing: u32::try_from(self.smoothing.max(1)).unwrap_or(u32::MAX),
-        }
+    /// The persistable [`ModelArtifact`] this pipeline scores with.
+    pub fn into_artifact(self) -> ModelArtifact {
+        self.artifact
     }
 
     /// Serializes the trained pipeline as a `CFAM` artifact.
@@ -413,17 +387,14 @@ impl TrainedPipeline {
     ///
     /// Returns [`PersistError::Io`] if the sink fails.
     pub fn save(&self, out: &mut impl Write) -> Result<(), PersistError> {
-        self.to_artifact().save(out)
+        self.artifact.save(out)
     }
 
     /// Rebuilds a trained pipeline from a [`ModelArtifact`]. Scores are
     /// bit-identical to the pipeline that produced the artifact.
     pub fn from_artifact(artifact: ModelArtifact, parallelism: Parallelism) -> TrainedPipeline {
         TrainedPipeline {
-            disc: artifact.discretizer,
-            detector: artifact.detector,
-            fitted: artifact.fitted,
-            smoothing: artifact.smoothing as usize,
+            artifact,
             parallelism,
         }
     }
@@ -439,57 +410,36 @@ impl TrainedPipeline {
         Ok(Self::from_artifact(artifact, Parallelism::from_env()))
     }
 
-    /// Scores a continuous feature matrix: discretize, run the ensemble,
-    /// smooth. One smoothed score per row.
+    /// The trailing moving-average window, in snapshots.
+    fn smoothing(&self) -> usize {
+        self.artifact.smoothing as usize
+    }
+
+    /// Scores a continuous feature matrix: discretize, score the table on
+    /// the detector's engine across the thread budget, smooth. One
+    /// smoothed score per row.
     ///
     /// # Panics
     ///
     /// Panics if `matrix` does not have the training schema.
     pub fn score_matrix(&self, matrix: &FeatureMatrix) -> Vec<f64> {
-        let table = self.disc.transform(matrix).expect("same schema"); // audit: allow(D006, reason = "documented contract: score_matrix requires the training schema")
+        let (disc, detector) = (&self.artifact.discretizer, &self.artifact.detector);
+        let table = disc.transform(matrix).expect("same schema"); // audit: allow(D006, reason = "documented contract: score_matrix requires the training schema")
         smooth(
-            &self
-                .detector
-                .model()
-                .scores_with(&table, self.detector.method(), self.parallelism),
-            self.smoothing,
+            &detector.score_table(&table, self.parallelism),
+            self.smoothing(),
         )
     }
 
-    /// [`TrainedPipeline::score_matrix`] through the compiled engine:
-    /// discretize, pack the rows, score the whole batch in
-    /// structure-of-arrays order, smooth. Output is bit-identical to
-    /// [`TrainedPipeline::score_matrix`]. Uses the engine installed by
-    /// [`TrainedPipeline::compile`], or lowers one on the fly.
+    /// The same as [`TrainedPipeline::score_matrix`]. It stays only
+    /// because `perfbench/` still calls it, and that harness changes only
+    /// together with the benchmark definition.
     ///
     /// # Panics
     ///
     /// Panics if `matrix` does not have the training schema.
     pub fn score_matrix_compiled(&self, matrix: &FeatureMatrix) -> Vec<f64> {
-        let table = self.disc.transform(matrix).expect("same schema");
-        let on_the_fly;
-        let engine = match self.detector.compiled() {
-            Some(engine) => engine,
-            None => {
-                on_the_fly = self.detector.model().compile();
-                &on_the_fly
-            }
-        };
-        let mut packed = Vec::with_capacity(table.n_rows() * table.n_cols());
-        let mut row = Vec::with_capacity(table.n_cols());
-        for r in 0..table.n_rows() {
-            table.copy_row_into(r, &mut row);
-            packed.extend_from_slice(&row);
-        }
-        let mut scores = Vec::new();
-        let mut scratch = Vec::new();
-        engine.score_batch(
-            &packed,
-            self.detector.method().into(),
-            &mut scores,
-            &mut scratch,
-        );
-        smooth(&scores, self.smoothing)
+        self.score_matrix(matrix)
     }
 
     /// Runs `scenario` under an [`OnlineMonitor`] watching its monitored
@@ -508,20 +458,14 @@ impl TrainedPipeline {
     pub fn stream_scenario(&self, scenario: &Scenario) -> MonitorReport {
         let monitored = [scenario.monitored];
         scenario.validate_vantages(&monitored);
+        let (detector, disc) = (&self.artifact.detector, &self.artifact.discretizer);
         match scenario.protocol {
-            Protocol::Dsr => {
-                OnlineMonitor::new(scenario.build_dsr(), &monitored, &self.detector, &self.disc)
-                    .with_smoothing(self.smoothing)
-                    .run()
-            }
-            Protocol::Aodv => OnlineMonitor::new(
-                scenario.build_aodv(),
-                &monitored,
-                &self.detector,
-                &self.disc,
-            )
-            .with_smoothing(self.smoothing)
-            .run(),
+            Protocol::Dsr => OnlineMonitor::new(scenario.build_dsr(), &monitored, detector, disc)
+                .with_smoothing(self.smoothing())
+                .run(),
+            Protocol::Aodv => OnlineMonitor::new(scenario.build_aodv(), &monitored, detector, disc)
+                .with_smoothing(self.smoothing())
+                .run(),
         }
     }
 }

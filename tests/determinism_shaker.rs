@@ -10,7 +10,8 @@
 //! event ordering, feature extraction, or model fitting eventually shakes
 //! out as a `to_bits` mismatch here.
 
-use manet_cfa::core::{Parallelism, ScoreMethod};
+use manet_cfa::core::{fit_threshold, smooth, Parallelism, ScoreMethod};
+use manet_cfa::features::FeatureMatrix;
 use manet_cfa::fleet::{run_fleet, FleetSpec};
 use manet_cfa::pipeline::{ClassifierKind, Pipeline, TrainedPipeline};
 use manet_cfa::scenario::{Attack, Protocol, Scenario, Transport};
@@ -116,12 +117,13 @@ fn scores_survive_a_save_load_round_trip_bit_identically() {
 
 #[test]
 fn compiled_pipeline_scores_are_bit_identical_to_interpreted() {
-    // The compiled-engine leg of the shaker: over full attack pipelines
-    // (train on normal traffic, score a blackhole scenario), the flat
-    // compiled execution path must reproduce the interpreted ensemble
-    // `to_bits`-exactly — for every model family, both scoring methods,
-    // and both routing protocols, whether the engine is installed by
-    // `compile()` or lowered on the fly.
+    // The engine leg of the shaker: over full attack pipelines (train on
+    // normal traffic, score a blackhole scenario), the compiled engine
+    // every detector scores on must reproduce the interpreted walk of its
+    // ensemble `to_bits`-exactly — for every model family, both scoring
+    // methods, and both routing protocols. The threshold `Pipeline::fit`
+    // chose on engine scores must equal the one refitted from the walk's
+    // smoothed scores of the same training rows.
     let combos: &[(Protocol, &[(ClassifierKind, ScoreMethod)])] = &[
         (
             Protocol::Aodv,
@@ -135,36 +137,49 @@ fn compiled_pipeline_scores_are_bit_identical_to_interpreted() {
             &[(ClassifierKind::Ripper, ScoreMethod::MatchCount)],
         ),
     ];
+    let bits = |scores: Vec<f64>| scores.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
     for &(protocol, kinds) in combos {
         let (train, attacked) = attack_scenario(protocol);
         let train_bundles = train.run_nodes(&Pipeline::default_train_nodes(train.n_nodes));
+        let mut train_matrix = train_bundles[0].matrix.clone();
+        for b in &train_bundles[1..] {
+            train_matrix.rows.extend(b.matrix.rows.iter().cloned());
+            train_matrix.times.extend(b.matrix.times.iter().copied());
+        }
         let bundle = attacked.run();
         for &(kind, method) in kinds {
-            let mut trained = Pipeline::new(kind, method).fit(&train_bundles);
-            let interpreted: Vec<u64> = trained
-                .score_matrix(&bundle.matrix)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            let on_the_fly: Vec<u64> = trained
-                .score_matrix_compiled(&bundle.matrix)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            trained.compile();
-            let compiled: Vec<u64> = trained
-                .score_matrix_compiled(&bundle.matrix)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            assert!(!interpreted.is_empty());
+            let pipeline = Pipeline::new(kind, method);
+            let trained = pipeline.fit(&train_bundles);
+            // The oracle: the interpreted walk, smoothed with the
+            // pipeline's window.
+            let oracle = |matrix: &FeatureMatrix| {
+                let table = trained
+                    .discretizer()
+                    .transform(matrix)
+                    .expect("training schema");
+                let walk =
+                    trained
+                        .detector()
+                        .model()
+                        .scores_with(&table, method, Parallelism::serial());
+                smooth(&walk, pipeline.smoothing)
+            };
+            let engine = bits(trained.score_matrix(&bundle.matrix));
+            assert!(!engine.is_empty());
             assert_eq!(
-                interpreted, on_the_fly,
-                "{protocol:?}/{kind:?}/{method:?}: on-the-fly compiled scores diverge"
+                engine,
+                bits(oracle(&bundle.matrix)),
+                "{protocol:?}/{kind:?}/{method:?}: engine scores diverge from the walk"
+            );
+            let refitted = fit_threshold(&oracle(&train_matrix), pipeline.false_alarm_rate);
+            assert_eq!(
+                trained.fitted_threshold().threshold.to_bits(),
+                refitted.threshold.to_bits(),
+                "{protocol:?}/{kind:?}/{method:?}: threshold diverges from the walk's"
             );
             assert_eq!(
-                interpreted, compiled,
-                "{protocol:?}/{kind:?}/{method:?}: compiled scores diverge"
+                trained.detector().threshold().to_bits(),
+                refitted.threshold.to_bits()
             );
         }
     }

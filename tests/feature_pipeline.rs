@@ -3,7 +3,7 @@
 
 use manet_cfa::core::{AnomalyDetector, ScoreMethod};
 use manet_cfa::features::{EqualFrequencyDiscretizer, FeatureExtractor, N_FEATURES};
-use manet_cfa::ml::naive_bayes::NaiveBayes;
+use manet_cfa::ml::{naive_bayes::NaiveBayes, AnyLearner};
 use manet_cfa::routing::aodv::AodvAgent;
 use manet_cfa::sim::{NodeId, SimConfig, SimTime, Simulator};
 use manet_cfa::traffic::{ConnectionPattern, Transport};
@@ -27,7 +27,7 @@ fn full_chain_produces_a_working_detector() {
     let disc = EqualFrequencyDiscretizer::fit(&matrix, 5, None, 1);
     let table = disc.transform(&matrix).expect("consistent schema");
     let detector = AnomalyDetector::fit(
-        &NaiveBayes::default(),
+        &AnyLearner::Bayes(NaiveBayes::default()),
         &table,
         ScoreMethod::AvgProbability,
         0.05,
