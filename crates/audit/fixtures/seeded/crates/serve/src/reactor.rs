@@ -12,7 +12,7 @@ impl Reactor {
     /// The single event loop — a D006 reachability root: one panic here
     /// drops every connection in the poll table at once.
     pub fn run(&mut self, events: &[u8]) -> u32 {
-        self.sweep(events)
+        self.sweep(events) + u32::from(Snapshot::load(events))
     }
 
     fn sweep(&mut self, events: &[u8]) -> u32 {

@@ -1,9 +1,9 @@
 //! Intraprocedural value tracking over the [`lexer`](crate::lexer) token
 //! stream — the dataflow layer under rules D009, D010 and D014.
 //!
-//! The pass runs once per function body (the [`parser`](crate::parser)
-//! hands it the signature and body token ranges) and maintains a small
-//! abstract environment of local bindings:
+//! The `Flow` sink reads each function body token by token as the one
+//! body walker (`walk`) hands it over, seeded from the parameter types,
+//! and maintains a small abstract environment of local bindings:
 //!
 //! * **`Const(v)`** — an integer literal, propagated through simple
 //!   assignment chains and two-term `+ - * / & | << >>` folds. Earns its
@@ -45,8 +45,9 @@
 //!   under the guard), and every direct blocking-I/O site. Nothing is
 //!   flagged here — the taint layer's order-aware graph (D014) decides.
 
-use crate::lexer::{Token, TokenKind};
-use crate::parser::Site;
+use crate::lexer::{Cursor, TokenKind};
+use crate::parser::{Call, CallKind, Site};
+use crate::walk::{CallAt, Let};
 
 /// One lock acquisition with the lock identities already held at it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -235,41 +236,54 @@ fn float_literal(text: &str) -> bool {
         || (text.contains(['e', 'E']) && !text.starts_with("0x") && !text.starts_with("0X"))
 }
 
-/// The analysis pass over one function. Construction borrows the token
-/// stream and source text shared with the parser.
-pub struct Analyzer<'s, 't> {
-    src: &'s str,
-    toks: &'t [Token],
+/// The dataflow sink of the body walker (`walk`): it sees every
+/// token of one body once, in order. A token is read as part of a
+/// statement (`let`, `for`, `drop(x)`, reassignment, `+=`, braces) unless
+/// it falls in the initializer or right-hand side of one already begun,
+/// which is scanned as an expression: for call, cast and reduction sites
+/// only.
+pub(crate) struct Flow<'c, 's> {
+    c: &'c Cursor<'s>,
     binds: Vec<Bind>,
     facts: BodyFacts,
+    /// Brace depth of the statement walk (1 inside the body braces).
+    depth: usize,
+    /// Tokens before `skip` belong to a statement head already read.
+    skip: usize,
+    /// Tokens in `[skip, expr)` are one expression.
+    expr: usize,
+    /// The `let` binding that takes effect at `expr`, after its
+    /// initializer.
+    pending: Option<(String, Val)>,
 }
 
-/// Analyzes one function: `sig` is the token range of the signature
-/// (from the `fn` keyword to the body `{`), `body` the range strictly
-/// inside the braces.
-pub fn analyze(src: &str, toks: &[Token], sig: (usize, usize), body: (usize, usize)) -> BodyFacts {
-    let mut a = Analyzer {
-        src,
-        toks,
-        binds: Vec::new(),
-        facts: BodyFacts::default(),
-    };
-    a.seed_params(sig.0, sig.1);
-    a.walk(body.0, body.1);
-    a.facts
-}
-
-impl Analyzer<'_, '_> {
-    fn text(&self, i: usize) -> &str {
-        self.toks[i].text(self.src)
+impl<'c, 's> Flow<'c, 's> {
+    /// The pass over one function, its bindings seeded from the types of
+    /// its parameters: `(name token, type end)` pairs, each type running
+    /// from two past its name.
+    pub(crate) fn new(c: &'c Cursor<'s>, params: &[(usize, usize)]) -> Flow<'c, 's> {
+        let mut flow = Flow {
+            c,
+            binds: Vec::new(),
+            facts: BodyFacts::default(),
+            depth: 1,
+            skip: 0,
+            expr: 0,
+            pending: None,
+        };
+        for &(name, ty_end) in params {
+            let ty: Vec<&str> = (name + 2..ty_end).map(|k| c.text(k)).collect();
+            let val = Self::classify_type(&ty);
+            if val != Val::Other {
+                flow.bind(c.text(name), val, 0);
+            }
+        }
+        flow
     }
 
-    fn is_punct(&self, i: usize, p: &str) -> bool {
-        i < self.toks.len() && self.toks[i].kind == TokenKind::Punct && self.text(i) == p
-    }
-
-    fn is_ident_tok(&self, i: usize) -> bool {
-        i < self.toks.len() && self.toks[i].kind == TokenKind::Ident
+    /// The facts, once the walk is over.
+    pub(crate) fn finish(self) -> BodyFacts {
+        self.facts
     }
 
     fn lookup(&self, name: &str) -> Option<&Val> {
@@ -306,56 +320,6 @@ impl Analyzer<'_, '_> {
             .collect()
     }
 
-    /// Seeds bindings from `name: Type` parameter pairs in the signature.
-    fn seed_params(&mut self, start: usize, end: usize) {
-        // Parameters live inside the first paren group of the signature.
-        let Some(open) = (start..end).find(|&i| self.is_punct(i, "(")) else {
-            return;
-        };
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < end {
-            if self.is_punct(i, "(") {
-                depth += 1;
-            } else if self.is_punct(i, ")") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if depth == 1 && self.is_punct(i, ":") && i > 0 && self.is_ident_tok(i - 1) {
-                let name = self.text(i - 1).to_string();
-                // Type tokens run to the `,` (or close paren) at depth 1.
-                let mut j = i + 1;
-                let mut angle = 0i32;
-                let mut par = 0i32;
-                let mut ty: Vec<&str> = Vec::new();
-                while j < end {
-                    if self.is_punct(j, "<") {
-                        angle += 1;
-                    } else if self.is_punct(j, ">") {
-                        angle -= 1;
-                    } else if self.is_punct(j, "(") {
-                        par += 1;
-                    } else if self.is_punct(j, ")") {
-                        if par == 0 {
-                            break;
-                        }
-                        par -= 1;
-                    } else if angle == 0 && par == 0 && self.is_punct(j, ",") {
-                        break;
-                    }
-                    ty.push(self.text(j));
-                    j += 1;
-                }
-                let val = Self::classify_type(&ty);
-                if val != Val::Other {
-                    self.bind(&name, val, 0);
-                }
-            }
-            i += 1;
-        }
-    }
-
     /// Maps a type token sequence to an abstract value.
     fn classify_type(ty: &[&str]) -> Val {
         // A bare wide/float scalar, or one behind a `&` reference.
@@ -379,68 +343,32 @@ impl Analyzer<'_, '_> {
         Val::Other
     }
 
-    /// Index one past the end of the statement starting at `i`: the `;`
-    /// or `{` at balanced depth, or `end`.
-    fn stmt_end(&self, i: usize, end: usize) -> usize {
-        let (mut par, mut brk, mut brc) = (0i32, 0i32, 0i32);
-        let mut j = i;
-        while j < end {
-            if self.is_punct(j, "(") {
-                par += 1;
-            } else if self.is_punct(j, ")") {
-                par -= 1;
-            } else if self.is_punct(j, "[") {
-                brk += 1;
-            } else if self.is_punct(j, "]") {
-                brk -= 1;
-            } else if self.is_punct(j, "{") {
-                if par == 0 && brk == 0 && brc == 0 {
-                    return j;
-                }
-                brc += 1;
-            } else if self.is_punct(j, "}") {
-                brc -= 1;
-                if brc < 0 {
-                    return j;
-                }
-            } else if self.is_punct(j, ";") && par == 0 && brk == 0 && brc == 0 {
-                return j;
-            }
-            j += 1;
-        }
-        end
-    }
-
     /// Classifies an initializer token range into an abstract value.
     fn classify_init(&self, start: usize, end: usize) -> Val {
+        let c = self.c;
         // Single token: literal or chained binding.
         if end == start + 1 {
-            let t = &self.toks[start];
-            match t.kind {
-                TokenKind::Num => {
-                    let text = self.text(start);
-                    if float_literal(text) {
-                        return Val::Float;
-                    }
-                    if let Some(v) = int_literal(text) {
-                        return Val::Const(v);
-                    }
+            let text = c.text(start);
+            if c.toks[start].kind == TokenKind::Num {
+                if float_literal(text) {
+                    return Val::Float;
                 }
-                TokenKind::Ident => {
-                    if let Some(v) = self.lookup(self.text(start)) {
-                        return v.clone();
-                    }
+                if let Some(v) = int_literal(text) {
+                    return Val::Const(v);
                 }
-                _ => {}
+            } else if c.is_ident(start) {
+                if let Some(v) = self.lookup(text) {
+                    return v.clone();
+                }
             }
             return Val::Other;
         }
         // Two-term constant fold: `A op B` over literals/const bindings.
-        if end == start + 3 && self.toks[start + 1].kind == TokenKind::Punct {
+        if end == start + 3 && c.punct(start + 1).is_some() {
             let term = |i: usize| -> Option<i128> {
-                match self.toks[i].kind {
-                    TokenKind::Num => int_literal(self.text(i)),
-                    TokenKind::Ident => match self.lookup(self.text(i)) {
+                match c.toks[i].kind {
+                    TokenKind::Num => int_literal(c.text(i)),
+                    TokenKind::Ident => match self.lookup(c.text(i)) {
                         Some(Val::Const(v)) => Some(*v),
                         _ => None,
                     },
@@ -448,7 +376,7 @@ impl Analyzer<'_, '_> {
                 }
             };
             if let (Some(a), Some(b)) = (term(start), term(start + 2)) {
-                let folded = match self.text(start + 1) {
+                let folded = match c.text(start + 1) {
                     "+" => a.checked_add(b),
                     "-" => a.checked_sub(b),
                     "*" => a.checked_mul(b),
@@ -463,12 +391,8 @@ impl Analyzer<'_, '_> {
             }
         }
         // `<expr> as <ty>` tail: the binding takes the cast-to type.
-        if end >= start + 3
-            && self.is_ident_tok(end - 1)
-            && self.is_ident_tok(end - 2)
-            && self.text(end - 2) == "as"
-        {
-            let ty = self.text(end - 1);
+        if end >= start + 3 && c.is_ident(end - 1) && c.is_word(end - 2, "as") {
+            let ty = c.text(end - 1);
             if WIDE_TYPES.contains(&ty) {
                 return Val::Wide(ty.to_string());
             }
@@ -477,26 +401,23 @@ impl Analyzer<'_, '_> {
             }
         }
         // Call shapes: parallel fan-out, handles, guards.
-        let mut j = start;
-        while j < end {
-            if self.is_ident_tok(j) && self.is_punct(j + 1, "(") {
-                match self.text(j) {
+        for j in start..end {
+            if c.is_ident(j) && c.is_punct(j + 1, "(") {
+                match c.text(j) {
                     "map_chunks" => return Val::Parallel,
                     "spawn" => return Val::Handle,
                     "lock" => return Val::Guard(self.lock_identity(j, end)),
                     _ => {}
                 }
             }
-            j += 1;
         }
         // A chain rooted at a `Handle` binding whose tokens include a
         // no-arg `join()` produces joined thread results.
-        if self.is_ident_tok(start) {
-            if let Some(Val::Handle) = self.lookup(self.text(start)) {
-                if self.chain_has_join(start, end) {
-                    return Val::Parallel;
-                }
-            }
+        if c.is_ident(start)
+            && self.lookup(c.text(start)) == Some(&Val::Handle)
+            && self.chain_has_join(start, end)
+        {
+            return Val::Parallel;
         }
         Val::Other
     }
@@ -506,42 +427,25 @@ impl Analyzer<'_, '_> {
     /// field; for the free helper (`lock(&shared.queue)`) the last
     /// identifier inside the argument parens.
     fn lock_identity(&self, at: usize, end: usize) -> String {
+        let c = self.c;
         // Method form: ident `.` lock — the preceding identifier.
-        if let Some(recv) = at
-            .checked_sub(2)
-            .filter(|&p| self.is_punct(p + 1, ".") && self.is_ident_tok(p))
-        {
-            return self.text(recv).to_string();
+        if c.is_punct(at - 1, ".") && c.is_ident(at.wrapping_sub(2)) {
+            return c.text(at - 2).to_string();
         }
         // Free form: last identifier inside the balanced paren group.
-        let mut depth = 0i32;
-        let mut j = at + 1;
-        let mut last = None;
-        while j < end {
-            if self.is_punct(j, "(") {
-                depth += 1;
-            } else if self.is_punct(j, ")") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if self.is_ident_tok(j) {
-                last = Some(self.text(j).to_string());
-            }
-            j += 1;
-        }
-        last.unwrap_or_else(|| String::from("?"))
+        let close = c.matching(at + 1, end);
+        (at + 1..close)
+            .rev()
+            .find(|&j| c.is_ident(j))
+            .map_or_else(|| String::from("?"), |j| c.text(j).to_string())
     }
 
     /// Whether the range contains a no-argument `.join()` call (thread
     /// join — string `join(", ")` takes an argument and never matches).
     fn chain_has_join(&self, start: usize, end: usize) -> bool {
-        (start..end).any(|j| {
-            self.is_ident_tok(j)
-                && self.text(j) == "join"
-                && self.is_punct(j + 1, "(")
-                && self.is_punct(j + 2, ")")
-        })
+        let c = self.c;
+        (start..end)
+            .any(|j| c.is_word(j, "join") && c.is_punct(j + 1, "(") && c.is_punct(j + 2, ")"))
     }
 
     /// Walks a dotted receiver chain backwards from the `.` at `dot` and
@@ -549,385 +453,243 @@ impl Analyzer<'_, '_> {
     /// `parts.iter().copied()`), skipping balanced paren/turbofish
     /// groups. `None` when the receiver is not a simple chain.
     fn chain_head(&self, dot: usize) -> Option<usize> {
+        let c = self.c;
         let mut i = dot; // points at a `.`
         for _ in 0..16 {
             // Before the dot: a call close, a turbofish close, or an ident.
             let mut j = i.checked_sub(1)?;
-            if self.is_punct(j, ")") {
+            if c.is_punct(j, ")") {
                 // Skip the balanced paren group.
                 let mut depth = 1i32;
                 while depth > 0 {
                     j = j.checked_sub(1)?;
-                    if self.is_punct(j, ")") {
-                        depth += 1;
-                    } else if self.is_punct(j, "(") {
-                        depth -= 1;
-                    }
+                    depth -= c.nesting(j);
                 }
                 j = j.checked_sub(1)?;
                 // Skip a `::<T>` turbofish between name and parens.
-                if self.is_punct(j, ">") {
+                if c.is_punct(j, ">") {
                     let mut depth = 1i32;
                     while depth > 0 {
                         j = j.checked_sub(1)?;
-                        if self.is_punct(j, ">") {
-                            depth += 1;
-                        } else if self.is_punct(j, "<") {
-                            depth -= 1;
-                        }
+                        depth += i32::from(c.is_punct(j, ">")) - i32::from(c.is_punct(j, "<"));
                     }
                     j = j.checked_sub(1)?;
-                    if !self.is_punct(j, "::") {
+                    if !c.is_punct(j, "::") {
                         return None;
                     }
                     j = j.checked_sub(1)?;
                 }
             }
-            if !self.is_ident_tok(j) {
+            if !c.is_ident(j) {
                 return None;
             }
             // Head reached when no further `.` precedes.
             match j.checked_sub(1) {
-                Some(p) if self.is_punct(p, ".") => i = p,
+                Some(p) if c.is_punct(p, ".") => i = p,
                 _ => return Some(j),
             }
         }
         None
     }
 
-    /// Whether the tokens after a method name carry a float turbofish
-    /// (`::<f64>` / `::<f32>`).
-    fn float_turbofish(&self, name_at: usize) -> bool {
-        self.is_punct(name_at + 1, "::")
-            && self.is_punct(name_at + 2, "<")
-            && name_at + 3 < self.toks.len()
-            && matches!(self.text(name_at + 3), "f64" | "f32")
-    }
-
-    /// The main walk over the body token range.
-    fn walk(&mut self, start: usize, end: usize) {
-        let mut depth = 1usize; // inside the body braces
-        let mut i = start;
-        while i < end {
-            if self.is_punct(i, "{") {
-                depth += 1;
-                i += 1;
-                continue;
-            }
-            if self.is_punct(i, "}") {
-                depth = depth.saturating_sub(1);
-                self.binds.retain(|b| b.depth <= depth);
-                i += 1;
-                continue;
-            }
-            // Skip attributes inside bodies.
-            if self.is_punct(i, "#") && self.is_punct(i + 1, "[") {
-                let mut d = 0i32;
-                let mut j = i + 1;
-                while j < end {
-                    if self.is_punct(j, "[") {
-                        d += 1;
-                    } else if self.is_punct(j, "]") {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                i = j + 1;
-                continue;
-            }
-            if self.is_ident_tok(i) {
-                if self.is_punct(i + 1, "(") {
-                    self.call_site(i);
-                }
-                match self.text(i) {
-                    "let" => {
-                        i = self.let_stmt(i, end, depth);
-                        continue;
-                    }
-                    "for" => {
-                        if let Some(next) = self.for_loop(i, end, depth) {
-                            i = next;
-                            continue;
-                        }
-                    }
-                    "drop" if self.is_punct(i + 1, "(") => {
-                        if self.is_ident_tok(i + 2) && self.is_punct(i + 3, ")") {
-                            let name = self.text(i + 2).to_string();
-                            self.kill(&name);
-                            i += 4;
-                            continue;
-                        }
-                    }
-                    "as" => {
-                        self.cast_site(i);
-                    }
-                    "sum" | "fold" if i > 0 && self.is_punct(i - 1, ".") => {
-                        self.reduction_site(i);
-                    }
-                    "lock" if self.is_punct(i + 1, "(") => {
-                        // An acquisition outside a `let` (those are
-                        // recorded in let_stmt): feed the D014 graph.
-                        let lock = self.lock_identity(i, end);
-                        let held = self.held_locks();
-                        self.facts.acquires.push(LockAcq {
-                            lock,
-                            held,
-                            line: self.toks[i].line,
-                        });
-                    }
-                    _ => {
-                        // Reassignment: `name = expr ;` — reclassify.
-                        if self.is_punct(i + 1, "=")
-                            && !self.is_punct(i + 2, "=")
-                            && !(i > 0
-                                && self.toks[i - 1].kind == TokenKind::Punct
-                                && matches!(
-                                    self.text(i - 1),
-                                    "=" | "==" | "!" | "<" | ">" | "+" | "-" | "*" | "/"
-                                ))
-                            && self.lookup(self.text(i)).is_some()
-                        {
-                            let name = self.text(i).to_string();
-                            let stmt_end = self.stmt_end(i + 2, end);
-                            // `g = cv.wait(g)` keeps the guard live.
-                            let keeps_guard = matches!(self.lookup(&name), Some(Val::Guard(_)))
-                                && (i + 2..stmt_end).any(|j| {
-                                    self.is_ident_tok(j)
-                                        && self.text(j) == "wait"
-                                        && self.is_punct(j + 1, "(")
-                                });
-                            if !keeps_guard {
-                                let val = self.classify_init(i + 2, stmt_end);
-                                self.kill(&name);
-                                self.bind(&name, val, depth);
-                            }
-                            self.scan_expr(i + 2, stmt_end, depth);
-                            i = stmt_end;
-                            continue;
-                        }
-                        // `+=` accumulation into a float from a joined /
-                        // parallel element.
-                        if self.is_punct(i + 1, "+")
-                            && self.is_punct(i + 2, "=")
-                            && self.toks[i + 1].end == self.toks[i + 2].start
-                            && self.lookup(self.text(i)) == Some(&Val::Float)
-                        {
-                            let stmt_end = self.stmt_end(i + 3, end);
-                            let from_parallel = (i + 3..stmt_end).any(|j| {
-                                self.is_ident_tok(j)
-                                    && matches!(
-                                        self.lookup(self.text(j)),
-                                        Some(Val::ParallelElem) | Some(Val::Parallel)
-                                    )
-                            }) || self.chain_has_join(i + 3, stmt_end);
-                            if from_parallel {
-                                self.facts.reductions.push(Site {
-                                    what: format!(
-                                        "float accumulation into `{}` over joined thread results",
-                                        self.text(i)
-                                    ),
-                                    line: self.toks[i].line,
-                                });
-                            }
-                            self.scan_expr(i + 3, stmt_end, depth);
-                            i = stmt_end;
-                            continue;
-                        }
-                    }
-                }
-            }
-            i += 1;
+    /// Reads token `i` of the body ending at `end`; `call` is the call
+    /// whose name token it is, if any.
+    pub(crate) fn token(&mut self, i: usize, call: Option<&CallAt>, end: usize) {
+        let c = self.c;
+        let stmt = i >= self.expr;
+        if let Some((name, val)) = self.pending.take_if(|_| stmt) {
+            self.bind(&name, val, self.depth);
         }
-    }
-
-    /// Scans an expression range for nested call/cast/reduction sites
-    /// (used for initializers and RHS ranges consumed whole).
-    fn scan_expr(&mut self, start: usize, end: usize, _depth: usize) {
-        let mut i = start;
-        while i < end {
-            if self.is_ident_tok(i) {
-                if self.is_punct(i + 1, "(") {
-                    self.call_site(i);
-                }
-                match self.text(i) {
-                    "as" => self.cast_site(i),
-                    "sum" | "fold" if i > 0 && self.is_punct(i - 1, ".") => self.reduction_site(i),
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-    }
-
-    /// Records D014 facts for the call whose name token is at `i` (next
-    /// token is `(`): a direct blocking-I/O site, and — when a guard is
-    /// live — a guarded call for the interprocedural blocking check.
-    fn call_site(&mut self, i: usize) {
-        let name = self.text(i).to_string();
-        let name = name.as_str();
-        if matches!(
-            name,
-            "if" | "while" | "for" | "match" | "loop" | "return" | "fn" | "move" | "else" | "in"
-        ) {
+        if i < self.skip {
             return;
         }
-        let line = self.toks[i].line;
-        let prev_dot = i.checked_sub(1).is_some_and(|p| self.is_punct(p, "."));
-        let prev_path = i.checked_sub(1).is_some_and(|p| self.is_punct(p, "::"));
-        if prev_dot && BLOCKING_METHODS.contains(&name) {
+        if stmt && c.is_punct(i, "{") {
+            self.depth += 1;
+        } else if stmt && c.is_punct(i, "}") {
+            self.depth = self.depth.saturating_sub(1);
+            let depth = self.depth;
+            self.binds.retain(|b| b.depth <= depth);
+        }
+        if !c.is_ident(i) {
+            return;
+        }
+        if let Some(call) = call {
+            self.call_site(call);
+        }
+        match c.text(i) {
+            "as" => self.cast_site(i),
+            "sum" | "fold" if c.is_punct(i - 1, ".") => self.reduction_site(i),
+            _ if !stmt => {}
+            "let" => {
+                if let Some(l) = crate::walk::let_stmt(c, i, end) {
+                    self.let_stmt(&l, c.line(i));
+                }
+            }
+            "for" => self.for_loop(i),
+            "drop" if c.is_punct(i + 1, "(") => {
+                if c.is_ident(i + 2) && c.is_punct(i + 3, ")") {
+                    self.kill(c.text(i + 2));
+                    self.skip = i + 4;
+                }
+            }
+            "lock" if c.is_punct(i + 1, "(") => {
+                // An acquisition outside a `let` (those are recorded in
+                // let_stmt): feed the D014 graph.
+                let lock = self.lock_identity(i, end);
+                let held = self.held_locks();
+                self.facts.acquires.push(LockAcq {
+                    lock,
+                    held,
+                    line: c.line(i),
+                });
+            }
+            name => self.assignment(i, name, end),
+        }
+    }
+
+    /// `name = expr;` reclassifies a tracked binding; `name += expr;`
+    /// into a float from a joined or parallel element is a reduction.
+    fn assignment(&mut self, i: usize, name: &str, end: usize) {
+        let c = self.c;
+        let prev_op = matches!(
+            c.punct(i - 1),
+            Some("=" | "!" | "<" | ">" | "+" | "-" | "*" | "/")
+        );
+        if c.is_punct(i + 1, "=")
+            && !c.is_punct(i + 2, "=")
+            && !prev_op
+            && self.lookup(name).is_some()
+        {
+            let stmt_end = c.stmt_end(i + 2, end);
+            // `g = cv.wait(g)` keeps the guard live.
+            let keeps_guard = matches!(self.lookup(name), Some(Val::Guard(_)))
+                && (i + 2..stmt_end).any(|j| c.is_word(j, "wait") && c.is_punct(j + 1, "("));
+            if !keeps_guard {
+                let val = self.classify_init(i + 2, stmt_end);
+                self.kill(name);
+                self.bind(name, val, self.depth);
+            }
+            (self.skip, self.expr) = (i + 2, stmt_end);
+        } else if c.is_punct(i + 1, "+")
+            && c.is_punct(i + 2, "=")
+            && c.toks[i + 1].end == c.toks[i + 2].start
+            && self.lookup(name) == Some(&Val::Float)
+        {
+            let stmt_end = c.stmt_end(i + 3, end);
+            let from_parallel = (i + 3..stmt_end).any(|j| {
+                c.is_ident(j)
+                    && matches!(
+                        self.lookup(c.text(j)),
+                        Some(Val::ParallelElem) | Some(Val::Parallel)
+                    )
+            }) || self.chain_has_join(i + 3, stmt_end);
+            if from_parallel {
+                self.facts.reductions.push(Site {
+                    what: format!("float accumulation into `{name}` over joined thread results"),
+                    line: c.line(i),
+                });
+            }
+            (self.skip, self.expr) = (i + 3, stmt_end);
+        }
+    }
+
+    /// Records D014 facts for a call: a direct blocking-I/O site, and —
+    /// when a guard is live — a guarded call for the interprocedural
+    /// blocking check.
+    fn call_site(&mut self, call: &CallAt) {
+        let Call { name, kind, line } = &call.call;
+        if matches!(kind, CallKind::Method { .. }) && BLOCKING_METHODS.contains(&name.as_str()) {
             self.facts.blocking.push(Site {
                 what: format!("{name}()"),
-                line,
+                line: *line,
             });
         }
-        if GUARD_MACHINERY.contains(&name) {
+        if GUARD_MACHINERY.contains(&name.as_str()) {
             return;
         }
         let held = self.held_locks();
         if held.is_empty() {
             return;
         }
-        let name = name.to_string();
-        let kind = if prev_dot {
-            crate::parser::CallKind::Method {
-                recv: crate::parser::plain_receiver(self.src, self.toks, i),
-            }
-        } else if prev_path {
-            let head = i
-                .checked_sub(2)
-                .filter(|&p| self.is_ident_tok(p))
-                .map(|p| self.text(p).to_string())
-                .unwrap_or_default();
-            crate::parser::CallKind::Qualified { head }
-        } else {
-            crate::parser::CallKind::Free
-        };
         self.facts.guarded_calls.push(GuardedCall {
-            callee: name,
-            kind,
+            callee: name.clone(),
+            kind: kind.clone(),
             held,
-            line,
+            line: *line,
         });
     }
 
-    /// Handles a `let` statement at `i`; returns the resume index.
-    fn let_stmt(&mut self, i: usize, end: usize, depth: usize) -> usize {
-        let mut j = i + 1;
-        if self.is_ident_tok(j) && self.text(j) == "mut" {
-            j += 1;
-        }
-        // Only simple `let name [: Ty] = init ;` shapes are tracked;
-        // patterns (`let Some(x)`, `let (a, b)`, `let [a, b]`) are not.
-        if !self.is_ident_tok(j) || !(self.is_punct(j + 1, ":") || self.is_punct(j + 1, "=")) {
-            return i + 1;
-        }
-        let name = self.text(j).to_string();
-        let stmt_end = self.stmt_end(j, end);
-        let mut ann: Vec<String> = Vec::new();
-        let mut k = j + 1;
-        if self.is_punct(k, ":") {
-            k += 1;
-            let mut angle = 0i32;
-            while k < stmt_end {
-                if self.is_punct(k, "<") {
-                    angle += 1;
-                } else if self.is_punct(k, ">") {
-                    angle -= 1;
-                } else if angle == 0 && self.is_punct(k, "=") {
-                    break;
-                }
-                ann.push(self.text(k).to_string());
-                k += 1;
-            }
-        }
-        let init_start = if self.is_punct(k, "=") {
-            k + 1
-        } else {
-            stmt_end
-        };
+    /// Begins a `let` statement: the initializer is classified now, the
+    /// binding takes effect after it.
+    fn let_stmt(&mut self, l: &Let, line: usize) {
+        let c = self.c;
         // A lock taken *as* a new guard binding is an acquisition site
         // for the D014 lock graph, with the current held-set.
-        let init_val = self.classify_init(init_start, stmt_end);
+        let init_val = l
+            .init
+            .map_or(Val::Other, |(start, end)| self.classify_init(start, end));
         if let Val::Guard(lock) = &init_val {
             self.facts.acquires.push(LockAcq {
                 lock: lock.clone(),
                 held: self.held_locks(),
-                line: self.toks[i].line,
+                line,
             });
         }
         // Annotation beats initializer shape for scalar types; the
         // initializer wins for call shapes (Parallel/Handle/Guard).
-        let ann_refs: Vec<&str> = ann.iter().map(String::as_str).collect();
-        let val = match Self::classify_type(&ann_refs) {
+        let ann: Vec<&str> = (l.ann.0..l.ann.1).map(|k| c.text(k)).collect();
+        let val = match Self::classify_type(&ann) {
             Val::Other => init_val,
             ann_val => match init_val {
                 Val::Parallel | Val::Handle | Val::Guard(_) | Val::Const(_) => init_val,
                 _ => ann_val,
             },
         };
-        self.scan_expr(init_start, stmt_end, depth);
-        self.bind(&name, val, depth);
-        stmt_end
+        self.pending = Some((c.text(l.name).to_string(), val));
+        (self.skip, self.expr) = (l.init.map_or(l.end, |(start, _)| start), l.end);
     }
 
-    /// Handles `for x in <chain> {`: binds the loop variable when the
-    /// chain is rooted at a Parallel/Handle value. Returns the resume
-    /// index (just past `in`'s chain head detection — the body tokens are
-    /// walked normally).
-    fn for_loop(&mut self, i: usize, end: usize, depth: usize) -> Option<usize> {
-        // `for [&] [mut] name in …`
+    /// `for [&] [mut] x in <chain>`: binds the loop variable when the
+    /// chain is rooted at a Parallel/Handle value. The chain and the loop
+    /// body are read as statements.
+    fn for_loop(&mut self, i: usize) {
+        let c = self.c;
         let mut j = i + 1;
-        while self.is_punct(j, "&") || (self.is_ident_tok(j) && self.text(j) == "mut") {
+        while c.is_punct(j, "&") || c.is_word(j, "mut") {
             j += 1;
         }
-        if !self.is_ident_tok(j) {
-            return None;
-        }
-        let var = self.text(j).to_string();
-        if !(self.is_ident_tok(j + 1) && self.text(j + 1) == "in") {
-            return None;
+        if !c.is_ident(j) || !c.is_word(j + 1, "in") {
+            return;
         }
         // The iterated chain's head identifier.
-        let head = j + 2;
-        let mut h = head;
-        while self.is_punct(h, "&") || (self.is_ident_tok(h) && self.text(h) == "mut") {
+        let mut h = j + 2;
+        while c.is_punct(h, "&") || c.is_word(h, "mut") {
             h += 1;
         }
-        if self.is_ident_tok(h) {
-            if let Some(Val::Parallel | Val::Handle) = self.lookup(self.text(h)) {
+        if c.is_ident(h) {
+            if let Some(Val::Parallel | Val::Handle) = self.lookup(c.text(h)) {
                 // The loop variable lives in the loop body block.
-                self.bind(&var, Val::ParallelElem, depth + 1);
+                self.bind(c.text(j), Val::ParallelElem, self.depth + 1);
             }
         }
-        let _ = end;
-        Some(j + 2)
+        self.skip = j + 2;
     }
 
     /// Records a D010 site for the `as` keyword at `i` when the operand
     /// is a tracked wide binding and the target type truncates it.
     fn cast_site(&mut self, i: usize) {
+        let c = self.c;
         // Operand: the single identifier immediately before `as` (calls,
-        // closes and literals are expressions the pass does not judge).
-        let Some(op_at) = i.checked_sub(1) else {
-            return;
-        };
-        if !self.is_ident_tok(op_at) {
-            return;
-        }
+        // closes and literals are expressions the pass does not judge);
         // `self.field as T` and `x.y as T` are untracked field reads.
-        if op_at > 0 && self.is_punct(op_at - 1, ".") {
+        let op_at = i - 1;
+        if !c.is_ident(op_at) || c.is_punct(op_at.wrapping_sub(1), ".") || !c.is_ident(i + 1) {
             return;
         }
-        let operand = self.text(op_at).to_string();
+        let operand = c.text(op_at);
         // Target type: the identifier after `as`.
-        if !self.is_ident_tok(i + 1) {
-            return;
-        }
-        let target = self.text(i + 1);
-        let src_ty = match self.lookup(&operand) {
+        let target = c.text(i + 1);
+        let src_ty = match self.lookup(operand) {
             Some(Val::Wide(ty)) => ty.clone(),
             Some(Val::Const(v)) => {
                 // Const propagation: a value that provably fits is safe.
@@ -943,7 +705,7 @@ impl Analyzer<'_, '_> {
                         what: format!(
                             "constant {v} does not fit `{target}` (`{operand} as {target}`)"
                         ),
-                        line: self.toks[i].line,
+                        line: c.line(i),
                     });
                 }
                 return;
@@ -955,7 +717,7 @@ impl Analyzer<'_, '_> {
         if truncates {
             self.facts.casts.push(Site {
                 what: format!("`{operand}` ({src_ty}) truncated by `as {target}`"),
-                line: self.toks[i].line,
+                line: c.line(i),
             });
         }
     }
@@ -964,34 +726,32 @@ impl Analyzer<'_, '_> {
     /// the receiver chain is rooted at a parallel value and the reduction
     /// is float-typed.
     fn reduction_site(&mut self, i: usize) {
-        let name = self.text(i).to_string();
+        let c = self.c;
+        let name = c.text(i);
         let Some(head) = self.chain_head(i - 1) else {
             return;
         };
-        let head_name = self.text(head).to_string();
-        let parallel = match self.lookup(&head_name) {
+        let head_name = c.text(head);
+        let parallel = match self.lookup(head_name) {
             Some(Val::Parallel) => true,
             Some(Val::Handle) => self.chain_has_join(head, i),
             _ => false,
         };
-        if !parallel {
-            return;
-        }
         // Float evidence: a `::<f64>` turbofish on `sum`, or a `fold`
         // seeded with a float literal.
         let is_float = if name == "sum" {
-            self.float_turbofish(i)
+            c.is_punct(i + 1, "::")
+                && c.is_punct(i + 2, "<")
+                && matches!(c.text(i + 3), "f64" | "f32")
         } else {
-            // fold(0.0, …)
-            self.is_punct(i + 1, "(")
-                && i + 2 < self.toks.len()
-                && self.toks[i + 2].kind == TokenKind::Num
-                && float_literal(self.text(i + 2))
+            c.is_punct(i + 1, "(")
+                && c.toks.get(i + 2).is_some_and(|t| t.kind == TokenKind::Num)
+                && float_literal(c.text(i + 2))
         };
-        if is_float {
+        if parallel && is_float {
             self.facts.reductions.push(Site {
                 what: format!("f64 {name}() over `{head_name}` (parallel fan-out output)"),
-                line: self.toks[i].line,
+                line: c.line(i),
             });
         }
     }
@@ -1001,29 +761,12 @@ impl Analyzer<'_, '_> {
 mod tests {
     use super::*;
     use crate::lexer::lex;
+    use crate::parser::parse_file;
 
-    /// Lexes `src` (one fn), finds the signature/body split, runs the
-    /// pass.
+    /// The dataflow facts the body walker mines from `src` (one fn).
     fn facts(src: &str) -> BodyFacts {
-        let toks: Vec<Token> = lex(src)
-            .into_iter()
-            .filter(|t| {
-                !matches!(
-                    t.kind,
-                    crate::lexer::TokenKind::LineComment | crate::lexer::TokenKind::BlockComment
-                )
-            })
-            .collect();
-        let fn_at = toks
-            .iter()
-            .position(|t| t.text(src) == "fn")
-            .expect("fn keyword");
-        let open = toks
-            .iter()
-            .enumerate()
-            .position(|(i, t)| i > fn_at && t.kind == TokenKind::Punct && t.text(src) == "{")
-            .expect("body open");
-        analyze(src, &toks, (fn_at, open), (open + 1, toks.len() - 1))
+        let fns = parse_file("crates/x/src/lib.rs", src, &lex(src), false);
+        fns[0].flow.clone()
     }
 
     // --- D009 ------------------------------------------------------------

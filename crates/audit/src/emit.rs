@@ -1,12 +1,12 @@
-//! JSON and SARIF emitters for audit findings — hand-rolled (the crate is
+//! The JSON emitter for audit findings — hand-rolled (the crate is
 //! dependency-free) and byte-deterministic: no timestamps, no absolute
 //! paths, stable ordering everywhere, so two runs over the same tree emit
 //! identical bytes and CI can diff or cache them.
 
-use crate::{Finding, Rule, Severity};
+use crate::{Finding, Severity};
 use std::fmt::Write as _;
 
-/// Version string stamped into both report formats.
+/// Version string stamped into the report.
 pub const TOOL_VERSION: &str = "5.0.0";
 
 /// Escapes `s` for inclusion in a JSON string literal.
@@ -62,57 +62,10 @@ pub fn to_json(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders findings as SARIF 2.1.0 for CI code-scanning annotation, each
-/// at its rule's severity.
-pub fn to_sarif(findings: &[Finding]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [\n    {\n");
-    out.push_str("      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"cfa-audit\",\n");
-    let _ = writeln!(out, "          \"version\": \"{TOOL_VERSION}\",");
-    out.push_str("          \"informationUri\": \"https://example.invalid/manet-cfa\",\n");
-    out.push_str("          \"rules\": [\n");
-    for (i, rule) in Rule::ALL.iter().enumerate() {
-        let _ = write!(
-            out,
-            "            {{ \"id\": \"{}\", \"shortDescription\": {{ \"text\": \"{}\" }}, \"help\": {{ \"text\": \"{}\" }}, \"defaultConfiguration\": {{ \"level\": \"{}\" }} }}",
-            rule,
-            json_escape(rule.summary()),
-            json_escape(rule.hint()),
-            severity_str(rule.severity()),
-        );
-        out.push_str(if i + 1 < Rule::ALL.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("          ]\n        }\n      },\n");
-    out.push_str("      \"results\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        let rule_index = Rule::ALL.iter().position(|r| *r == f.rule).unwrap_or(0);
-        let message = match &f.note {
-            Some(n) => format!("{}: {} [{}]", f.rule.summary(), f.snippet, n),
-            None => format!("{}: {}", f.rule.summary(), f.snippet),
-        };
-        let _ = write!(
-            out,
-            "        {{ \"ruleId\": \"{}\", \"ruleIndex\": {}, \"level\": \"{}\", \"message\": {{ \"text\": \"{}\" }}, \"locations\": [ {{ \"physicalLocation\": {{ \"artifactLocation\": {{ \"uri\": \"{}\", \"uriBaseId\": \"SRCROOT\" }}, \"region\": {{ \"startLine\": {} }} }} }} ] }}",
-            f.rule,
-            rule_index,
-            severity_str(f.severity),
-            json_escape(&message),
-            json_escape(&f.file),
-            f.line,
-        );
-        out.push_str(if i + 1 < findings.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("      ]\n    }\n  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rule;
 
     fn sample() -> Vec<Finding> {
         vec![Finding {
@@ -133,33 +86,5 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\\\"quoted\\\""));
         assert!(a.contains("\"total\": 1"));
-    }
-
-    #[test]
-    fn sarif_has_schema_rules_and_levels() {
-        let s = to_sarif(&sample());
-        assert!(s.contains("sarif-2.1.0.json"));
-        assert!(s.contains("\"id\": \"D008\""));
-        assert!(s.contains("\"level\": \"error\""));
-    }
-
-    #[test]
-    fn sarif_is_balanced_json_shape() {
-        let s = to_sarif(&sample());
-        // Cheap structural sanity: balanced braces/brackets outside strings.
-        let mut depth = 0i32;
-        let mut in_str = false;
-        let mut prev = ' ';
-        for c in s.chars() {
-            match c {
-                '"' if prev != '\\' => in_str = !in_str,
-                '{' | '[' if !in_str => depth += 1,
-                '}' | ']' if !in_str => depth -= 1,
-                _ => {}
-            }
-            prev = if prev == '\\' && c == '\\' { ' ' } else { c };
-        }
-        assert_eq!(depth, 0);
-        assert!(!in_str);
     }
 }

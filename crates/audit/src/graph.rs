@@ -20,8 +20,11 @@
 //!   generic dispatch (`Box<dyn App>`, `A: Agent`), std wrappers, and
 //!   receivers of unknown type.
 //! * **Qualified calls** `Head::name(...)` resolve to `Head`'s method if
-//!   the workspace defines one, else to free functions named `name`
-//!   (module-qualified paths like `helpers::score`).
+//!   the workspace defines one, else to the default body of `name` in
+//!   each trait `Head` implements (`impl Trait for Head`), else to free
+//!   functions named `name` (module-qualified paths like
+//!   `helpers::score`). Never to every trait method of that name: a
+//!   `Head` that implements no such trait owns no such method.
 //!
 //! Every candidate must also be visible to the caller under Rust's
 //! privacy rules (an edge rustc would reject cannot be a real call): a
@@ -58,6 +61,8 @@ pub struct CallGraph {
     methods_by_name: BTreeMap<String, Vec<usize>>,
     /// Methods by `(owner, name)` (non-test only).
     methods_by_owner: BTreeMap<(String, String), Vec<usize>>,
+    /// The traits each type implements (`impl Trait for Type`).
+    traits_of: BTreeMap<String, Vec<String>>,
     /// The tree's packages, and `pkg[i]` = the package of `fns[i]`.
     packages: Packages,
     pkg: Vec<Option<usize>>,
@@ -232,7 +237,14 @@ impl CallGraph {
         let mut free_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut methods_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut methods_by_owner: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
+        let mut traits_of: BTreeMap<String, Vec<String>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
+            if let (Some(ty), Some(tr)) = (&f.owner, &f.implements) {
+                let traits = traits_of.entry(ty.clone()).or_default();
+                if !traits.contains(tr) {
+                    traits.push(tr.clone());
+                }
+            }
             if f.is_test {
                 continue; // never resolve *into* test code
             }
@@ -254,6 +266,7 @@ impl CallGraph {
             free_by_name,
             methods_by_name,
             methods_by_owner,
+            traits_of,
             packages,
             pkg,
         };
@@ -354,7 +367,13 @@ impl CallGraph {
             }
             CallKind::Qualified { head } if head == "Self" => owned_or_any(f.owner.clone()),
             CallKind::Qualified { head } => {
-                let scoped = visible(method(head));
+                // `Head`'s own method, else the default body of the method
+                // in each trait `Head` implements.
+                let mut scoped = visible(method(head));
+                if scoped.is_empty() {
+                    let traits = self.traits_of.get(head).into_iter().flatten();
+                    scoped = traits.flat_map(|t| visible(method(t))).collect();
+                }
                 if !scoped.is_empty() {
                     return scoped;
                 }
@@ -451,6 +470,7 @@ impl CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
     use crate::parser::parse_file;
 
     fn graph_of(files: &[(&str, &str)]) -> CallGraph {
@@ -460,7 +480,7 @@ mod tests {
     fn graph_in(files: &[(&str, &str)], packages: Packages) -> CallGraph {
         let mut fns = Vec::new();
         for (rel, src) in files {
-            fns.extend(parse_file(rel, src, false));
+            fns.extend(parse_file(rel, src, &lex(src), false));
         }
         CallGraph::build(fns, packages)
     }
@@ -704,6 +724,33 @@ mod tests {
              impl B { fn helper() { Some(1).unwrap(); } }\n",
         )]);
         assert_eq!(callees(&g, "A::go"), ["crates/a/src/lib.rs:A::helper"]);
+    }
+
+    #[test]
+    fn qualified_calls_reach_the_default_body_of_an_implemented_trait() {
+        let g = graph_of(&[(
+            "crates/a/src/lib.rs",
+            "trait Persist { fn read_from(r: &mut R) -> Self; \
+                 fn from_bytes(b: &[u8]) -> Self { Self::read_from(b) } }\n\
+             trait Other { fn from_bytes(b: &[u8]) -> Self { loop {} } }\n\
+             impl Persist for Model { fn read_from(r: &mut R) -> Model { Model } }\n\
+             impl Default for Plain { fn default() -> Plain { Plain } }\n\
+             fn load(b: &[u8]) { Model::from_bytes(b); }\n\
+             fn plain(b: &[u8]) { Plain::from_bytes(b); }\n",
+        )]);
+        // `Model` owns no `from_bytes`: the call reaches the default of
+        // the one trait `Model` implements, and through it the impl.
+        assert_eq!(
+            callees(&g, "load"),
+            ["crates/a/src/lib.rs:Persist::from_bytes"]
+        );
+        assert_eq!(
+            callees(&g, "Persist::from_bytes"),
+            ["crates/a/src/lib.rs:Model::read_from"]
+        );
+        // A type that implements neither trait gets no edge at all, not
+        // every trait method of that name.
+        assert!(callees(&g, "plain").is_empty());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! (`::`, `->`, `=>`, `..`, `..=`, `...`).
 //!
 //! Tokens carry byte spans into the original source plus a 1-based start
-//! line, so both the line-oriented lexical rules (via [`mask_lines`]) and
-//! the interprocedural item parser (via the token stream itself) consume
-//! one front end and cannot disagree about what is code.
+//! line. Each file is lexed once: the line-oriented lexical rules read
+//! it through [`mask_lines`], the item parser and body walker through a
+//! [`Cursor`] — one front end, so they cannot disagree about what is
+//! code.
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -409,21 +410,21 @@ fn utf8_len(b: u8) -> usize {
     }
 }
 
-/// Per-line `(code, comment)` views of a file, reconstructed from the
-/// token stream: string literals collapse to `"`, char literals to `' '`,
-/// comments route to the comment channel, original spacing of everything
-/// else is preserved. This is the line-rule view of the source — the
-/// replacement for PR 3's per-line state machine.
-pub fn mask_lines(src: &str) -> Vec<(String, String)> {
+/// Per-line `(code, comment)` views of a file, reconstructed from its
+/// token stream `tokens` (the [`lex`] of `src`): string literals collapse
+/// to `"`, char literals to `' '`, comments route to the comment channel,
+/// original spacing of everything else is preserved. This is the
+/// line-rule view of the source — the replacement for PR 3's per-line
+/// state machine.
+pub fn mask_lines(src: &str, tokens: &[Token]) -> Vec<(String, String)> {
     let n_lines = src.lines().count().max(1);
     let mut code = vec![String::new(); n_lines];
     let mut comment = vec![String::new(); n_lines];
-    let tokens = lex(src);
     let bytes = src.as_bytes();
 
     let mut prev_end = 0usize;
     let mut cur_line = 0usize; // 0-based
-    for tok in &tokens {
+    for tok in tokens {
         // Replay inter-token whitespace, advancing the line counter.
         for &b in &bytes[prev_end..tok.start] {
             if b == b'\n' {
@@ -474,6 +475,105 @@ pub fn mask_lines(src: &str) -> Vec<(String, String)> {
         prev_end = tok.end;
     }
     code.into_iter().zip(comment).collect()
+}
+
+/// The code tokens of one file with its source: the one set of token
+/// tests the item parser and the body walker share. Every test is total —
+/// an index past the end reads as `""` and matches nothing.
+pub struct Cursor<'s> {
+    /// The file's source text.
+    pub src: &'s str,
+    /// Its tokens, comments dropped.
+    pub toks: Vec<Token>,
+}
+
+impl<'s> Cursor<'s> {
+    /// The code tokens of `tokens`, the [`lex`] of `src`.
+    pub fn new(src: &'s str, tokens: &[Token]) -> Cursor<'s> {
+        let toks = tokens
+            .iter()
+            .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
+            .copied()
+            .collect();
+        Cursor { src, toks }
+    }
+
+    /// Text of token `i`.
+    pub fn text(&self, i: usize) -> &'s str {
+        self.toks.get(i).map_or("", |t| t.text(self.src))
+    }
+
+    /// 1-based line of token `i`.
+    pub fn line(&self, i: usize) -> usize {
+        self.toks.get(i).map_or(0, |t| t.line)
+    }
+
+    /// Whether token `i` is an identifier or keyword.
+    pub fn is_ident(&self, i: usize) -> bool {
+        self.toks.get(i).is_some_and(|t| t.kind == TokenKind::Ident)
+    }
+
+    /// Whether token `i` is the identifier or keyword `word`.
+    pub fn is_word(&self, i: usize, word: &str) -> bool {
+        self.is_ident(i) && self.text(i) == word
+    }
+
+    /// The text of token `i` when it is punctuation.
+    pub fn punct(&self, i: usize) -> Option<&'s str> {
+        let t = self.toks.get(i).filter(|t| t.kind == TokenKind::Punct)?;
+        Some(t.text(self.src))
+    }
+
+    /// Whether token `i` is the punctuation `p`.
+    pub fn is_punct(&self, i: usize, p: &str) -> bool {
+        self.punct(i) == Some(p)
+    }
+
+    /// +1 for an opening `(`, `[` or `{`, -1 for a closing one, else 0.
+    pub fn nesting(&self, i: usize) -> i32 {
+        match self.punct(i) {
+            Some("(" | "[" | "{") => 1,
+            Some(")" | "]" | "}") => -1,
+            _ => 0,
+        }
+    }
+
+    /// Index one past the bracket that closes the one at `open`
+    /// (bounded by `end`). Rust source is delimiter-balanced, so one
+    /// depth counter serves `()`, `[]` and `{}` alike.
+    pub fn matching(&self, open: usize, end: usize) -> usize {
+        let mut depth = 0;
+        (open..end)
+            .find(|&i| {
+                depth += self.nesting(i);
+                depth == 0
+            })
+            .map_or(end, |i| i + 1)
+    }
+
+    /// Index of the token that ends the statement or expression starting
+    /// at `start`: the first `;` or `{` outside every bracket, or the
+    /// bracket that closes one opened before `start`; `end` if none.
+    pub fn stmt_end(&self, start: usize, end: usize) -> usize {
+        let (mut depth, mut braces) = (0i32, 0i32);
+        for i in start..end {
+            match self.text(i) {
+                _ if self.nesting(i) == 0 => {
+                    if depth == 0 && braces == 0 && self.is_punct(i, ";") {
+                        return i;
+                    }
+                }
+                "{" if depth == 0 && braces == 0 => return i,
+                "{" => braces += 1,
+                "}" => braces -= 1,
+                _ => depth += self.nesting(i),
+            }
+            if depth < 0 || braces < 0 {
+                return i;
+            }
+        }
+        end
+    }
 }
 
 #[cfg(test)]
@@ -601,7 +701,8 @@ mod tests {
 
     #[test]
     fn mask_lines_routes_channels() {
-        let lines = mask_lines("let x = \"str // not comment\"; // real comment\n");
+        let src = "let x = \"str // not comment\"; // real comment\n";
+        let lines = mask_lines(src, &lex(src));
         assert_eq!(lines[0].0, "let x = \"; ");
         assert_eq!(lines[0].1, " real comment");
     }
@@ -609,14 +710,14 @@ mod tests {
     #[test]
     fn mask_lines_hides_raw_string_unwrap() {
         let src = "let s = r#\"don't .unwrap() here\"#;\n";
-        let lines = mask_lines(src);
+        let lines = mask_lines(src, &lex(src));
         assert!(!lines[0].0.contains("unwrap"));
     }
 
     #[test]
     fn mask_lines_multiline_comment_spans() {
         let src = "code1();\n/* audit: allow(D001, reason = \"x\")\nmore */\ncode2();\n";
-        let lines = mask_lines(src);
+        let lines = mask_lines(src, &lex(src));
         assert!(lines[1].1.contains("audit: allow"));
         assert_eq!(lines[3].0, "code2();");
     }

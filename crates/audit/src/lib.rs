@@ -14,10 +14,11 @@
 //! statically, with no `syn` (the crate registry is unreachable from the
 //! build hosts, so the analyzer is deliberately dependency-free): a
 //! hand-rolled [`lexer`] is the shared front end, an item [`parser`]
-//! extracts functions and call expressions, and a [`graph::CallGraph`]
-//! resolves them workspace-wide (name-based, with module/impl scoping,
-//! Rust's privacy rules, package dependencies and declared parameter
-//! types, conservative on trait dispatch).
+//! extracts functions and walks each body once for its call expressions
+//! and its dataflow and taint facts, and a [`graph::CallGraph`] resolves
+//! the calls workspace-wide (name-based, with module/impl scoping, Rust's
+//! privacy rules, package dependencies, declared parameter types and
+//! trait default methods, conservative on trait dispatch).
 //!
 //! ## Rules
 //!
@@ -54,8 +55,8 @@
 //! rules police the same panic contract, one written reason suffices.
 //!
 //! Every surviving finding fails the run; there is no baseline of
-//! grandfathered findings. JSON and SARIF reports ([`to_json`],
-//! [`to_sarif`]) are byte-deterministic for identical trees.
+//! grandfathered findings. The JSON report ([`to_json`]) is
+//! byte-deterministic for identical trees.
 
 pub mod dataflow;
 pub mod emit;
@@ -64,8 +65,9 @@ pub mod interproc;
 pub mod lexer;
 pub mod parser;
 pub mod taint;
+mod walk;
 
-pub use emit::{to_json, to_sarif};
+pub use emit::to_json;
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -104,8 +106,8 @@ pub enum Rule {
 
 /// How severe a rule's findings are: [`Severity::Error`] findings are
 /// correctness/reproducibility hazards, [`Severity::Warning`] findings
-/// are performance-contract violations. Both gate CI; the tier selects
-/// the SARIF level CI annotates with.
+/// are performance-contract violations. Both gate CI; the JSON report
+/// carries the tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// Correctness or reproducibility hazard.
@@ -186,7 +188,7 @@ impl Rule {
     /// The fix-it hint printed with each finding.
     pub fn hint(self) -> &'static str {
         match self {
-            Rule::D001 => "use manet_sim::det::DetMap or std's BTreeSet (ordered iteration) or IndexedMap (hot lookups); if order provably cannot escape, annotate `// audit: allow(D001, reason = \"...\")`",
+            Rule::D001 => "use std's BTreeMap/BTreeSet (ordered iteration) or manet_sim::det::NodeMap (dense NodeId keys); if order provably cannot escape, annotate `// audit: allow(D001, reason = \"...\")`",
             Rule::D002 => "derive all randomness from the scenario seed (SimRng streams) and all time from SimTime; benches belong in crates/bench",
             Rule::D003 => "compare with f64::to_bits()/total_cmp for exact identity, or an explicit epsilon for tolerance",
             Rule::D004 => "restructure with let-else/match so malformed input degrades gracefully; a documented panic contract needs `// audit: allow(D004, reason = \"...\")`",
@@ -541,10 +543,12 @@ struct FileScan {
 /// `rel` is the workspace-relative path with forward slashes; it selects
 /// which rules apply.
 pub fn scan_source(rel: &str, source: &str) -> Vec<Finding> {
-    scan_source_inner(rel, source).findings
+    scan_source_inner(rel, source, &lexer::lex(source)).findings
 }
 
-fn scan_source_inner(rel: &str, source: &str) -> FileScan {
+/// [`scan_source`] over the file's tokens `tokens`, the [`lexer::lex`]
+/// of `source`.
+fn scan_source_inner(rel: &str, source: &str, tokens: &[lexer::Token]) -> FileScan {
     let mut findings = Vec::new();
     let in_det_crate = is_under(rel, &DETERMINISTIC_ROOTS);
     let in_hot_crate = is_under(rel, &HOT_PATH_ROOTS);
@@ -554,7 +558,7 @@ fn scan_source_inner(rel: &str, source: &str) -> FileScan {
     // Front end: the real lexer splits every line into code and comment
     // channels (raw strings, nested block comments, lifetimes and char
     // literals all handled by `lexer::lex`).
-    let masked = lexer::mask_lines(source);
+    let masked = lexer::mask_lines(source, tokens);
     let mut code_lines: Vec<String> = Vec::with_capacity(masked.len());
     let mut comments: Vec<String> = Vec::with_capacity(masked.len());
     let mut allows: Vec<Allow> = Vec::new();
@@ -719,8 +723,14 @@ pub fn scan_tree_with_stats(root: &Path) -> std::io::Result<(Vec<Finding>, ScanS
     for path in &sources {
         let rel = rel(path);
         let source = std::fs::read_to_string(path)?;
-        let scan = scan_source_inner(&rel, &source);
-        fns.extend(parser::parse_file(&rel, &source, is_test_path(&rel)));
+        let tokens = lexer::lex(&source);
+        let scan = scan_source_inner(&rel, &source, &tokens);
+        fns.extend(parser::parse_file(
+            &rel,
+            &source,
+            &tokens,
+            is_test_path(&rel),
+        ));
         stats.files += 1;
         stats.lines += source.lines().count();
         findings.extend(scan.findings);

@@ -5,7 +5,6 @@
 //! ```text
 //! cargo run -p cfa-audit                        # scan the workspace, text report
 //! cargo run -p cfa-audit -- <path>              # scan another tree (e.g. a fixture)
-//! cargo run -p cfa-audit -- --format sarif      # SARIF 2.1.0 to stdout
 //! cargo run -p cfa-audit -- --format json       # native JSON report
 //! cargo run -p cfa-audit -- --rules             # print the rule table
 //! ```
@@ -16,7 +15,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cfa_audit::{scan_tree_with_stats, to_json, to_sarif, Rule};
+use cfa_audit::{scan_tree_with_stats, to_json, Rule};
 
 fn workspace_root() -> PathBuf {
     // crates/audit/ -> workspace root.
@@ -30,11 +29,10 @@ fn workspace_root() -> PathBuf {
 enum Format {
     Text,
     Json,
-    Sarif,
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cfa-audit [<root>] [--format text|json|sarif] [--rules]");
+    eprintln!("usage: cfa-audit [<root>] [--format text|json] [--rules]");
     ExitCode::FAILURE
 }
 
@@ -55,7 +53,6 @@ fn main() -> ExitCode {
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
                 _ => return usage(),
             },
             flag if flag.starts_with("--") => return usage(),
@@ -88,7 +85,6 @@ fn main() -> ExitCode {
 
     match format {
         Format::Json => print!("{}", to_json(&findings)),
-        Format::Sarif => print!("{}", to_sarif(&findings)),
         Format::Text => {
             if findings.is_empty() {
                 println!("cfa-audit: clean ({} rules, no findings)", Rule::ALL.len());

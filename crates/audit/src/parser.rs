@@ -1,10 +1,11 @@
-//! Item-level parser on top of the [`lexer`](crate::lexer): extracts `fn`
-//! definitions with their module / `impl` / `trait` ownership, and mines
-//! each body for the facts the interprocedural rules need — call
-//! expressions (free, method, path-qualified, macro), panic sites
-//! (`panic!` family, `unwrap`/`expect`, slice indexing), allocation sites
-//! (`Vec::new`, `to_vec`, `clone`, `format!`, …), and growth/eviction
-//! method calls on `self` fields.
+//! Item-level parser on top of the [`lexer`](crate::lexer)'s
+//! [`Cursor`]: extracts `fn` definitions with their module / `impl` /
+//! `trait` ownership, and hands each body to the one body walker
+//! (`walk`), which mines the facts every rule layer
+//! needs — call expressions (free, method, path-qualified, macro), panic
+//! sites (`panic!` family, `unwrap`/`expect`, slice indexing), allocation
+//! sites (`Vec::new`, `to_vec`, `clone`, `format!`, …), growth/eviction
+//! method calls on `self` fields, and the dataflow and taint facts.
 //!
 //! This is deliberately not a full Rust grammar: it tracks brace nesting,
 //! angle-bracket balance in `impl` headers, and attribute spans, which is
@@ -15,8 +16,10 @@
 //! parameter. Trait `dyn`/generic dispatch is handled conservatively at
 //! resolution time (see [`graph`](crate::graph)), not here.
 
-use crate::dataflow::{self, BodyFacts};
-use crate::lexer::{lex, Token, TokenKind};
+use crate::dataflow::BodyFacts;
+use crate::lexer::{Cursor, Token, TokenKind};
+use crate::taint::FnTaint;
+use crate::walk;
 
 /// How a call site names its callee.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,6 +105,9 @@ pub struct FnDef {
     /// Inside a `trait` or an `impl Trait for T`: reachable through
     /// generic and `dyn` dispatch from any package.
     pub trait_item: bool,
+    /// The trait of the enclosing `impl Trait for T` block: `T::m(..)`
+    /// reaches the trait's default `m` when `T` defines none.
+    pub implements: Option<String>,
     /// No `pub`, outside any `trait`/`impl Trait for T`: callable only
     /// from its defining module's subtree.
     pub private: bool,
@@ -110,10 +116,10 @@ pub struct FnDef {
     /// `dyn`/`impl`, `Self` or non-path types) unless the body may rebind
     /// the name.
     pub params: Vec<(String, Option<String>)>,
-    /// Dataflow facts (D009, D010, D014) from the value-tracking pass.
+    /// Dataflow facts (D009, D010, D014) from the value-tracking sink.
     pub flow: BodyFacts,
     /// Taint facts (D012–D014) mined from the body.
-    pub taint: crate::taint::FnTaint,
+    pub taint: FnTaint,
 }
 
 impl FnDef {
@@ -134,90 +140,17 @@ impl FnDef {
     }
 }
 
-/// Keywords that look like call heads but are not calls.
-pub(crate) const NON_CALL_KEYWORDS: [&str; 10] = [
-    "if", "while", "for", "match", "loop", "return", "fn", "move", "else", "in",
-];
-
-/// Keywords allowed immediately before `[` without making it an index
-/// expression (slice patterns, bindings).
-pub(crate) const NON_INDEX_KEYWORDS: [&str; 12] = [
-    "let", "in", "mut", "ref", "return", "if", "else", "match", "loop", "while", "for", "box",
-];
-
-/// Methods whose call can panic.
-const PANIC_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];
-
-/// Macros that unconditionally (or on failure) panic.
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-/// Method calls that allocate.
-const ALLOC_METHODS: [&str; 6] = [
-    "to_vec",
-    "to_string",
-    "to_owned",
-    "clone",
-    "collect",
-    "join",
-];
-
-/// `Type::fn` pairs that allocate.
-const ALLOC_QUALIFIED: [(&str, &str); 7] = [
-    ("Vec", "new"),
-    ("Vec", "with_capacity"),
-    ("Vec", "from"),
-    ("String", "new"),
-    ("String", "with_capacity"),
-    ("String", "from"),
-    ("Box", "new"),
-];
-
-/// Macros that allocate.
-const ALLOC_MACROS: [&str; 2] = ["format", "vec"];
-
-/// Methods that grow a collection.
-const GROW_METHODS: [&str; 7] = [
-    "insert",
-    "push",
-    "push_back",
-    "push_front",
-    "extend",
-    "entry",
-    "entry_or_default",
-];
-
-/// Methods that shrink or bound a collection.
-const EVICT_METHODS: [&str; 13] = [
-    "remove",
-    "pop",
-    "pop_front",
-    "pop_back",
-    "pop_first",
-    "pop_last",
-    "clear",
-    "retain",
-    "truncate",
-    "drain",
-    "split_off",
-    "swap_remove",
-    "take",
-];
-
 /// Parses one file into its function definitions. `rel` is the
-/// workspace-relative path; `path_is_test` marks whole-file test
-/// collateral (tests/, benches/, examples/).
-pub fn parse_file(rel: &str, source: &str, path_is_test: bool) -> Vec<FnDef> {
-    let tokens: Vec<Token> = lex(source)
-        .into_iter()
-        .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        .collect();
+/// workspace-relative path, `tokens` the [`lex`](crate::lexer::lex) of
+/// `source`; `path_is_test` marks whole-file test collateral (tests/,
+/// benches/, examples/).
+pub fn parse_file(rel: &str, source: &str, tokens: &[Token], path_is_test: bool) -> Vec<FnDef> {
     let mut p = Parser {
-        src: source,
-        toks: &tokens,
+        c: Cursor::new(source, tokens),
         rel,
         fns: Vec::new(),
     };
-    let end = tokens.len();
+    let end = p.c.toks.len();
     p.items(
         0,
         end,
@@ -226,23 +159,11 @@ pub fn parse_file(rel: &str, source: &str, path_is_test: bool) -> Vec<FnDef> {
             owner: None,
             is_test: path_is_test,
             in_trait: false,
+            implements: None,
             generics: Vec::new(),
         },
     );
     p.fns
-}
-
-/// The receiver of the method call whose name token is at `name_at` (a
-/// `.` precedes it) when that receiver is one plain identifier: `self` in
-/// `self.step()`, `sim` in `sim.run()`. Field chains and expression
-/// receivers give `None`.
-pub(crate) fn plain_receiver(src: &str, toks: &[Token], name_at: usize) -> Option<String> {
-    let recv = toks.get(name_at.checked_sub(2)?)?;
-    let chained = name_at
-        .checked_sub(3)
-        .and_then(|k| toks.get(k))
-        .is_some_and(|t| t.kind == TokenKind::Punct && t.text(src) == ".");
-    (recv.kind == TokenKind::Ident && !chained).then(|| recv.text(src).to_string())
 }
 
 /// Lexical context an item is parsed in.
@@ -252,66 +173,19 @@ struct Scope {
     is_test: bool,
     /// Inside a `trait` definition or an `impl Trait for T` block.
     in_trait: bool,
+    /// The trait of an enclosing `impl Trait for T` block.
+    implements: Option<String>,
     /// Type parameters of the enclosing `impl`/`trait`.
     generics: Vec<String>,
 }
 
-struct Parser<'s, 't> {
-    src: &'s str,
-    toks: &'t [Token],
+struct Parser<'s> {
+    c: Cursor<'s>,
     rel: &'s str,
     fns: Vec<FnDef>,
 }
 
-impl Parser<'_, '_> {
-    fn text(&self, i: usize) -> &str {
-        self.toks[i].text(self.src)
-    }
-
-    fn is_punct(&self, i: usize, p: &str) -> bool {
-        i < self.toks.len() && self.toks[i].kind == TokenKind::Punct && self.text(i) == p
-    }
-
-    fn is_ident(&self, i: usize, id: &str) -> bool {
-        i < self.toks.len() && self.toks[i].kind == TokenKind::Ident && self.text(i) == id
-    }
-
-    /// Index one past the `}` matching the `{` at `open` (bounded by `end`).
-    fn matching_brace(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < end {
-            if self.is_punct(i, "{") {
-                depth += 1;
-            } else if self.is_punct(i, "}") {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        end
-    }
-
-    /// Index one past the `]` matching the `[` at `open`.
-    fn matching_bracket(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < end {
-            if self.is_punct(i, "[") {
-                depth += 1;
-            } else if self.is_punct(i, "]") {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        end
-    }
-
+impl Parser<'_> {
     /// Walks the items in `[start, end)`.
     fn items(&mut self, start: usize, end: usize, scope: &mut Scope) {
         let mut i = start;
@@ -319,14 +193,14 @@ impl Parser<'_, '_> {
         let mut pending_test_attr = false;
         while i < end {
             // Attribute: `#` `[` … `]` (also `#![…]`).
-            if self.is_punct(i, "#") {
+            if self.c.is_punct(i, "#") {
                 let mut j = i + 1;
-                if self.is_punct(j, "!") {
+                if self.c.is_punct(j, "!") {
                     j += 1;
                 }
-                if self.is_punct(j, "[") {
-                    let close = self.matching_bracket(j, end);
-                    let attr_text: Vec<&str> = (j..close).map(|k| self.text(k)).collect();
+                if self.c.is_punct(j, "[") {
+                    let close = self.c.matching(j, end);
+                    let attr_text: Vec<&str> = (j..close).map(|k| self.c.text(k)).collect();
                     let joined = attr_text.join("");
                     if joined.contains("cfg(test") || joined == "[test]" {
                         pending_test_attr = true;
@@ -335,21 +209,21 @@ impl Parser<'_, '_> {
                     continue;
                 }
             }
-            if self.toks[i].kind == TokenKind::Ident {
-                match self.text(i) {
+            if self.c.is_ident(i) {
+                match self.c.text(i) {
                     "mod" => {
                         // `mod name { … }` or `mod name;`
-                        let name = if i + 1 < end && self.toks[i + 1].kind == TokenKind::Ident {
-                            self.text(i + 1).to_string()
+                        let name = if i + 1 < end && self.c.is_ident(i + 1) {
+                            self.c.text(i + 1).to_string()
                         } else {
                             String::new()
                         };
                         let mut j = i + 1;
-                        while j < end && !self.is_punct(j, "{") && !self.is_punct(j, ";") {
+                        while j < end && !self.c.is_punct(j, "{") && !self.c.is_punct(j, ";") {
                             j += 1;
                         }
-                        if j < end && self.is_punct(j, "{") {
-                            let close = self.matching_brace(j, end);
+                        if j < end && self.c.is_punct(j, "{") {
+                            let close = self.c.matching(j, end);
                             let was_test = scope.is_test;
                             scope.is_test |= pending_test_attr;
                             scope.module.push(name);
@@ -364,25 +238,29 @@ impl Parser<'_, '_> {
                         continue;
                     }
                     "impl" | "trait" => {
-                        let is_impl = self.text(i) == "impl";
-                        let (owner, body_open, in_trait) = if is_impl {
+                        let is_impl = self.c.text(i) == "impl";
+                        let (owner, body_open, implements) = if is_impl {
                             self.impl_header(i, end)
                         } else {
-                            let name = self.toks.get(i + 1).filter(|t| t.kind == TokenKind::Ident);
-                            let name = name.map_or(String::new(), |t| t.text(self.src).to_string());
-                            (name, (i + 1..end).find(|&j| self.is_punct(j, "{")), true)
+                            let name = if self.c.is_ident(i + 1) {
+                                self.c.text(i + 1).to_string()
+                            } else {
+                                String::new()
+                            };
+                            (name, (i + 1..end).find(|&j| self.c.is_punct(j, "{")), None)
                         };
                         let Some(open) = body_open else {
                             i += 1;
                             pending_test_attr = false;
                             continue;
                         };
-                        let close = self.matching_brace(open, end);
+                        let close = self.c.matching(open, end);
                         let mut inner = Scope {
                             module: scope.module.clone(),
                             owner: Some(owner),
                             is_test: scope.is_test || pending_test_attr,
-                            in_trait,
+                            in_trait: !is_impl || implements.is_some(),
+                            implements,
                             // `impl<A>` / `trait Name<T>` type parameters.
                             generics: self.generic_names(i + 2 - usize::from(is_impl), open),
                         };
@@ -399,12 +277,12 @@ impl Parser<'_, '_> {
                     "struct" | "enum" | "union" | "macro_rules" => {
                         // Skip to `;` or over the balanced body.
                         let mut j = i + 1;
-                        while j < end && !self.is_punct(j, "{") && !self.is_punct(j, ";") {
+                        while j < end && !self.c.is_punct(j, "{") && !self.c.is_punct(j, ";") {
                             // Tuple struct `struct S(u8);` — paren then `;`.
                             j += 1;
                         }
-                        i = if j < end && self.is_punct(j, "{") {
-                            self.matching_brace(j, end)
+                        i = if j < end && self.c.is_punct(j, "{") {
+                            self.c.matching(j, end)
                         } else {
                             j + 1
                         };
@@ -419,64 +297,32 @@ impl Parser<'_, '_> {
     }
 
     /// Parses an `impl` header starting at the `impl` token: returns the
-    /// self-type name, the index of the body `{`, and whether it is an
-    /// `impl Trait for T`.
-    fn impl_header(&self, impl_at: usize, end: usize) -> (String, Option<usize>, bool) {
-        let mut i = impl_at + 1;
+    /// self-type name, the index of the body `{`, and for an
+    /// `impl Trait for T` the trait's name.
+    fn impl_header(&self, impl_at: usize, end: usize) -> (String, Option<usize>, Option<String>) {
+        let c = &self.c;
         // Find the body `{`; `<`/`>` never contain braces in a header.
-        let mut body = None;
-        let mut j = i;
-        while j < end {
-            if self.is_punct(j, "{") {
-                body = Some(j);
-                break;
+        let stop = (impl_at + 1..end)
+            .find(|&j| c.is_punct(j, "{") || c.is_punct(j, ";"))
+            .unwrap_or(end);
+        let body = c.is_punct(stop, "{").then_some(stop);
+        // The last angle-depth-0 identifier of a path before `where` is
+        // its head segment (`Simulator` in `Simulator<A>`); a `for` at
+        // angle-depth 0 ends the trait path and starts the self type's.
+        let (mut angle, mut name, mut of_trait) = (0, "", None);
+        for k in impl_at + 1..stop {
+            angle += i32::from(c.is_punct(k, "<")) - i32::from(c.is_punct(k, ">"));
+            if angle != 0 || !c.is_ident(k) {
+                continue;
             }
-            if self.is_punct(j, ";") {
-                break;
+            match c.text(k) {
+                "where" => break,
+                "for" => of_trait = Some(std::mem::take(&mut name).to_string()),
+                "dyn" | "impl" | "mut" | "const" | "unsafe" => {}
+                seg => name = seg,
             }
-            j += 1;
         }
-        let header_end = body.unwrap_or(j);
-        // If a `for` appears at angle-depth 0, the self type follows it.
-        let mut angle = 0i32;
-        let mut for_at = None;
-        while i < header_end {
-            if self.is_punct(i, "<") {
-                angle += 1;
-            } else if self.is_punct(i, ">") {
-                angle -= 1;
-            } else if angle == 0 && self.is_ident(i, "for") {
-                for_at = Some(i);
-            } else if angle == 0 && self.is_ident(i, "where") {
-                break;
-            }
-            i += 1;
-        }
-        let type_start = for_at.map(|f| f + 1).unwrap_or(impl_at + 1);
-        // Last angle-depth-0 identifier before `where`/body is the self
-        // type's head segment (`Simulator` in `Simulator<A>`).
-        let mut angle = 0i32;
-        let mut name = String::new();
-        let mut k = type_start;
-        while k < header_end {
-            if self.is_punct(k, "<") {
-                angle += 1;
-            } else if self.is_punct(k, ">") {
-                angle -= 1;
-            } else if angle == 0 && self.is_ident(k, "where") {
-                break;
-            } else if angle == 0
-                && self.toks[k].kind == TokenKind::Ident
-                && !matches!(
-                    self.text(k),
-                    "dyn" | "for" | "impl" | "mut" | "const" | "unsafe"
-                )
-            {
-                name = self.text(k).to_string();
-            }
-            k += 1;
-        }
-        (name, body, for_at.is_some())
+        (name.to_string(), body, of_trait)
     }
 
     /// Identifiers inside the `<…>` list at `open` (`A` and `Agent` in
@@ -487,51 +333,43 @@ impl Parser<'_, '_> {
         let mut depth = 0i32;
         (open..end)
             .take_while(|&k| {
-                depth += i32::from(self.is_punct(k, "<")) - i32::from(self.is_punct(k, ">"));
+                depth += i32::from(self.c.is_punct(k, "<")) - i32::from(self.c.is_punct(k, ">"));
                 depth > 0
             })
-            .filter(|&k| self.toks[k].kind == TokenKind::Ident)
-            .map(|k| self.text(k).to_string())
+            .filter(|&k| self.c.is_ident(k))
+            .map(|k| self.c.text(k).to_string())
             .collect()
-    }
-
-    /// +1 for an opening bracket token, -1 for a closing one, else 0.
-    fn nesting(&self, k: usize) -> i32 {
-        match self.text(k) {
-            "(" | "[" | "{" if self.toks[k].kind == TokenKind::Punct => 1,
-            ")" | "]" | "}" if self.toks[k].kind == TokenKind::Punct => -1,
-            _ => 0,
-        }
     }
 
     /// Parses a `fn` item starting at the `fn` keyword; returns the index
     /// one past the definition.
     fn fn_def(&mut self, fn_at: usize, end: usize, scope: &Scope, test_attr: bool) -> usize {
         let name_at = fn_at + 1;
-        if name_at >= end || self.toks[name_at].kind != TokenKind::Ident {
+        if name_at >= end || !self.c.is_ident(name_at) {
             return fn_at + 1;
         }
-        let name = self.text(name_at).to_string();
+        let name = self.c.text(name_at).to_string();
         // Scan the signature for the body `{` or a `;` (trait fn without
         // default body). Generic bounds may contain braces only inside
         // const generics — rare enough to ignore.
         let mut j = name_at + 1;
-        while j < end && !self.is_punct(j, "{") && !self.is_punct(j, ";") {
+        while j < end && !self.c.is_punct(j, "{") && !self.c.is_punct(j, ";") {
             j += 1;
         }
-        if j >= end || self.is_punct(j, ";") {
+        if j >= end || self.c.is_punct(j, ";") {
             return j + 1;
         }
-        let body_close = self.matching_brace(j, end);
+        let body_close = self.c.matching(j, end);
         let body = (j + 1, body_close - 1);
         let mut generics = scope.generics.clone();
         generics.extend(self.generic_names(name_at + 1, j));
+        let params = self.params(name_at + 1, j);
         let mut def = FnDef {
             name,
             owner: scope.owner.clone(),
             module: scope.module.clone(),
             file: self.rel.to_string(),
-            line: self.toks[fn_at].line,
+            line: self.c.line(fn_at),
             is_test: scope.is_test || test_attr,
             calls: Vec::new(),
             panics: Vec::new(),
@@ -539,81 +377,72 @@ impl Parser<'_, '_> {
             grows: Vec::new(),
             evicts: Vec::new(),
             trait_item: scope.in_trait,
+            implements: scope.implements.clone(),
             // Any `pub` form (`pub(crate)`, `pub(in …)`) since the item's
             // start, past `const`/`unsafe`/`extern "abi"` qualifiers.
             private: !scope.in_trait
                 && !(0..fn_at)
                     .rev()
-                    .take_while(|&k| !["{", "}", ";", "]"].iter().any(|p| self.is_punct(k, p)))
-                    .any(|k| self.is_ident(k, "pub")),
-            params: self.params(name_at + 1, j, &generics, body),
+                    .take_while(|&k| !["{", "}", ";", "]"].iter().any(|p| self.c.is_punct(k, p)))
+                    .any(|k| self.c.is_word(k, "pub")),
+            params: params
+                .iter()
+                .map(|&(p, _)| (self.c.text(p).to_string(), self.type_head(p + 2, &generics)))
+                .collect(),
             flow: BodyFacts::default(),
-            taint: crate::taint::FnTaint::default(),
+            taint: FnTaint::default(),
         };
-        self.mine_body(body.0, body.1, &mut def);
-        def.flow = dataflow::analyze(self.src, self.toks, (fn_at, j), body);
-        def.taint = crate::taint::mine(self.src, self.toks, body, self.rel);
+        let rebound = walk::body(&self.c, self.rel, &params, body, &mut def);
+        for (name, ty) in &mut def.params {
+            if rebound.contains(name) {
+                *ty = None;
+            }
+        }
         self.fns.push(def);
         body_close
     }
 
-    /// Mines the parameters out of a signature token range
-    /// (`[after_name, body_open)`): identifiers at paren depth 1 that are
-    /// immediately followed by `:`, skipping generic bounds (which may
-    /// themselves contain parens, e.g. `F: Fn(usize) -> T`), each with
-    /// its [`type_head`](Self::type_head) unless the body may rebind it.
-    fn params(
-        &self,
-        start: usize,
-        end: usize,
-        generics: &[String],
-        body: (usize, usize),
-    ) -> Vec<(String, Option<String>)> {
+    /// The parameters of a signature token range (`[after_name,
+    /// body_open)`), `self` excluded: each name token at paren depth 1
+    /// that is followed by `:`, with the end of its type, skipping generic
+    /// bounds (which may themselves contain parens, e.g. `F: Fn(usize) ->
+    /// T`). The type runs from two past the name.
+    fn params(&self, start: usize, end: usize) -> Vec<(usize, usize)> {
+        let c = &self.c;
         // The parameter list opens at the first `(` at angle depth 0.
-        let mut angle = 0i32;
-        let mut open = None;
-        let mut i = start;
-        while i < end {
-            if self.is_punct(i, "<") {
-                angle += 1;
-            } else if self.is_punct(i, ">") {
-                angle -= 1;
-            } else if angle == 0 && self.is_punct(i, "(") {
-                open = Some(i);
-                break;
-            }
-            i += 1;
-        }
-        let Some(open) = open else {
+        let mut angle = 0;
+        let Some(open) = (start..end).find(|&i| {
+            angle += i32::from(c.is_punct(i, "<")) - i32::from(c.is_punct(i, ">"));
+            angle == 0 && c.is_punct(i, "(")
+        }) else {
             return Vec::new();
         };
-        let mut names = Vec::new();
-        let mut depth = 0i32;
-        let mut i = open;
-        while i < end {
-            if self.is_punct(i, "(") || self.is_punct(i, "[") {
-                depth += 1;
-            } else if self.is_punct(i, ")") || self.is_punct(i, "]") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if depth == 1
-                && self.toks[i].kind == TokenKind::Ident
-                && self.is_punct(i + 1, ":")
-                && i.checked_sub(1).is_some_and(|p| {
-                    self.is_punct(p, "(") || self.is_punct(p, ",") || self.is_ident(p, "mut")
-                })
+        let close = c.matching(open, end) - 1;
+        let mut params = Vec::new();
+        let mut i = open + 1;
+        while i < close {
+            if c.is_ident(i)
+                && c.is_punct(i + 1, ":")
+                && (c.is_punct(i - 1, "(") || c.is_punct(i - 1, ",") || c.is_word(i - 1, "mut"))
             {
-                let name = self.text(i).to_string();
-                let ty = self
-                    .type_head(i + 2, generics)
-                    .filter(|_| !self.may_rebind(body, &name));
-                names.push((name, ty));
+                // The type runs to the `,` outside every bracket.
+                let (mut angle, mut depth) = (0, 0);
+                let mut k = i + 2;
+                while k < close {
+                    angle += i32::from(c.is_punct(k, "<")) - i32::from(c.is_punct(k, ">"));
+                    depth += c.nesting(k);
+                    if angle == 0 && depth == 0 && c.is_punct(k, ",") {
+                        break;
+                    }
+                    k += 1;
+                }
+                params.push((i, k));
+                i = k;
+            } else {
+                i = c.matching(i, close).max(i + 1);
             }
-            i += 1;
         }
-        names
+        params
     }
 
     /// The head of the type starting at token `k` when it names a concrete
@@ -621,285 +450,36 @@ impl Parser<'_, '_> {
     /// for generic parameters, `dyn`/`impl`, `Self` (or a path through
     /// one of them), and non-path types (slices, tuples, arrays).
     fn type_head(&self, mut k: usize, generics: &[String]) -> Option<String> {
-        let skip =
-            |t: &Token| t.kind == TokenKind::Lifetime || matches!(t.text(self.src), "&" | "mut");
-        while self.toks.get(k).is_some_and(skip) {
+        let c = &self.c;
+        while c.toks.get(k).is_some_and(|t| t.kind == TokenKind::Lifetime)
+            || c.is_punct(k, "&")
+            || c.is_word(k, "mut")
+        {
             k += 1;
         }
         let mut head = None;
-        while let Some(t) = self.toks.get(k).filter(|t| t.kind == TokenKind::Ident) {
-            let seg = t.text(self.src);
+        while c.is_ident(k) {
+            let seg = c.text(k);
             if matches!(seg, "dyn" | "impl" | "Self") || generics.iter().any(|g| g == seg) {
                 return None;
             }
             head = Some(seg.to_string());
-            if !self.is_punct(k + 1, "::") {
+            if !self.c.is_punct(k + 1, "::") {
                 break;
             }
             k += 2;
         }
         head
     }
-
-    /// Whether the body may bind `name` anew, shadowing the parameter: it
-    /// occurs in a `let`/`for` pattern, a closure parameter list or a
-    /// match-arm head, or the body nests an `fn`. Over-approximate — a
-    /// false "yes" only costs the parameter its typed resolution.
-    fn may_rebind(&self, (start, end): (usize, usize), name: &str) -> bool {
-        for i in start..end {
-            let (a, b) = if self.is_ident(i, "fn") {
-                return true;
-            } else if self.is_ident(i, "let") || self.is_ident(i, "for") {
-                // To the `=` / `;` / `in` that ends the pattern.
-                let mut depth = 0;
-                let stop = (i + 1..end).find(|&k| {
-                    depth += self.nesting(k);
-                    depth <= 0
-                        && (self.is_punct(k, "=")
-                            || self.is_punct(k, ";")
-                            || self.is_ident(k, "in"))
-                });
-                (i + 1, stop.unwrap_or(end))
-            } else if self.is_punct(i, "|")
-                && match self.toks[i - 1].kind {
-                    TokenKind::Punct => !matches!(self.text(i - 1), ")" | "]" | "|"),
-                    _ => matches!(self.text(i - 1), "move" | "return" | "break"),
-                }
-            {
-                // A closure's parameter list, to the closing `|`.
-                let close = (i + 1..end).find(|&k| self.is_punct(k, "|"));
-                (i + 1, close.unwrap_or(end))
-            } else if self.is_punct(i, "=>") {
-                // Back to the `,` / `{` that opens this arm's head.
-                let mut depth = 0;
-                let open = (start..i).rev().find(|&k| {
-                    depth -= self.nesting(k);
-                    depth < 0 || depth == 0 && (self.is_punct(k, ",") || self.is_punct(k, ";"))
-                });
-                (open.unwrap_or(start), i)
-            } else {
-                continue;
-            };
-            if (a..b).any(|k| self.is_ident(k, name)) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Extracts calls and rule sites from a body token range. Nested `fn`
-    /// items inside the body are attributed to the enclosing function —
-    /// conservative and rare.
-    fn mine_body(&self, start: usize, end: usize, def: &mut FnDef) {
-        let mut i = start;
-        while i < end {
-            let t = &self.toks[i];
-            // Skip attribute spans inside bodies (`#[cfg(...)] let …`).
-            if self.is_punct(i, "#") && self.is_punct(i + 1, "[") {
-                i = self.matching_bracket(i + 1, end);
-                continue;
-            }
-            if t.kind == TokenKind::Ident {
-                let name = self.text(i);
-                // Macro call: `name!(…)` / `name![…]` / `name!{…}`.
-                if self.is_punct(i + 1, "!")
-                    && (self.is_punct(i + 2, "(")
-                        || self.is_punct(i + 2, "[")
-                        || self.is_punct(i + 2, "{"))
-                {
-                    def.calls.push(Call {
-                        name: name.to_string(),
-                        kind: CallKind::Macro,
-                        line: t.line,
-                    });
-                    if PANIC_MACROS.contains(&name) {
-                        def.panics.push(Site {
-                            what: format!("{name}!"),
-                            line: t.line,
-                        });
-                    }
-                    if ALLOC_MACROS.contains(&name) {
-                        def.allocs.push(Site {
-                            what: format!("{name}!"),
-                            line: t.line,
-                        });
-                    }
-                    i += 2;
-                    continue;
-                }
-                // Call: `name(…)` with a non-keyword head.
-                if self.is_punct(i + 1, "(") && !NON_CALL_KEYWORDS.contains(&name) {
-                    let prev = i.checked_sub(1);
-                    let prev_dot = prev.is_some_and(|p| self.is_punct(p, "."));
-                    let prev_path = prev.is_some_and(|p| self.is_punct(p, "::"));
-                    if prev_dot {
-                        self.method_call(i, def);
-                    } else if prev_path {
-                        // Qualified: walk back the path head.
-                        let head = i
-                            .checked_sub(2)
-                            .filter(|&p| self.toks[p].kind == TokenKind::Ident)
-                            .map(|p| self.text(p).to_string())
-                            .unwrap_or_default();
-                        if ALLOC_QUALIFIED
-                            .iter()
-                            .any(|(h, n)| *h == head && *n == name)
-                        {
-                            def.allocs.push(Site {
-                                what: format!("{head}::{name}"),
-                                line: t.line,
-                            });
-                        }
-                        // `mem::take(&mut self.field)` / `mem::replace(&mut
-                        // self.field, …)` move the whole field out — that
-                        // empties (or swaps) it, so it counts as eviction.
-                        if head == "mem" && (name == "take" || name == "replace") {
-                            if let Some(op) = self.mem_evict_target(i + 2, name, t.line) {
-                                def.evicts.push(op);
-                            }
-                        }
-                        def.calls.push(Call {
-                            name: name.to_string(),
-                            kind: CallKind::Qualified { head },
-                            line: t.line,
-                        });
-                    } else {
-                        def.calls.push(Call {
-                            name: name.to_string(),
-                            kind: CallKind::Free,
-                            line: t.line,
-                        });
-                    }
-                    i += 1;
-                    continue;
-                }
-            }
-            // Index expression: `[` whose previous token closes a value
-            // (identifier, `)`, `]`) and is not a binding keyword.
-            if self.is_punct(i, "[") {
-                if let Some(p) = i.checked_sub(1) {
-                    let pt = &self.toks[p];
-                    let indexes_value = match pt.kind {
-                        TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&self.text(p)),
-                        TokenKind::Punct => {
-                            let s = self.text(p);
-                            s == ")" || s == "]"
-                        }
-                        _ => false,
-                    };
-                    if indexes_value {
-                        def.panics.push(Site {
-                            what: "index []".to_string(),
-                            line: self.toks[i].line,
-                        });
-                    }
-                }
-            }
-            i += 1;
-        }
-    }
-
-    /// Matches `&mut self.field[.field…]` starting at `args_at` (the token
-    /// after the `(` of a `mem::take`/`mem::replace` call) and returns the
-    /// field it evicts, if the argument has that exact shape.
-    fn mem_evict_target(&self, args_at: usize, method: &str, line: usize) -> Option<FieldOp> {
-        let mut k = args_at;
-        if !self.is_punct(k, "&") {
-            return None;
-        }
-        k += 1;
-        if self.is_ident(k, "mut") {
-            k += 1;
-        }
-        if !self.is_ident(k, "self") {
-            return None;
-        }
-        k += 1;
-        let mut segs: Vec<String> = Vec::new();
-        while self.is_punct(k, ".")
-            && k + 1 < self.toks.len()
-            && self.toks[k + 1].kind == TokenKind::Ident
-        {
-            segs.push(self.text(k + 1).to_string());
-            k += 2;
-        }
-        if segs.is_empty() {
-            return None;
-        }
-        Some(FieldOp {
-            field: segs.join("."),
-            method: method.to_string(),
-            line,
-        })
-    }
-
-    /// Handles `recv.name(` at the name token `i`: classifies the call,
-    /// records panic/alloc sites and `self`-field growth/eviction.
-    fn method_call(&self, i: usize, def: &mut FnDef) {
-        let name = self.text(i);
-        let line = self.toks[i].line;
-        // Walk the receiver back: `.`-separated identifier chain.
-        let mut segs: Vec<String> = Vec::new();
-        let mut k = i - 1; // the `.` before the name
-        while let Some(prev) = k.checked_sub(1) {
-            if self.toks[prev].kind != TokenKind::Ident {
-                break;
-            }
-            segs.push(self.text(prev).to_string());
-            let Some(dot) = prev.checked_sub(1) else {
-                break;
-            };
-            if !self.is_punct(dot, ".") {
-                break;
-            }
-            k = dot;
-        }
-        segs.reverse();
-        def.calls.push(Call {
-            name: name.to_string(),
-            kind: CallKind::Method {
-                recv: plain_receiver(self.src, self.toks, i),
-            },
-            line,
-        });
-        if PANIC_METHODS.contains(&name) {
-            def.panics.push(Site {
-                what: format!("{name}()"),
-                line,
-            });
-        }
-        if ALLOC_METHODS.contains(&name) {
-            def.allocs.push(Site {
-                what: format!("{name}()"),
-                line,
-            });
-        }
-        // `self.field[.field…].grow_or_evict(...)`.
-        if segs.len() >= 2 && segs[0] == "self" {
-            let field = segs[1..].join(".");
-            if GROW_METHODS.contains(&name) {
-                def.grows.push(FieldOp {
-                    field,
-                    method: name.to_string(),
-                    line,
-                });
-            } else if EVICT_METHODS.contains(&name) {
-                def.evicts.push(FieldOp {
-                    field,
-                    method: name.to_string(),
-                    line,
-                });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
 
     fn parse(src: &str) -> Vec<FnDef> {
-        parse_file("crates/x/src/lib.rs", src, false)
+        parse_file("crates/x/src/lib.rs", src, &lex(src), false)
     }
 
     #[test]
@@ -916,8 +496,12 @@ mod tests {
 
     #[test]
     fn impl_trait_for_type_owner_is_the_type() {
-        let fns = parse("impl<A: Agent> Classifier for Simulator<A> { fn run(&self) {} }\n");
+        let src = "impl<A: Agent> Classifier for Simulator<A> { fn run(&self) {} }\n\
+                   impl Simulator { fn new() {} }\n";
+        let fns = parse(src);
         assert_eq!(fns[0].qualified(), "Simulator::run");
+        assert_eq!(fns[0].implements.as_deref(), Some("Classifier"));
+        assert_eq!(fns[1].implements, None);
     }
 
     #[test]
@@ -1025,6 +609,16 @@ mod tests {
     }
 
     #[test]
+    fn indexing_a_try_result_is_a_panic_site() {
+        let fns = parse("fn f(r: &mut Reader) -> u8 {\n    r.bytes(1)?[0]\n}\n");
+        let index = Site {
+            what: "index []".into(),
+            line: 2,
+        };
+        assert_eq!(fns[0].panics, vec![index]);
+    }
+
+    #[test]
     fn attribute_brackets_are_not_indexing() {
         let fns = parse("fn f() {\n    #[allow(unused)]\n    let x = 1;\n}\n");
         assert!(fns[0].panics.is_empty());
@@ -1126,5 +720,21 @@ mod tests {
         let fns = parse("trait T { fn sig(&self); fn with_body(&self) { self.sig(); } }\n");
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].qualified(), "T::with_body");
+    }
+
+    #[test]
+    fn a_block_arm_before_a_match_arm_does_not_rebind_its_names() {
+        // The arm scan stops at the `}` closing the block arm before it,
+        // so `r` keeps its declared type; a struct pattern in the head
+        // still rebinds.
+        let fns = parse(
+            "fn f(r: &mut Reader, t: u8) { match t { 0 => { r.u8(); } 1 => r.u32(), _ => {} } }\n\
+             fn g(r: &mut Reader, t: T) { match t { S { r } => r.u8(), _ => {} } }\n",
+        );
+        assert_eq!(
+            fns[0].params[0],
+            ("r".to_string(), Some("Reader".to_string()))
+        );
+        assert_eq!(fns[1].params[0], ("r".to_string(), None));
     }
 }

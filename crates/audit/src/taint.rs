@@ -9,8 +9,9 @@
 //! newtype like `FrameLen` — before it may size an allocation (D012) or
 //! index a slice / feed wrapping arithmetic (D013).
 //!
-//! Mining happens at parse time ([`mine`]) because tokens are file-local
-//! and dropped after parsing: each function body is lowered into a small
+//! Mining happens at parse time, in the body walker's (`walk`) one pass,
+//! because tokens are file-local and dropped after parsing: the `Miner`
+//! sink lowers each function body into a small
 //! straight-line IR of [`TaintOp`]s (assignments with their source
 //! identifiers, bound checks, calls with per-argument identifier lists,
 //! sinks, returns). The interprocedural fixpoint in [`check`] then
@@ -36,8 +37,9 @@
 use crate::dataflow::BLOCKING_METHODS;
 use crate::graph::CallGraph;
 use crate::interproc::{render_chain, FileCtx};
-use crate::lexer::{Token, TokenKind};
-use crate::parser::{CallKind, NON_CALL_KEYWORDS, NON_INDEX_KEYWORDS};
+use crate::lexer::Cursor;
+use crate::parser::CallKind;
+use crate::walk::{indexes, value_idents, CallAt, Let, IDENT_SKIP};
 use crate::{Finding, Rule};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -128,12 +130,6 @@ pub struct FnTaint {
     pub ops: Vec<TaintOp>,
 }
 
-/// Identifiers never collected as taint carriers.
-const IDENT_SKIP: [&str; 22] = [
-    "mut", "ref", "as", "in", "if", "else", "match", "return", "let", "move", "self", "Some",
-    "None", "Ok", "Err", "true", "false", "box", "loop", "while", "for", "break",
-];
-
 /// Read-family methods whose `&mut` argument is filled with untrusted
 /// bytes when called in a source crate.
 const READ_FILL_METHODS: [&str; 5] = [
@@ -159,463 +155,302 @@ const ALLOC_SIZE_METHODS: [&str; 6] = [
 /// that came through it is bounded.
 const SANITIZER_TYPES: [&str; 1] = ["FrameLen"];
 
-/// Lowers one function body to taint IR. `rel` decides whether source
-/// seeding applies: only the serving crate, the bench crate, and the
-/// fleet driver under `src/` receive untrusted input by design — the
-/// audit tool's own file reads must not taint themselves.
-pub fn mine(src: &str, toks: &[Token], body: (usize, usize), rel: &str) -> FnTaint {
-    let seed = rel.starts_with("crates/serve/")
-        || rel.starts_with("crates/bench/")
-        || rel.starts_with("src/");
-    let mut m = Miner {
-        src,
-        toks,
-        ops: Vec::new(),
-        seed,
-    };
-    m.walk(body.0, body.1);
-    m.trailing_return(body.0, body.1);
-    FnTaint { ops: m.ops }
+/// An op that completes once the expression it reads has been mined.
+enum Pending {
+    /// `Assign` to `dst` from the expression; its `Call` ops start at op
+    /// index `first`.
+    Assign {
+        dst: String,
+        compound: bool,
+        line: usize,
+        first: usize,
+    },
+    /// `Check`s for the identifiers of an `if`/`while` condition.
+    Checks,
 }
 
-struct Miner<'s, 't> {
-    src: &'s str,
-    toks: &'t [Token],
+/// The taint sink of the body walker (`walk`): it lowers one body
+/// to taint IR as the walker hands it each token, in order. A token is
+/// read as part of a statement (`let`, `if`/`while` condition, `return`,
+/// assignment) unless it falls in the expression of one already begun,
+/// which is mined for calls, sources and sinks only.
+pub(crate) struct Miner<'c, 's> {
+    c: &'c Cursor<'s>,
     ops: Vec<TaintOp>,
+    /// Only the serving crate, the bench crate, and the fleet driver
+    /// under `src/` receive untrusted input by design — the audit tool's
+    /// own file reads must not taint themselves.
     seed: bool,
+    /// Tokens before `skip` belong to a statement head already read.
+    skip: usize,
+    /// Tokens in `[skip, expr)` are one expression.
+    expr: usize,
+    pending: Option<Pending>,
+    /// Bracket depth, and the segment after the last top-level `;` —
+    /// the body's trailing expression, its return value unless a `{`
+    /// follows.
+    depth: i32,
+    tail: usize,
+    tail_braced: bool,
 }
 
-impl Miner<'_, '_> {
-    fn text(&self, i: usize) -> &str {
-        self.toks[i].text(self.src)
-    }
-
-    fn is_punct(&self, i: usize, p: &str) -> bool {
-        i < self.toks.len() && self.toks[i].kind == TokenKind::Punct && self.text(i) == p
-    }
-
-    fn is_ident_at(&self, i: usize, id: &str) -> bool {
-        i < self.toks.len() && self.toks[i].kind == TokenKind::Ident && self.text(i) == id
-    }
-
-    fn ident_kind(&self, i: usize) -> bool {
-        i < self.toks.len() && self.toks[i].kind == TokenKind::Ident
-    }
-
-    /// Index one past the `)` matching the `(` at `open`.
-    fn matching_paren(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut i = open;
-        while i < end {
-            if self.is_punct(i, "(") {
-                depth += 1;
-            } else if self.is_punct(i, ")") {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
+impl<'c, 's> Miner<'c, 's> {
+    /// The miner for the body starting at token `start` in the file at
+    /// workspace path `rel`.
+    pub(crate) fn new(c: &'c Cursor<'s>, rel: &str, start: usize) -> Miner<'c, 's> {
+        Miner {
+            c,
+            ops: Vec::new(),
+            seed: rel.starts_with("crates/serve/")
+                || rel.starts_with("crates/bench/")
+                || rel.starts_with("src/"),
+            skip: 0,
+            expr: 0,
+            pending: None,
+            depth: 0,
+            tail: start,
+            tail_braced: false,
         }
-        end
     }
 
-    /// Index one past the `]` matching the `[` at `open`.
-    fn matching_bracket(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut i = open;
-        while i < end {
-            if self.is_punct(i, "[") {
-                depth += 1;
-            } else if self.is_punct(i, "]") {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
+    /// Reads token `i` of the body ending at `end`; `call` is the call
+    /// whose name token it is, if any.
+    pub(crate) fn token(&mut self, i: usize, call: Option<&CallAt>, end: usize) {
+        let c = self.c;
+        self.depth += c.nesting(i);
+        if self.depth == 0 && c.is_punct(i, ";") {
+            (self.tail, self.tail_braced) = (i + 1, false);
         }
-        end
-    }
-
-    /// First `;` or `{` at paren/bracket depth 0, or an unbalanced `)`.
-    fn stmt_end(&self, start: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut i = start;
-        while i < end {
-            if self.is_punct(i, "(") || self.is_punct(i, "[") {
-                depth += 1;
-            } else if self.is_punct(i, ")") || self.is_punct(i, "]") {
-                depth -= 1;
-                if depth < 0 {
-                    return i;
-                }
-            } else if depth == 0 && (self.is_punct(i, ";") || self.is_punct(i, "{")) {
-                return i;
-            }
-            i += 1;
+        self.tail_braced |= c.is_punct(i, "{");
+        if i >= self.expr {
+            self.complete();
         }
-        end
-    }
-
-    /// Identifiers in `[start, end)` that can carry a value: not call or
-    /// macro heads, not keywords/ctor names.
-    fn idents_in(&self, start: usize, end: usize) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        let mut i = start;
-        while i < end {
-            if self.ident_kind(i) && !self.is_punct(i + 1, "(") && !self.is_punct(i + 1, "!") {
-                let t = self.text(i);
-                if !IDENT_SKIP.contains(&t) && !out.iter().any(|o| o == t) {
-                    out.push(t.to_string());
-                }
-            }
-            i += 1;
+        if i < self.skip {
+            return;
         }
-        out
-    }
-
-    /// Main statement walk over a body/block token range.
-    fn walk(&mut self, start: usize, end: usize) {
-        let mut i = start;
-        while i < end {
-            if self.is_punct(i, "#") && self.is_punct(i + 1, "[") {
-                i = self.matching_bracket(i + 1, end);
-                continue;
-            }
-            if self.ident_kind(i) {
-                match self.text(i) {
-                    "let" => {
-                        i = self.let_stmt(i, end);
-                        continue;
+        if i >= self.expr && c.is_ident(i) {
+            match c.text(i) {
+                "let" => {
+                    if let Some(Let {
+                        name,
+                        init: Some(init),
+                        ..
+                    }) = crate::walk::let_stmt(c, i, end)
+                    {
+                        self.assign(c.text(name), init, false, c.line(i));
                     }
-                    "if" | "while" => {
-                        i = self.cond(i, end);
-                        continue;
+                    return;
+                }
+                "if" | "while" => {
+                    self.pending = Some(Pending::Checks);
+                    (self.skip, self.expr) = (i + 1, c.stmt_end(i + 1, end));
+                    return;
+                }
+                "return" => {
+                    let names = value_idents(c, i + 1, c.stmt_end(i + 1, end));
+                    if !names.is_empty() {
+                        self.ops.push(TaintOp::Return { names });
                     }
-                    "return" => {
-                        let stop = self.stmt_end(i + 1, end);
-                        let names = self.idents_in(i + 1, stop);
-                        if !names.is_empty() {
-                            self.ops.push(TaintOp::Return { names });
-                        }
-                        // Keep walking into the expression for its calls
-                        // and sinks.
-                        i += 1;
-                        continue;
-                    }
-                    _ => {
-                        if let Some(next) = self.reassign(i, end) {
-                            i = next;
-                            continue;
-                        }
+                    // The expression is walked on for its calls and sinks.
+                    return;
+                }
+                name => {
+                    if self.reassign(i, name, end) {
+                        return;
                     }
                 }
             }
-            self.token_site(i, end);
-            i += 1;
         }
+        self.site(i, call, end);
     }
 
-    /// `name = …` / `name op= …` at the identifier `i`; returns the resume
-    /// index when it is one.
-    fn reassign(&mut self, i: usize, end: usize) -> Option<usize> {
-        let name = self.text(i).to_string();
-        if IDENT_SKIP.contains(&name.as_str()) {
-            return None;
+    /// The IR, once the walk is over.
+    pub(crate) fn finish(mut self, end: usize) -> FnTaint {
+        self.complete();
+        if !self.tail_braced {
+            let names = value_idents(self.c, self.tail, end);
+            if !names.is_empty() {
+                self.ops.push(TaintOp::Return { names });
+            }
         }
-        let (eq_at, compound) = if self.is_punct(i + 1, "=") {
-            (i + 1, false)
-        } else if self
-            .toks
-            .get(i + 1)
-            .is_some_and(|t| t.kind == TokenKind::Punct)
-            && matches!(
-                self.text(i + 1),
-                "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^"
-            )
-            && self.is_punct(i + 2, "=")
+        FnTaint { ops: self.ops }
+    }
+
+    /// `name = …` / `name op= …` at the identifier `i`: begins the
+    /// assignment when it is one.
+    fn reassign(&mut self, i: usize, name: &str, end: usize) -> bool {
+        let c = self.c;
+        let eq = if c.is_punct(i + 1, "=") {
+            i + 1
+        } else if matches!(
+            c.punct(i + 1),
+            Some("+" | "-" | "*" | "/" | "%" | "&" | "|" | "^")
+        ) && c.is_punct(i + 2, "=")
         {
-            (i + 2, true)
+            i + 2
         } else {
-            return None;
+            return false;
         };
         // `a == b` (and `a &&= …`-ish shapes) are comparisons, not stores.
-        if self.is_punct(eq_at + 1, "=") {
-            return None;
-        }
-        if i.checked_sub(1)
-            .is_some_and(|p| self.toks[p].kind == TokenKind::Punct)
-            && matches!(self.text(i - 1), "=" | "<" | ">" | "!")
+        if IDENT_SKIP.contains(&name)
+            || c.is_punct(eq + 1, "=")
+            || matches!(c.punct(i - 1), Some("=" | "<" | ">" | "!"))
         {
-            return None;
+            return false;
         }
-        let line = self.toks[i].line;
-        let stop = self.stmt_end(eq_at + 1, end);
-        self.emit_assign(name, eq_at + 1, stop, compound, line);
-        Some(stop)
+        self.assign(
+            name,
+            (eq + 1, c.stmt_end(eq + 1, end)),
+            eq > i + 1,
+            c.line(i),
+        );
+        true
     }
 
-    /// `let [mut] name [: Ty] = init;` — patterns more complex than one
-    /// identifier fall back to the plain walk (their calls and sinks are
-    /// still mined, only the binding is untracked).
-    fn let_stmt(&mut self, let_at: usize, end: usize) -> usize {
-        let line = self.toks[let_at].line;
-        let mut i = let_at + 1;
-        if self.is_ident_at(i, "mut") {
-            i += 1;
-        }
-        if i >= end || !self.ident_kind(i) {
-            return let_at + 1;
-        }
-        let name = self.text(i).to_string();
-        let mut j = i + 1;
-        if self.is_punct(j, ":") {
-            // Skip the type annotation: angles nest, `->` stays joined.
-            let mut angle = 0i32;
-            let mut depth = 0i32;
-            j += 1;
-            while j < end {
-                if self.is_punct(j, "<") {
-                    angle += 1;
-                } else if self.is_punct(j, ">") {
-                    angle -= 1;
-                } else if self.is_punct(j, "(") || self.is_punct(j, "[") {
-                    depth += 1;
-                } else if self.is_punct(j, ")") || self.is_punct(j, "]") {
-                    depth -= 1;
-                } else if angle == 0
-                    && depth == 0
-                    && (self.is_punct(j, "=") || self.is_punct(j, ";"))
-                {
-                    break;
-                }
-                j += 1;
-            }
-        }
-        if !self.is_punct(j, "=") {
-            return let_at + 1;
-        }
-        let stop = self.stmt_end(j + 1, end);
-        self.emit_assign(name, j + 1, stop, false, line);
-        stop
-    }
-
-    /// Mines an initializer range for its call/sink ops, then pushes the
-    /// `Assign` tying them to `dst`.
-    fn emit_assign(&mut self, dst: String, start: usize, stop: usize, compound: bool, line: usize) {
-        let before = self.ops.len();
-        self.expr(start, stop);
-        let calls: Vec<usize> = (before..self.ops.len())
-            .filter(|&k| matches!(self.ops[k], TaintOp::Call { .. }))
-            .collect();
-        let mut srcs = self.idents_in(start, stop);
-        if compound && !srcs.contains(&dst) {
-            srcs.push(dst.clone());
-        }
-        let source = self.source_of(start, stop);
-        let sanitized = self.is_sanitizing(start, stop);
-        self.ops.push(TaintOp::Assign {
-            dst,
-            srcs,
-            source,
-            sanitized,
-            calls,
+    /// Begins an `Assign` to `dst` from the expression `range`: its call
+    /// and sink ops are mined as the walk reaches them, the `Assign`
+    /// tying them to `dst` follows.
+    fn assign(&mut self, dst: &str, range: (usize, usize), compound: bool, line: usize) {
+        self.pending = Some(Pending::Assign {
+            dst: dst.to_string(),
+            compound,
             line,
+            first: self.ops.len(),
         });
+        (self.skip, self.expr) = range;
     }
 
-    /// Token-by-token pass over an expression range (no statement
-    /// structure): records calls, sources, and sinks.
-    fn expr(&mut self, start: usize, stop: usize) {
-        let mut i = start;
-        while i < stop {
-            if self.is_punct(i, "#") && self.is_punct(i + 1, "[") {
-                i = self.matching_bracket(i + 1, stop);
-                continue;
+    /// Completes the pending op once its expression `[skip, expr)` has
+    /// been mined.
+    fn complete(&mut self) {
+        let (start, stop) = (self.skip, self.expr);
+        match self.pending.take() {
+            Some(Pending::Assign {
+                dst,
+                compound,
+                line,
+                first,
+            }) => {
+                let calls: Vec<usize> = (first..self.ops.len())
+                    .filter(|&k| matches!(self.ops[k], TaintOp::Call { .. }))
+                    .collect();
+                let mut srcs = value_idents(self.c, start, stop);
+                if compound && !srcs.contains(&dst) {
+                    srcs.push(dst.clone());
+                }
+                self.ops.push(TaintOp::Assign {
+                    dst,
+                    srcs,
+                    source: self.source_of(start, stop),
+                    sanitized: self.is_sanitizing(start, stop),
+                    calls,
+                    line,
+                });
             }
-            self.token_site(i, stop);
-            i += 1;
-        }
-    }
-
-    /// `if`/`while` condition: mine its expression, then emit a `Check`
-    /// for every identifier when the condition compares anything — the
-    /// conservative model of a dominating bound check.
-    fn cond(&mut self, kw_at: usize, end: usize) -> usize {
-        let stop = self.stmt_end(kw_at + 1, end);
-        self.expr(kw_at + 1, stop);
-        if self.has_comparison(kw_at + 1, stop) {
-            for name in self.idents_in(kw_at + 1, stop) {
-                self.ops.push(TaintOp::Check { name });
+            // A compared condition is the conservative model of a
+            // dominating bound check: every identifier in it is checked.
+            Some(Pending::Checks) if self.has_comparison(start, stop) => {
+                for name in value_idents(self.c, start, stop) {
+                    self.ops.push(TaintOp::Check { name });
+                }
             }
+            _ => {}
         }
-        stop
     }
 
     /// Any `<`, `>`, `==`, `!=` in the range (the lexer leaves comparison
     /// operators as single-byte puncts).
     fn has_comparison(&self, start: usize, stop: usize) -> bool {
-        let mut i = start;
-        while i < stop {
-            if self.toks[i].kind == TokenKind::Punct {
-                match self.text(i) {
-                    "<" | ">" => return true,
-                    "=" | "!" if self.is_punct(i + 1, "=") => return true,
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        false
+        let c = self.c;
+        (start..stop).any(|i| match c.punct(i) {
+            Some("<" | ">") => true,
+            Some("=" | "!") => c.is_punct(i + 1, "="),
+            _ => false,
+        })
     }
 
     /// Does the range call a direct untrusted-input source?
     fn source_of(&self, start: usize, stop: usize) -> Option<String> {
+        let c = self.c;
         if !self.seed {
             return None;
         }
-        let mut i = start;
-        while i + 2 < stop {
-            if self.ident_kind(i) && self.is_punct(i + 1, "::") && self.ident_kind(i + 2) {
-                let head = self.text(i);
-                let name = self.text(i + 2);
-                let hit = (head == "env" && matches!(name, "args" | "args_os" | "var" | "var_os"))
-                    || (head == "fs" && matches!(name, "read" | "read_to_string"));
-                if hit {
-                    return Some(format!("{head}::{name}()"));
-                }
-            }
-            i += 1;
-        }
-        None
+        (start..stop.saturating_sub(2)).find_map(|i| {
+            let (head, name) = (c.text(i), c.text(i + 2));
+            let hit = (head == "env" && matches!(name, "args" | "args_os" | "var" | "var_os"))
+                || (head == "fs" && matches!(name, "read" | "read_to_string"));
+            (hit && c.is_ident(i) && c.is_punct(i + 1, "::") && c.is_ident(i + 2))
+                .then(|| format!("{head}::{name}()"))
+        })
     }
 
     /// Does the range pass a sanitizer? Covers `try_into`/`try_from`,
     /// `checked_*` arithmetic, `.min(cap)`/`clamp`, and validated-newtype
     /// constructors (`FrameLen::…`).
     fn is_sanitizing(&self, start: usize, stop: usize) -> bool {
-        let mut i = start;
-        while i < stop {
-            if self.ident_kind(i) {
-                let t = self.text(i);
-                if matches!(t, "try_into" | "try_from" | "clamp") || t.starts_with("checked_") {
-                    return true;
-                }
-                if t == "min" && i.checked_sub(1).is_some_and(|p| self.is_punct(p, ".")) {
-                    return true;
-                }
-                if SANITIZER_TYPES.contains(&t) && self.is_punct(i + 1, "::") {
-                    return true;
-                }
-            }
-            i += 1;
-        }
-        false
+        let c = self.c;
+        (start..stop).any(|i| {
+            let t = c.text(i);
+            c.is_ident(i)
+                && (matches!(t, "try_into" | "try_from" | "clamp")
+                    || t.starts_with("checked_")
+                    || (t == "min" && c.is_punct(i - 1, "."))
+                    || (SANITIZER_TYPES.contains(&t) && c.is_punct(i + 1, "::")))
+        })
     }
 
-    /// Per-argument identifier lists of a call whose `(` is at `open`.
-    fn call_args(&self, open: usize, close: usize) -> Vec<Vec<String>> {
-        let mut args = Vec::new();
-        let mut depth = 0i32;
-        let mut seg = open + 1;
-        let mut i = open;
-        while i < close {
-            if self.is_punct(i, "(") || self.is_punct(i, "[") || self.is_punct(i, "{") {
-                depth += 1;
-            } else if self.is_punct(i, ")") || self.is_punct(i, "]") || self.is_punct(i, "}") {
-                depth -= 1;
-                if depth == 0 {
-                    if i > seg {
-                        args.push(self.idents_in(seg, i));
-                    }
-                    break;
-                }
-            } else if depth == 1 && self.is_punct(i, ",") {
-                args.push(self.idents_in(seg, i));
-                seg = i + 1;
-            }
-            i += 1;
-        }
-        args
-    }
-
-    /// Records the call/source/sink ops anchored at token `i`.
-    fn token_site(&mut self, i: usize, end: usize) {
-        let t = &self.toks[i];
+    /// Records the call, source and sink ops anchored at token `i`.
+    fn site(&mut self, i: usize, call: Option<&CallAt>, end: usize) {
+        let c = self.c;
+        let line = c.line(i);
         // `vec![init; len]` sizes an allocation with `len`.
-        if t.kind == TokenKind::Ident
-            && self.text(i) == "vec"
-            && self.is_punct(i + 1, "!")
-            && self.is_punct(i + 2, "[")
-        {
-            let close = self.matching_bracket(i + 2, end);
-            let mut depth = 0i32;
-            for k in (i + 2)..close {
-                if self.is_punct(k, "[") || self.is_punct(k, "(") {
-                    depth += 1;
-                } else if self.is_punct(k, "]") || self.is_punct(k, ")") {
-                    depth -= 1;
-                } else if depth == 1 && self.is_punct(k, ";") {
-                    let names = self.idents_in(k + 1, close.saturating_sub(1));
-                    if !names.is_empty() {
-                        self.ops.push(TaintOp::Sink {
-                            kind: SinkKind::AllocSize,
-                            what: String::from("vec![_; n]"),
-                            names,
-                            line: t.line,
-                        });
-                    }
-                    break;
-                }
-            }
-            return;
-        }
-        if t.kind == TokenKind::Ident && self.is_punct(i + 1, "(") {
-            let name = self.text(i).to_string();
-            if NON_CALL_KEYWORDS.contains(&name.as_str()) {
-                return;
-            }
-            let line = t.line;
-            let prev = i.checked_sub(1);
-            let prev_dot = prev.is_some_and(|p| self.is_punct(p, "."));
-            let prev_path = prev.is_some_and(|p| self.is_punct(p, "::"));
-            let close = self.matching_paren(i + 1, end);
-            let args = self.call_args(i + 1, close);
-            if self.seed && prev_dot && READ_FILL_METHODS.contains(&name.as_str()) {
-                let recv = i
-                    .checked_sub(2)
-                    .filter(|&p| self.ident_kind(p))
-                    .map(|p| self.text(p).to_string())
-                    .unwrap_or_else(|| String::from("stream"));
-                let fills: Vec<String> = args.iter().flatten().cloned().collect();
-                for dst in fills {
-                    self.ops.push(TaintOp::SourceFill {
-                        dst,
-                        desc: format!("bytes filled by `{recv}.{name}()`"),
-                    });
-                }
-            }
-            if ALLOC_SIZE_METHODS.contains(&name.as_str()) {
-                let names: Vec<String> = args.iter().flatten().cloned().collect();
+        if c.is_word(i, "vec") && c.is_punct(i + 1, "!") && c.is_punct(i + 2, "[") {
+            let close = c.matching(i + 2, end);
+            let mut depth = 0;
+            let semi = (i + 2..close).find(|&k| {
+                depth += c.nesting(k);
+                depth == 1 && c.is_punct(k, ";")
+            });
+            if let Some(k) = semi {
+                let names = value_idents(c, k + 1, close.saturating_sub(1));
                 if !names.is_empty() {
                     self.ops.push(TaintOp::Sink {
                         kind: SinkKind::AllocSize,
-                        what: format!("{name}()"),
+                        what: String::from("vec![_; n]"),
                         names,
                         line,
                     });
                 }
             }
-            if prev_dot && (name.starts_with("wrapping_") || name.starts_with("unchecked_")) {
-                let mut names: Vec<String> = args.iter().flatten().cloned().collect();
-                if let Some(recv) = i
-                    .checked_sub(2)
-                    .filter(|&p| self.ident_kind(p))
-                    .map(|p| self.text(p).to_string())
-                {
-                    if !IDENT_SKIP.contains(&recv.as_str()) && !names.contains(&recv) {
-                        names.push(recv);
+            return;
+        }
+        if let Some(CallAt { call, args }) = call {
+            let name = call.name.as_str();
+            let method = matches!(call.kind, CallKind::Method { .. });
+            // The identifier before the `.` of a method call.
+            let recv = (method && c.is_ident(i - 2)).then(|| c.text(i - 2));
+            if self.seed && method && READ_FILL_METHODS.contains(&name) {
+                let recv = recv.unwrap_or("stream");
+                for dst in args.iter().flatten() {
+                    self.ops.push(TaintOp::SourceFill {
+                        dst: dst.clone(),
+                        desc: format!("bytes filled by `{recv}.{name}()`"),
+                    });
+                }
+            }
+            let mut names: Vec<String> = args.iter().flatten().cloned().collect();
+            if ALLOC_SIZE_METHODS.contains(&name) && !names.is_empty() {
+                self.ops.push(TaintOp::Sink {
+                    kind: SinkKind::AllocSize,
+                    what: format!("{name}()"),
+                    names: names.clone(),
+                    line,
+                });
+            }
+            if method && (name.starts_with("wrapping_") || name.starts_with("unchecked_")) {
+                if let Some(recv) = recv.filter(|r| !IDENT_SKIP.contains(r)) {
+                    if !names.iter().any(|n| n == recv) {
+                        names.push(recv.to_string());
                     }
                 }
                 if !names.is_empty() {
@@ -627,78 +462,22 @@ impl Miner<'_, '_> {
                     });
                 }
             }
-            let kind = if prev_dot {
-                CallKind::Method {
-                    recv: crate::parser::plain_receiver(self.src, self.toks, i),
-                }
-            } else if prev_path {
-                let head = i
-                    .checked_sub(2)
-                    .filter(|&p| self.ident_kind(p))
-                    .map(|p| self.text(p).to_string())
-                    .unwrap_or_default();
-                CallKind::Qualified { head }
-            } else {
-                CallKind::Free
-            };
             self.ops.push(TaintOp::Call {
-                name,
-                kind,
-                args,
+                name: name.to_string(),
+                kind: call.kind.clone(),
+                args: args.clone(),
                 line,
             });
-            return;
-        }
-        // Index expression: `[` whose previous token closes a value.
-        if self.is_punct(i, "[") {
-            if let Some(p) = i.checked_sub(1) {
-                let indexes_value = match self.toks[p].kind {
-                    TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&self.text(p)),
-                    TokenKind::Punct => {
-                        let s = self.text(p);
-                        s == ")" || s == "]"
-                    }
-                    _ => false,
-                };
-                if indexes_value {
-                    let close = self.matching_bracket(i, end);
-                    let names = self.idents_in(i + 1, close.saturating_sub(1));
-                    if !names.is_empty() {
-                        self.ops.push(TaintOp::Sink {
-                            kind: SinkKind::Index,
-                            what: String::from("index []"),
-                            names,
-                            line: self.toks[i].line,
-                        });
-                    }
-                }
+        } else if indexes(c, i) {
+            let names = value_idents(c, i + 1, c.matching(i, end).saturating_sub(1));
+            if !names.is_empty() {
+                self.ops.push(TaintOp::Sink {
+                    kind: SinkKind::Index,
+                    what: String::from("index []"),
+                    names,
+                    line,
+                });
             }
-        }
-    }
-
-    /// The body's trailing expression is its return value. Only emitted
-    /// for brace-free trailing segments — a trailing `if`/`match` block
-    /// would over-approximate wildly.
-    fn trailing_return(&mut self, start: usize, end: usize) {
-        let mut depth = 0i32;
-        let mut seg = start;
-        let mut i = start;
-        while i < end {
-            if self.is_punct(i, "(") || self.is_punct(i, "[") || self.is_punct(i, "{") {
-                depth += 1;
-            } else if self.is_punct(i, ")") || self.is_punct(i, "]") || self.is_punct(i, "}") {
-                depth -= 1;
-            } else if depth == 0 && self.is_punct(i, ";") {
-                seg = i + 1;
-            }
-            i += 1;
-        }
-        if (seg..end).any(|k| self.is_punct(k, "{")) {
-            return;
-        }
-        let names = self.idents_in(seg, end);
-        if !names.is_empty() {
-            self.ops.push(TaintOp::Return { names });
         }
     }
 }
@@ -1254,6 +1033,7 @@ fn reaches(order: &BTreeMap<String, BTreeSet<String>>, from: &str, to: &str) -> 
 mod tests {
     use super::*;
     use crate::graph::Packages;
+    use crate::lexer::lex;
     use crate::parser::{parse_file, FnDef};
 
     /// The call graph of a tree without manifests (no package filter).
@@ -1262,7 +1042,7 @@ mod tests {
     }
 
     fn mine_one(src: &str) -> FnTaint {
-        let fns = parse_file("crates/serve/src/x.rs", src, false);
+        let fns = parse_file("crates/serve/src/x.rs", src, &lex(src), false);
         fns[0].taint.clone()
     }
 
@@ -1345,11 +1125,8 @@ mod tests {
                 ..
             }
         )));
-        let fns = parse_file(
-            "crates/audit/src/x.rs",
-            "fn f() { let a = std::env::args().count(); }\n",
-            false,
-        );
+        let src = "fn f() { let a = std::env::args().count(); }\n";
+        let fns = parse_file("crates/audit/src/x.rs", src, &lex(src), false);
         assert!(!fns[0].taint.ops.iter().any(|o| matches!(
             o,
             TaintOp::Assign {
@@ -1379,7 +1156,7 @@ mod tests {
                 let v: Vec<u8> = Vec::with_capacity(len);\n\
                 v.capacity()\n\
             }\n";
-        let fns = parse_file("crates/serve/src/x.rs", src, false);
+        let fns = parse_file("crates/serve/src/x.rs", src, &lex(src), false);
         let graph = graph_of(fns);
         let mut files = BTreeMap::new();
         files.insert(
@@ -1410,7 +1187,7 @@ mod tests {
                 let v: Vec<u8> = Vec::with_capacity(len);\n\
                 v.capacity()\n\
             }\n";
-        let fns = parse_file("crates/serve/src/x.rs", src, false);
+        let fns = parse_file("crates/serve/src/x.rs", src, &lex(src), false);
         let graph = graph_of(fns);
         let mut files = BTreeMap::new();
         files.insert(
@@ -1455,7 +1232,7 @@ mod tests {
                     stream.read_exact(&mut b).ok();\n\
                 }\n\
             }\n";
-        let fns = parse_file("crates/serve/src/x.rs", src, false);
+        let fns = parse_file("crates/serve/src/x.rs", src, &lex(src), false);
         let graph = graph_of(fns);
         let mut files = BTreeMap::new();
         files.insert(
@@ -1489,13 +1266,13 @@ mod tests {
                      alloc_for(len);\n\
                  }\n";
         let order1 = {
-            let mut fns = parse_file("crates/serve/src/a.rs", a, false);
-            fns.extend(parse_file("crates/serve/src/b.rs", b, false));
+            let mut fns = parse_file("crates/serve/src/a.rs", a, &lex(a), false);
+            fns.extend(parse_file("crates/serve/src/b.rs", b, &lex(b), false));
             fns
         };
         let order2 = {
-            let mut fns = parse_file("crates/serve/src/b.rs", b, false);
-            fns.extend(parse_file("crates/serve/src/a.rs", a, false));
+            let mut fns = parse_file("crates/serve/src/b.rs", b, &lex(b), false);
+            fns.extend(parse_file("crates/serve/src/a.rs", a, &lex(a), false));
             fns
         };
         let mut files = BTreeMap::new();
@@ -1586,7 +1363,7 @@ mod tests {
             let parse_all = |order: &[&(String, String)]| {
                 let mut fns = Vec::new();
                 for (rel, src) in order {
-                    fns.extend(parse_file(rel, src, false));
+                    fns.extend(parse_file(rel, src, &lex(src), false));
                 }
                 fns
             };

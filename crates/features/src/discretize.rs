@@ -166,7 +166,9 @@ impl Persist for EqualFrequencyDiscretizer {
             }
             // bucket() binary-searches, so cut points must be strictly
             // ascending and comparable.
-            if col_cuts.iter().any(|c| c.is_nan()) || col_cuts.windows(2).any(|w| w[0] >= w[1]) {
+            if col_cuts.iter().any(|c| c.is_nan())
+                || col_cuts.windows(2).any(|w| matches!(w, [a, b] if a >= b))
+            {
                 return Err(PersistError::Malformed("cut points not strictly ascending"));
             }
             cuts.push(col_cuts);

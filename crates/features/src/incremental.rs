@@ -181,11 +181,6 @@ impl IncrementalExtractor {
         &self.spec
     }
 
-    /// The time of the next snapshot that has not yet been emitted.
-    pub fn next_snapshot_time(&self) -> f64 {
-        self.next_t
-    }
-
     /// Number of buffered events currently retained (diagnostic; this is
     /// the quantity the pruning rules keep bounded by window width).
     pub fn retained_events(&self) -> usize {

@@ -512,7 +512,7 @@ impl Persist for C45Model {
                             }
                         })
                         .collect();
-                    if children.len() != attr_cards[attr] {
+                    if attr_cards.get(attr) != Some(&children.len()) {
                         return Err(PersistError::Malformed("C4.5 branch count != attr card"));
                     }
                     let counts = r.vec_u32()?;

@@ -229,29 +229,31 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    /// Takes the next `N` raw bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.bytes(1)?[0])
+        self.array().map(u8::from_le_bytes)
     }
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, PersistError> {
-        let b = self.bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, PersistError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, PersistError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads an `f64` from its bit pattern.

@@ -4,9 +4,10 @@ use super::constants::*;
 use super::table::{RouteTable, UpdateOutcome};
 use super::AodvHeader;
 use manet_sim::{
-    Agent, AppData, Ctx, DetMap, Direction, NodeId, NodeMap, Packet, RouteEventKind, SimTime,
-    TimerToken, TracePacketKind, TxDest,
+    Agent, AppData, Ctx, Direction, NodeId, NodeMap, Packet, RouteEventKind, SimTime, TimerToken,
+    TracePacketKind, TxDest,
 };
+use std::collections::BTreeMap;
 
 const TOKEN_SWEEP: u64 = 1;
 const TOKEN_HELLO: u64 = 2;
@@ -36,8 +37,8 @@ pub struct AodvAgent {
     // RREQ dedup, sliced by origin: a dense per-origin slot holding the
     // recently seen flood ids. Point lookups are O(1) to the origin slot
     // (the per-reception hot path); iteration order — origin id, then flood
-    // id — matches the flat `DetMap<(NodeId, u32), _>` it replaced.
-    seen_rreq: NodeMap<DetMap<u32, SimTime>>,
+    // id — matches the flat `BTreeMap<(NodeId, u32), _>` it replaced.
+    seen_rreq: NodeMap<BTreeMap<u32, SimTime>>,
     buffer: Vec<Buffered>,
     discoveries: NodeMap<Discovery>,
     neighbors: NodeMap<SimTime>,
@@ -932,7 +933,7 @@ mod tests {
         }
         // The dedup horizon is SEEN_TTL (60 s): at 10 RREQ/s the working
         // set holds ~600 entries, not the 6000 this run produced.
-        let seen: usize = agent.seen_rreq.values().map(DetMap::len).sum();
+        let seen: usize = agent.seen_rreq.values().map(BTreeMap::len).sum();
         assert!(
             seen <= 700,
             "seen_rreq failed to reach steady state: {seen} entries"

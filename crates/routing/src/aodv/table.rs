@@ -30,13 +30,6 @@ pub enum UpdateOutcome {
     Ignored,
 }
 
-impl UpdateOutcome {
-    /// Whether the table gained a route it did not effectively have before.
-    pub fn is_new_route(self) -> bool {
-        matches!(self, UpdateOutcome::Installed)
-    }
-}
-
 /// Per-destination routing table with AODV's freshness rules.
 #[derive(Debug, Default)]
 pub struct RouteTable {

@@ -4,9 +4,10 @@ use super::cache::{CacheInsert, RouteCache};
 use super::constants::*;
 use super::DsrHeader;
 use manet_sim::{
-    Agent, AppData, Ctx, DetMap, Direction, NodeId, Packet, RouteEventKind, SimTime, TimerToken,
+    Agent, AppData, Ctx, Direction, NodeId, Packet, RouteEventKind, SimTime, TimerToken,
     TracePacketKind, TxDest,
 };
+use std::collections::BTreeMap;
 
 const TOKEN_SWEEP: u64 = 1;
 const TOKEN_RREQ_BASE: u64 = 0x1_0000;
@@ -32,8 +33,8 @@ struct Discovery {
 pub struct DsrAgent {
     cache: RouteCache,
     buffer: Vec<Buffered>,
-    seen_rreq: DetMap<(NodeId, u32), SimTime>,
-    discoveries: DetMap<NodeId, Discovery>,
+    seen_rreq: BTreeMap<(NodeId, u32), SimTime>,
+    discoveries: BTreeMap<NodeId, Discovery>,
     next_rreq_id: u32,
 }
 
@@ -49,8 +50,8 @@ impl DsrAgent {
         DsrAgent {
             cache: RouteCache::new(SimTime::from_secs(CACHE_TTL)),
             buffer: Vec::new(),
-            seen_rreq: DetMap::new(),
-            discoveries: DetMap::new(),
+            seen_rreq: BTreeMap::new(),
+            discoveries: BTreeMap::new(),
             next_rreq_id: 0,
         }
     }

@@ -1,6 +1,7 @@
 //! The DSR route cache.
 
-use manet_sim::{DetMap, NodeId, SimTime};
+use manet_sim::{NodeId, SimTime};
+use std::collections::BTreeMap;
 
 /// Result of inserting a path into the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +27,7 @@ struct CachedRoute {
 /// paths per destination and always serves the shortest live one.
 #[derive(Debug, Default)]
 pub struct RouteCache {
-    routes: DetMap<NodeId, Vec<CachedRoute>>,
+    routes: BTreeMap<NodeId, Vec<CachedRoute>>,
     ttl: SimTime,
 }
 
@@ -37,7 +38,7 @@ impl RouteCache {
     /// Creates a cache whose entries live for `ttl`.
     pub fn new(ttl: SimTime) -> RouteCache {
         RouteCache {
-            routes: DetMap::new(),
+            routes: BTreeMap::new(),
             ttl,
         }
     }
@@ -51,7 +52,7 @@ impl RouteCache {
         }
         let &dest = path.last()?;
         let expires = now + self.ttl;
-        let entry = self.routes.entry_or_default(dest);
+        let entry = self.routes.entry(dest).or_default();
         if let Some(existing) = entry.iter_mut().find(|r| r.path == path) {
             existing.expires = expires;
             return Some(CacheInsert::Refreshed);

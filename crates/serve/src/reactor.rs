@@ -626,7 +626,8 @@ impl Reactor {
     }
 
     /// LOAD: decode the artifact from the frame, register (hot-swap)
-    /// under the name, answer OK. Runs inline on the reactor thread.
+    /// under the name, answer OK, then free the entry it replaced. Runs
+    /// inline on the reactor thread.
     fn op_load(&mut self, idx: usize, body: &[u8]) {
         let Some((name, rest)) = crate::protocol::parse_name(body) else {
             self.count_protocol_error();
@@ -634,11 +635,15 @@ impl Reactor {
             return;
         };
         let mut reader = rest;
+        let mut displaced = None;
         let status = match ModelArtifact::load(&mut reader) {
             Err(_) => STATUS_MALFORMED,
             Ok(_) if !reader.is_empty() => STATUS_MALFORMED,
             Ok(artifact) => match self.shared.registry.insert_artifact(name, artifact) {
-                Ok(_) => STATUS_OK,
+                Ok(old) => {
+                    displaced = old;
+                    STATUS_OK
+                }
                 Err(RegistryError::BadName) => STATUS_BAD_NAME,
                 Err(RegistryError::Full) => STATUS_BUSY,
             },
@@ -654,6 +659,10 @@ impl Reactor {
             _ => self.count_protocol_error(),
         }
         self.with_conn(idx, |c| c.queue_status(status));
+        // Answer first: freeing a replaced model costs milliseconds for a
+        // large artifact, and in-flight batches may still hold it anyway.
+        self.flush_conn(idx);
+        drop(displaced);
     }
 
     /// UNLOAD: drop the name; in-flight batches finish on their `Arc`.

@@ -19,7 +19,9 @@
 //!
 //! Lock discipline (cfa-audit D014): the map mutex is held only for
 //! `BTreeMap` operations — never across artifact decode (which lowers the
-//! ensemble) or any socket I/O.
+//! ensemble), any socket I/O, or the drop of a displaced model:
+//! [`Registry::insert_artifact`] hands the entry it replaced back to the
+//! caller, so the reactor answers the `LOAD` before freeing it.
 
 use crate::protocol::{put_name, put_u32, put_u64, valid_name};
 use crate::server::lock;
@@ -68,9 +70,10 @@ pub struct Registry {
 
 impl Registry {
     /// Registers `artifact` under `name`, atomically replacing any
-    /// previous entry. The artifact arrives decoded and lowered, before
-    /// the map lock is taken; the lock covers only the generation read
-    /// and the `insert`.
+    /// previous entry, and returns the entry it replaced. The artifact
+    /// arrives decoded and lowered, before the map lock is taken; the lock
+    /// covers only the generation read and the `insert`, and the
+    /// displaced entry is freed by the caller, outside it.
     ///
     /// # Errors
     ///
@@ -81,7 +84,7 @@ impl Registry {
         &self,
         name: &str,
         artifact: ModelArtifact,
-    ) -> Result<Arc<ModelEntry>, RegistryError> {
+    ) -> Result<Option<Arc<ModelEntry>>, RegistryError> {
         if !valid_name(name) {
             return Err(RegistryError::BadName);
         }
@@ -101,10 +104,8 @@ impl Registry {
             None if map.len() >= MAX_MODELS => return Err(RegistryError::Full),
             None => {}
         }
-        let entry = Arc::new(entry);
         // audit: allow(D014, reason = "BTreeMap::insert on the guarded map itself; the registry holds its single lock only here")
-        map.insert(entry.name.clone(), Arc::clone(&entry));
-        Ok(entry)
+        Ok(map.insert(entry.name.clone(), Arc::new(entry)))
     }
 
     /// The current entry for `name`, if registered.
@@ -189,7 +190,8 @@ pub(crate) mod tests {
     }
 
     fn insert(reg: &Registry, name: &str, threshold: f64) -> Arc<ModelEntry> {
-        reg.insert_artifact(name, tiny_artifact(threshold)).unwrap()
+        reg.insert_artifact(name, tiny_artifact(threshold)).unwrap();
+        reg.get(name).unwrap()
     }
 
     #[test]
@@ -218,6 +220,22 @@ pub(crate) mod tests {
             reg.get("m").unwrap().detector.threshold().to_bits(),
             0.75f64.to_bits()
         );
+    }
+
+    #[test]
+    fn a_swap_hands_back_the_displaced_entry() {
+        let reg = Registry::default();
+        let first = reg.insert_artifact("m", tiny_artifact(0.25)).unwrap();
+        assert!(first.is_none(), "a new name displaces nothing");
+        let old = reg
+            .insert_artifact("m", tiny_artifact(0.75))
+            .unwrap()
+            .expect("the swap hands back the entry it replaced");
+        assert_eq!(old.generation, 1);
+        assert_eq!(old.detector.threshold().to_bits(), 0.25f64.to_bits());
+        // The map holds no reference: dropping `old` frees the model.
+        assert_eq!(Arc::strong_count(&old), 1);
+        assert_eq!(reg.get("m").unwrap().generation, 2);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::rng::SimRng;
 use crate::sink::TraceSink;
 use crate::time::SimTime;
 use crate::trace::{Direction, NodeTrace, RouteEventKind, TracePacketKind};
+use std::collections::BTreeMap;
 
 /// Opaque timer identifier; the meaning of a token is private to the agent
 /// that armed it. Attack decorators conventionally reserve tokens with the
@@ -198,11 +199,6 @@ impl AgentHarness {
         self.now = t;
     }
 
-    /// Sets the node's position reported to the agent.
-    pub fn set_pos(&mut self, pos: Point) {
-        self.pos = pos;
-    }
-
     /// Creates a fresh context at the current harness time.
     pub fn ctx<H>(&mut self) -> Ctx<'_, H> {
         Ctx::new(
@@ -303,7 +299,7 @@ pub struct FloodAgent {
     /// Flood-dedup memory: packet id → when it was first seen. Bounded by
     /// [`FloodAgent::SEEN_HORIZON_SECS`] / [`FloodAgent::SEEN_CAP`] so long
     /// runs hold a steady-state size instead of growing forever.
-    seen: crate::det::DetMap<PacketId, SimTime>,
+    seen: BTreeMap<PacketId, SimTime>,
 }
 
 impl FloodAgent {

@@ -54,7 +54,7 @@ pub mod trace;
 pub use agent::{Agent, AgentHarness, Ctx, TimerToken};
 pub use app::{App, AppCtx, AppData, AppKind, FlowId};
 pub use config::{SimConfig, SimConfigBuilder};
-pub use det::{DetMap, IndexedMap, NodeMap};
+pub use det::NodeMap;
 pub use grid::SpatialGrid;
 pub use mobility::{Point, RandomWaypoint, Waypoint};
 pub use packet::{NodeId, Packet, PacketId, TxDest};

@@ -5,8 +5,8 @@
 //!
 //! Per-node state is **slotted**: instead of one `Vec<NodeCell>` of fat
 //! structs, each per-node component (agent, mobility, audit sink, RNG
-//! stream) lives in its own id-indexed `Vec` — the same Vec-slot idea as
-//! [`crate::det::IndexedMap`], with the node id as the slot key. Hot loops
+//! stream) lives in its own id-indexed `Vec` — the same dense-slot idea as
+//! [`crate::det::NodeMap`], with the node id as the slot key. Hot loops
 //! touch only the slot vector they need: the transmit-time neighbor walk
 //! streams through `mobility` alone instead of dragging whole agent cells
 //! through cache, and mobility sampling touches `mobility` + `sinks` only.

@@ -97,11 +97,6 @@ impl TcpSource {
         self.retransmits
     }
 
-    /// Highest cumulatively acknowledged sequence number.
-    pub fn acked(&self) -> u32 {
-        self.high_ack
-    }
-
     fn refill_tokens(&mut self, now: SimTime) {
         if let Some(pps) = self.app_limit_pps {
             let dt = now.saturating_sub(self.last_refill).as_secs();

@@ -217,33 +217,6 @@ impl Scenario {
         }
     }
 
-    /// The paper's mixed-intrusion trace: a black hole starting at 2500 s
-    /// and selective dropping starting at 5000 s (both on–off with 100 s
-    /// sessions, run by different compromised nodes).
-    pub fn with_paper_mixed_attacks(mut self) -> Scenario {
-        let on_off = |start: f64| {
-            Schedule::on_off(
-                SimTime::from_secs(start),
-                SimTime::from_secs(Attack::SESSION_SECS),
-            )
-        };
-        self.attacks = vec![
-            Attack {
-                kind: AttackKind::Blackhole,
-                schedule: on_off(2500.0),
-                attacker: NodeId(7),
-            },
-            Attack {
-                kind: AttackKind::Dropping(DropPolicy::Selective {
-                    dests: vec![NodeId(3)],
-                }),
-                schedule: on_off(5000.0),
-                attacker: NodeId(11),
-            },
-        ];
-        self
-    }
-
     /// Replaces the mobility/protocol seed (traffic pattern unchanged).
     pub fn with_seed(mut self, seed: u64) -> Scenario {
         self.seed = seed;
