@@ -1,7 +1,7 @@
 //! Packet-dropping attacks (the paper's *traffic distortion* category).
 
+use crate::header::AttackHeader;
 use crate::schedule::Schedule;
-use manet_routing::{AodvHeader, DsrHeader};
 use manet_sim::{Agent, AppData, Ctx, NodeId, Packet, SimTime, TimerToken};
 use rand::Rng;
 
@@ -49,41 +49,6 @@ impl DropPolicy {
     }
 }
 
-/// Protocol-specific view of packets a malicious forwarder can withhold.
-///
-/// Implemented for both DSR and AODV packets so one dropper works with
-/// either protocol.
-pub trait TransitData {
-    /// If this packet is application data that `me` is expected to *relay*
-    /// (not data addressed to `me` itself), returns its final destination.
-    fn transit_data_dest(&self, me: NodeId) -> Option<NodeId>;
-}
-
-impl TransitData for Packet<DsrHeader> {
-    fn transit_data_dest(&self, me: NodeId) -> Option<NodeId> {
-        match &self.header {
-            DsrHeader::Data { route, hop, .. } => {
-                let my_idx = hop + 1;
-                if route.get(my_idx) == Some(&me) && my_idx != route.len() - 1 {
-                    Some(self.dst)
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
-    }
-}
-
-impl TransitData for Packet<AodvHeader> {
-    fn transit_data_dest(&self, me: NodeId) -> Option<NodeId> {
-        match self.header {
-            AodvHeader::Data if self.dst != me => Some(self.dst),
-            _ => None,
-        }
-    }
-}
-
 /// A compromised forwarder that silently discards transit data.
 ///
 /// Wraps any honest agent; while the [`Schedule`] is active, transit data
@@ -124,7 +89,7 @@ impl<A> PacketDropper<A> {
 impl<A> Agent for PacketDropper<A>
 where
     A: Agent,
-    Packet<A::Header>: TransitData,
+    A::Header: AttackHeader,
 {
     type Header = A::Header;
 
@@ -134,7 +99,7 @@ where
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Self::Header>, pkt: Packet<Self::Header>) {
         if self.schedule.is_active(ctx.now()) {
-            if let Some(dest) = pkt.transit_data_dest(ctx.node()) {
+            if let Some(dest) = A::Header::transit_data_dest(&pkt, ctx.node()) {
                 let now = ctx.now();
                 if self.policy.should_drop(now, dest, ctx.rng()) {
                     self.dropped += 1;
@@ -177,6 +142,7 @@ where
 mod tests {
     use super::*;
     use manet_routing::dsr::DsrAgent;
+    use manet_routing::{AodvHeader, DsrHeader};
     use manet_sim::{AgentHarness, PacketId};
 
     fn transit_pkt() -> Packet<DsrHeader> {
@@ -249,7 +215,7 @@ mod tests {
             },
             ..transit_pkt()
         };
-        assert_eq!(pkt.transit_data_dest(NodeId(2)), None);
+        assert_eq!(DsrHeader::transit_data_dest(&pkt, NodeId(2)), None);
     }
 
     #[test]
@@ -264,13 +230,16 @@ mod tests {
             header: AodvHeader::Data,
             app: None,
         };
-        assert_eq!(pkt.transit_data_dest(NodeId(2)), Some(NodeId(5)));
-        assert_eq!(pkt.transit_data_dest(NodeId(5)), None);
+        assert_eq!(
+            AodvHeader::transit_data_dest(&pkt, NodeId(2)),
+            Some(NodeId(5))
+        );
+        assert_eq!(AodvHeader::transit_data_dest(&pkt, NodeId(5)), None);
         let hello = Packet {
             header: AodvHeader::Hello { seq: 1 },
             ..pkt
         };
-        assert_eq!(hello.transit_data_dest(NodeId(2)), None);
+        assert_eq!(AodvHeader::transit_data_dest(&hello, NodeId(2)), None);
     }
 
     #[test]

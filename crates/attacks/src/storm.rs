@@ -2,54 +2,14 @@
 //! discovery messages to "exhaust the network bandwidth and effectively
 //! paralyze the network" (§2.3).
 
+use crate::header::AttackHeader;
 use crate::schedule::Schedule;
 use manet_routing::aodv::AodvAgent;
 use manet_routing::dsr::DsrAgent;
-use manet_routing::{AodvHeader, DsrHeader};
 use manet_sim::{Agent, AppData, Ctx, NodeId, Packet, SimTime, TimerToken, TxDest};
 use rand::Rng;
 
 const STORM_TOKEN: TimerToken = TimerToken(TimerToken::ATTACK_BIT | 2);
-
-/// Builds one bogus route-discovery flood packet for the protocol.
-///
-/// Sealed to the two supported protocols; the update storm is generic over
-/// it so one wrapper serves both.
-pub trait StormHeader: Sized + Clone + std::fmt::Debug + private::Sealed {
-    /// Fabricates a meaningless ROUTE REQUEST from `me` towards a random
-    /// destination, with a unique flood id.
-    fn bogus_rreq(me: NodeId, dest: NodeId, id: u32) -> Self;
-}
-
-mod private {
-    pub trait Sealed {}
-    impl Sealed for manet_routing::DsrHeader {}
-    impl Sealed for manet_routing::AodvHeader {}
-}
-
-impl StormHeader for DsrHeader {
-    fn bogus_rreq(me: NodeId, dest: NodeId, id: u32) -> DsrHeader {
-        DsrHeader::Rreq {
-            origin: me,
-            target: dest,
-            id,
-            route: vec![me],
-        }
-    }
-}
-
-impl StormHeader for AodvHeader {
-    fn bogus_rreq(me: NodeId, dest: NodeId, id: u32) -> AodvHeader {
-        AodvHeader::Rreq {
-            origin: me,
-            origin_seq: id, // ever-growing, so every flood propagates
-            dest,
-            dest_seq: None,
-            id,
-            hops: 0,
-        }
-    }
-}
 
 /// A compromised node that floods route discoveries while active.
 ///
@@ -108,7 +68,7 @@ impl<A> UpdateStorm<A> {
 impl<A> Agent for UpdateStorm<A>
 where
     A: Agent,
-    A::Header: StormHeader,
+    A::Header: AttackHeader,
 {
     type Header = A::Header;
 
@@ -181,6 +141,7 @@ pub type AodvUpdateStorm = UpdateStorm<AodvAgent>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manet_routing::{AodvHeader, DsrHeader};
     use manet_sim::AgentHarness;
 
     #[test]

@@ -71,6 +71,8 @@ pub enum AodvHeader {
 
 /// Protocol constants (sizes in bytes, intervals in seconds).
 pub mod constants {
+    pub use crate::ondemand::{BUFFER_CAP, BUFFER_TTL, SEEN_TTL, SWEEP_INTERVAL};
+
     /// ROUTE REQUEST size in bytes.
     pub const RREQ_SIZE: u32 = 48;
     /// ROUTE REPLY size in bytes.
@@ -87,16 +89,8 @@ pub mod constants {
     pub const NEIGHBOR_TIMEOUT: f64 = 3.0;
     /// Active route lifetime, seconds.
     pub const ROUTE_TTL: f64 = 50.0;
-    /// Send-buffer entry lifetime, seconds.
-    pub const BUFFER_TTL: f64 = 30.0;
-    /// Maximum buffered packets per node.
-    pub const BUFFER_CAP: usize = 64;
     /// Initial ROUTE REQUEST retry backoff, seconds (doubles per retry).
     pub const RREQ_BACKOFF: f64 = 1.0;
     /// Maximum discovery attempts before buffered packets are dropped.
     pub const RREQ_MAX_ATTEMPTS: u32 = 5;
-    /// Housekeeping sweep interval, seconds.
-    pub const SWEEP_INTERVAL: f64 = 1.0;
-    /// How long duplicate-REQUEST records are remembered, seconds.
-    pub const SEEN_TTL: f64 = 60.0;
 }

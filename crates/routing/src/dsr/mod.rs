@@ -77,6 +77,8 @@ pub enum DsrHeader {
 
 /// Protocol constants (sizes in bytes, intervals in seconds).
 pub mod constants {
+    pub use crate::ondemand::{BUFFER_CAP, BUFFER_TTL, SEEN_TTL, SWEEP_INTERVAL};
+
     /// Base size of a ROUTE REQUEST in bytes (grows per accumulated hop).
     pub const RREQ_BASE_SIZE: u32 = 32;
     /// Base size of a ROUTE REPLY in bytes (grows per route hop).
@@ -87,16 +89,8 @@ pub mod constants {
     pub const ADDR_SIZE: u32 = 4;
     /// Route cache entry lifetime, seconds.
     pub const CACHE_TTL: f64 = 15.0;
-    /// Send-buffer entry lifetime, seconds.
-    pub const BUFFER_TTL: f64 = 30.0;
-    /// Maximum buffered packets per node.
-    pub const BUFFER_CAP: usize = 64;
     /// Initial ROUTE REQUEST retry backoff, seconds (doubles per retry).
     pub const RREQ_BACKOFF: f64 = 0.5;
     /// Maximum discovery attempts before buffered packets are dropped.
     pub const RREQ_MAX_ATTEMPTS: u32 = 6;
-    /// Housekeeping sweep interval, seconds.
-    pub const SWEEP_INTERVAL: f64 = 1.0;
-    /// How long duplicate-REQUEST records are remembered, seconds.
-    pub const SEEN_TTL: f64 = 60.0;
 }

@@ -6,9 +6,7 @@
 //! 10 000 s runs with snapshots every 5 s, and intrusions inserted on an
 //! on–off schedule starting at 2500 s / 5000 s.
 
-use manet_attacks::{
-    AodvBlackhole, DropPolicy, DsrBlackhole, PacketDropper, Schedule, UpdateStorm,
-};
+use manet_attacks::{AttackHeader, Blackhole, DropPolicy, PacketDropper, Schedule, UpdateStorm};
 use manet_features::{FeatureExtractor, FeatureMatrix};
 use manet_routing::{aodv::AodvAgent, dsr::DsrAgent, AodvHeader, DsrHeader};
 use manet_sim::{Agent, NodeId, SimConfig, SimTime, Simulator};
@@ -340,14 +338,8 @@ impl Scenario {
     pub fn run_nodes(&self, nodes: &[NodeId]) -> Vec<TraceBundle> {
         self.validate_vantages(nodes);
         match self.protocol {
-            Protocol::Dsr => {
-                let mut sim = self.build_dsr();
-                self.run_lean(&mut sim, nodes)
-            }
-            Protocol::Aodv => {
-                let mut sim = self.build_aodv();
-                self.run_lean(&mut sim, nodes)
-            }
+            Protocol::Dsr => self.run_lean(self.build_dsr(), nodes),
+            Protocol::Aodv => self.run_lean(self.build_aodv(), nodes),
         }
     }
 
@@ -355,7 +347,7 @@ impl Scenario {
     /// nodes — every other node gets a [`manet_sim::NullSink`]. At 1000
     /// nodes, keeping one in-memory `NodeTrace` per node is the memory
     /// bottleneck, and only the vantage traces are ever read.
-    fn run_lean<A: Agent>(&self, sim: &mut Simulator<A>, nodes: &[NodeId]) -> Vec<TraceBundle> {
+    fn run_lean<A: Agent>(&self, mut sim: Simulator<A>, nodes: &[NodeId]) -> Vec<TraceBundle> {
         for i in 0..self.n_nodes {
             let id = NodeId(i);
             if !nodes.contains(&id) {
@@ -434,32 +426,7 @@ impl Scenario {
     /// scenario whose `protocol` is not [`Protocol::Dsr`].
     pub fn build_dsr(&self) -> Simulator<Box<dyn Agent<Header = DsrHeader>>> {
         assert_eq!(self.protocol, Protocol::Dsr, "scenario is not DSR");
-        let n = self.n_nodes;
-        let mut sim: Simulator<Box<dyn Agent<Header = DsrHeader>>> = Simulator::new(
-            self.sim_config(),
-            |id| -> Box<dyn Agent<Header = DsrHeader>> {
-                match self.attack_for(id) {
-                    None => Box::new(DsrAgent::new()),
-                    Some(a) => match &a.kind {
-                        AttackKind::Blackhole => {
-                            Box::new(DsrBlackhole::new(DsrAgent::new(), a.schedule.clone(), n))
-                        }
-                        AttackKind::Dropping(policy) => Box::new(PacketDropper::new(
-                            DsrAgent::new(),
-                            policy.clone(),
-                            a.schedule.clone(),
-                        )),
-                        AttackKind::UpdateStorm => Box::new(UpdateStorm::with_default_rate(
-                            DsrAgent::new(),
-                            a.schedule.clone(),
-                            n,
-                        )),
-                    },
-                }
-            },
-        );
-        self.install_traffic(&mut sim);
-        sim
+        self.build(DsrAgent::new)
     }
 
     /// Builds the configured AODV simulator — the [`Scenario::build_dsr`]
@@ -471,27 +438,32 @@ impl Scenario {
     /// scenario whose `protocol` is not [`Protocol::Aodv`].
     pub fn build_aodv(&self) -> Simulator<Box<dyn Agent<Header = AodvHeader>>> {
         assert_eq!(self.protocol, Protocol::Aodv, "scenario is not AODV");
+        self.build(AodvAgent::new)
+    }
+
+    /// Builds the simulator with `honest()` on every node, wrapped in its
+    /// attack on each compromised node.
+    fn build<A>(&self, honest: fn() -> A) -> Simulator<Box<dyn Agent<Header = A::Header>>>
+    where
+        A: Agent + 'static,
+        A::Header: AttackHeader,
+    {
         let n = self.n_nodes;
-        let mut sim: Simulator<Box<dyn Agent<Header = AodvHeader>>> = Simulator::new(
+        let mut sim = Simulator::new(
             self.sim_config(),
-            |id| -> Box<dyn Agent<Header = AodvHeader>> {
-                match self.attack_for(id) {
-                    None => Box::new(AodvAgent::new()),
-                    Some(a) => match &a.kind {
-                        AttackKind::Blackhole => {
-                            Box::new(AodvBlackhole::new(AodvAgent::new(), a.schedule.clone(), n))
-                        }
-                        AttackKind::Dropping(policy) => Box::new(PacketDropper::new(
-                            AodvAgent::new(),
-                            policy.clone(),
-                            a.schedule.clone(),
-                        )),
-                        AttackKind::UpdateStorm => Box::new(UpdateStorm::with_default_rate(
-                            AodvAgent::new(),
-                            a.schedule.clone(),
-                            n,
-                        )),
-                    },
+            |id| -> Box<dyn Agent<Header = A::Header>> {
+                let Some(a) = self.attack_for(id) else {
+                    return Box::new(honest());
+                };
+                let schedule = a.schedule.clone();
+                match &a.kind {
+                    AttackKind::Blackhole => Box::new(Blackhole::new(honest(), schedule, n)),
+                    AttackKind::Dropping(policy) => {
+                        Box::new(PacketDropper::new(honest(), policy.clone(), schedule))
+                    }
+                    AttackKind::UpdateStorm => {
+                        Box::new(UpdateStorm::with_default_rate(honest(), schedule, n))
+                    }
                 }
             },
         );
