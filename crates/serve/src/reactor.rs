@@ -672,9 +672,11 @@ impl Reactor {
             self.with_conn(idx, |c| c.queue_status(STATUS_BAD_NAME));
             return;
         };
+        let mut removed = None;
         let status = if !rest.is_empty() {
             STATUS_MALFORMED
-        } else if self.shared.registry.remove(name) {
+        } else if let Some(entry) = self.shared.registry.remove(name) {
+            removed = Some(entry);
             STATUS_OK
         } else {
             STATUS_NO_MODEL
@@ -685,6 +687,9 @@ impl Reactor {
             self.count_protocol_error();
         }
         self.with_conn(idx, |c| c.queue_status(status));
+        // Answer first, as LOAD does for the model it replaces.
+        self.flush_conn(idx);
+        drop(removed);
     }
 
     /// SUBSCRIBE: register the connection against an existing model's

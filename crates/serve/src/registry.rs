@@ -113,10 +113,12 @@ impl Registry {
         lock(&self.models).get(name).cloned()
     }
 
-    /// Drops `name` from the map; in-flight batches against it finish on
-    /// their captured `Arc`. Returns whether the name was registered.
-    pub fn remove(&self, name: &str) -> bool {
-        lock(&self.models).remove(name).is_some()
+    /// Drops `name` from the map and hands back its entry, if it was
+    /// registered; in-flight batches against it finish on their captured
+    /// `Arc`. The caller chooses when to free the model: the lock is
+    /// released before this returns.
+    pub fn remove(&self, name: &str) -> Option<Arc<ModelEntry>> {
+        lock(&self.models).remove(name)
     }
 
     /// Number of registered models.
@@ -203,8 +205,8 @@ pub(crate) mod tests {
         assert_eq!(entry.n_features, 3);
         assert!(reg.get("alpha").is_some());
         assert!(reg.get("beta").is_none());
-        assert!(reg.remove("alpha"));
-        assert!(!reg.remove("alpha"));
+        assert!(reg.remove("alpha").is_some());
+        assert!(reg.remove("alpha").is_none());
     }
 
     #[test]
@@ -236,6 +238,19 @@ pub(crate) mod tests {
         // The map holds no reference: dropping `old` frees the model.
         assert_eq!(Arc::strong_count(&old), 1);
         assert_eq!(reg.get("m").unwrap().generation, 2);
+    }
+
+    #[test]
+    fn remove_hands_back_the_entry() {
+        let reg = Registry::default();
+        insert(&reg, "m", 0.25);
+        let removed = reg
+            .remove("m")
+            .expect("a registered name hands back its entry");
+        assert_eq!(removed.detector.threshold().to_bits(), 0.25f64.to_bits());
+        assert!(reg.get("m").is_none());
+        // The map holds no reference: dropping `removed` frees the model.
+        assert_eq!(Arc::strong_count(&removed), 1);
     }
 
     #[test]
