@@ -688,6 +688,27 @@ mod tests {
     }
 
     #[test]
+    fn class_column_position_does_not_matter() {
+        // The same data with the class column first instead of last must
+        // predict the same: exercises the in-place column skipping.
+        let last: Vec<Vec<u8>> = (0..40).map(|i| vec![i % 3, (i % 4) % 3, i % 3]).collect();
+        let first: Vec<Vec<u8>> = last.iter().map(|r| vec![r[2], r[0], r[1]]).collect();
+        let m_last = C45::default().fit(&table(last.clone(), vec![3, 3, 3]), 2);
+        let m_first = C45::default().fit(&table(first.clone(), vec![3, 3, 3]), 0);
+        let mut scratch = Vec::new();
+        for (l, f) in last.iter().zip(&first) {
+            assert_eq!(
+                m_last.predict_row(l, 2, &mut scratch),
+                m_first.predict_row(f, 0, &mut scratch)
+            );
+            assert_eq!(
+                m_last.prob_of_row(l, 2, l[2], &mut scratch).to_bits(),
+                m_first.prob_of_row(f, 0, f[0], &mut scratch).to_bits()
+            );
+        }
+    }
+
+    #[test]
     fn zero_cardinality_attributes_are_rejected_at_decode() {
         use crate::persist::Persist;
         // Only a crafted artifact can carry cardinality 0. A split on such

@@ -58,7 +58,6 @@
 pub mod c45;
 pub mod compiled;
 pub mod dataset;
-pub mod metrics;
 pub mod naive_bayes;
 pub mod persist;
 pub mod ripper;
@@ -173,38 +172,6 @@ pub trait Classifier: Send + Sync {
     }
 }
 
-/// Boxed classifiers are classifiers, so heterogeneous model kinds can sit
-/// behind one ensemble type.
-impl Classifier for Box<dyn Classifier> {
-    fn n_classes(&self) -> usize {
-        (**self).n_classes()
-    }
-
-    fn class_probs_into(&self, row: &[u8], class_col: usize, out: &mut Vec<f64>) {
-        (**self).class_probs_into(row, class_col, out)
-    }
-
-    fn class_probs(&self, x: &[u8]) -> Vec<f64> {
-        (**self).class_probs(x)
-    }
-
-    fn predict_row(&self, row: &[u8], class_col: usize, scratch: &mut Vec<f64>) -> u8 {
-        (**self).predict_row(row, class_col, scratch)
-    }
-
-    fn predict(&self, x: &[u8]) -> u8 {
-        (**self).predict(x)
-    }
-
-    fn prob_of_row(&self, row: &[u8], class_col: usize, class: u8, scratch: &mut Vec<f64>) -> f64 {
-        (**self).prob_of_row(row, class_col, class, scratch)
-    }
-
-    fn prob_of(&self, x: &[u8], class: u8) -> f64 {
-        (**self).prob_of(x, class)
-    }
-}
-
 /// A learning algorithm that fits a [`Classifier`] predicting one column of
 /// a [`NominalTable`] from all the others.
 pub trait Learner {
@@ -272,6 +239,6 @@ mod trait_tests {
     #[test]
     fn classifiers_are_shareable_across_threads() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Box<dyn Classifier>>();
+        assert_send_sync::<AnyModel>();
     }
 }
