@@ -17,8 +17,9 @@ fn main() {
     );
     println!("{:-<86}", "");
     println!("Implemented in manet-attacks:");
-    println!("  DsrBlackhole / AodvBlackhole  (spoofed max-sequence ROUTE REQUEST floods)");
-    println!("  PacketDropper                 (constant / random / periodic / selective policies)");
-    println!("  UpdateStorm                   (bonus: the Section 2.3 update storm attack)");
+    println!("  Blackhole<A>                  (spoofed max-sequence ROUTE REQUEST floods)");
+    println!("  PacketDropper<A>              (constant / random / periodic / selective policies)");
+    println!("  UpdateStorm<A>                (bonus: the Section 2.3 update storm attack)");
     println!("  Schedule::on_off              (equal session duration and gap, per the paper)");
+    println!("  (each wraps the honest DsrAgent or AodvAgent)");
 }
