@@ -396,7 +396,7 @@ impl OnDemandAgent for AodvAgent {
     fn broadcast_rreq(&mut self, ctx: &mut Ctx<'_, AodvHeader>, dest: NodeId) {
         let me = ctx.node();
         self.my_seq += 1;
-        let id = self.core.next_flood(me, ctx.now());
+        let id = self.core.next_flood();
         let dest_seq = self.table.any_entry(dest).map(|e| e.seq);
         ctx.trace_packet(TracePacketKind::Rreq, Direction::Sent);
         let pkt = Packet {

@@ -89,7 +89,9 @@ pub mod constants {
     pub const NEIGHBOR_TIMEOUT: f64 = 3.0;
     /// Active route lifetime, seconds.
     pub const ROUTE_TTL: f64 = 50.0;
-    /// Initial ROUTE REQUEST retry backoff, seconds (doubles per retry).
+    /// ROUTE REQUEST retry backoff, seconds. A source waits 1× this after
+    /// its first REQUEST and 2^k× after its k-th (k ≥ 2, capped at 64×):
+    /// 1×, 4×, 8×, 16× and 32× over the five attempts.
     pub const RREQ_BACKOFF: f64 = 1.0;
     /// Maximum discovery attempts before buffered packets are dropped.
     pub const RREQ_MAX_ATTEMPTS: u32 = 5;

@@ -451,7 +451,7 @@ impl OnDemandAgent for DsrAgent {
 
     fn broadcast_rreq(&mut self, ctx: &mut Ctx<'_, DsrHeader>, target: NodeId) {
         let me = ctx.node();
-        let id = self.core.next_flood(me, ctx.now());
+        let id = self.core.next_flood();
         ctx.trace_packet(TracePacketKind::Rreq, Direction::Sent);
         let pkt = Packet {
             id: ctx.fresh_packet_id(),
@@ -487,13 +487,13 @@ impl Agent for DsrAgent {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, DsrHeader>, pkt: Packet<DsrHeader>) {
-        match pkt.header.clone() {
+        match pkt.header {
             DsrHeader::Rreq {
                 origin,
                 target,
                 id,
-                route,
-            } => self.handle_rreq(ctx, &pkt, origin, target, id, &route),
+                ref route,
+            } => self.handle_rreq(ctx, &pkt, origin, target, id, route),
             DsrHeader::Rrep { route, hop } => self.handle_rrep(ctx, route, hop),
             DsrHeader::Rerr {
                 broken,

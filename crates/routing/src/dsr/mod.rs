@@ -89,7 +89,9 @@ pub mod constants {
     pub const ADDR_SIZE: u32 = 4;
     /// Route cache entry lifetime, seconds.
     pub const CACHE_TTL: f64 = 15.0;
-    /// Initial ROUTE REQUEST retry backoff, seconds (doubles per retry).
+    /// ROUTE REQUEST retry backoff, seconds. A source waits 1× this after
+    /// its first REQUEST and 2^k× after its k-th (k ≥ 2, capped at 64×):
+    /// 1×, 4×, 8×, 16×, 32× and 64× over the six attempts.
     pub const RREQ_BACKOFF: f64 = 0.5;
     /// Maximum discovery attempts before buffered packets are dropped.
     pub const RREQ_MAX_ATTEMPTS: u32 = 6;

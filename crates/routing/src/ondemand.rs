@@ -74,11 +74,11 @@ impl OnDemand {
         self.buffer.len()
     }
 
-    /// Allocates this node's next flood id and records the flood as seen.
-    pub(crate) fn next_flood(&mut self, me: NodeId, now: SimTime) -> u32 {
+    /// Allocates this node's next flood id. The REQUEST dedup does not
+    /// record it: both agents drop their own floods before the dedup.
+    pub(crate) fn next_flood(&mut self) -> u32 {
         let id = self.next_flood_id;
         self.next_flood_id += 1;
-        self.first_sight(me, id, now);
         id
     }
 
