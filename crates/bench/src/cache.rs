@@ -13,7 +13,7 @@ use std::io;
 use std::path::PathBuf;
 
 /// Bump to invalidate previously cached bundles after behaviour changes.
-const CACHE_VERSION: u32 = 5;
+const CACHE_VERSION: u32 = 6;
 
 /// Why the bundle cache could not be used.
 #[derive(Debug)]

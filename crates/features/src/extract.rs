@@ -38,7 +38,6 @@ impl FeatureMatrix {
 #[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     spec: FeatureSpec,
-    snapshot_interval: f64,
 }
 
 impl Default for FeatureExtractor {
@@ -52,7 +51,6 @@ impl FeatureExtractor {
     pub fn new() -> FeatureExtractor {
         FeatureExtractor {
             spec: FeatureSpec::new(),
-            snapshot_interval: 5.0,
         }
     }
 
@@ -66,7 +64,6 @@ impl FeatureExtractor {
     /// extractor. A non-positive duration (or an empty trace over a run
     /// shorter than one snapshot interval) yields an empty matrix.
     pub fn extract(&self, trace: &NodeTrace, duration: SimTime) -> FeatureMatrix {
-        debug_assert_eq!(self.snapshot_interval, 5.0, "cadence is fixed by the spec");
         let mut inc = IncrementalExtractor::new();
         if duration.as_secs() > 0.0 {
             inc.preload(trace);
@@ -80,7 +77,6 @@ impl FeatureExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::interval_stddev;
     use manet_sim::{Direction, RouteEventKind, SimTime, TracePacketKind};
 
     fn trace_with_events() -> NodeTrace {
@@ -176,15 +172,29 @@ mod tests {
         assert_eq!(m.rows[1][col(&m, "route_add_count")], 0.0);
     }
 
+    /// The 5 s interval spread of data sends at `times`, all in `[0, 5)`.
+    fn ivstd_5s(times: &[f64]) -> f64 {
+        let mut tr = NodeTrace::new();
+        for &t in times {
+            tr.packet(
+                SimTime::from_secs(t),
+                TracePacketKind::Data,
+                Direction::Sent,
+            );
+        }
+        let m = FeatureExtractor::new().extract(&tr, SimTime::from_secs(5.0));
+        m.rows[0][col(&m, "data_sent_5s_ivstd")]
+    }
+
     #[test]
-    fn interval_stddev_matches_hand_computation() {
+    fn ivstd_matches_hand_computation() {
         // Times 1, 2, 3 -> intervals [1, 1] -> stddev 0.
-        assert_eq!(interval_stddev(&[1.0, 2.0, 3.0]), 0.0);
+        assert_eq!(ivstd_5s(&[1.0, 2.0, 3.0]), 0.0);
         // Times 0, 1, 3 -> intervals [1, 2] -> mean 1.5, var 0.25, sd 0.5.
-        assert!((interval_stddev(&[0.0, 1.0, 3.0]) - 0.5).abs() < 1e-12);
+        assert_eq!(ivstd_5s(&[0.0, 1.0, 3.0]), 0.5);
         // Too few events.
-        assert_eq!(interval_stddev(&[1.0, 4.0]), 0.0);
-        assert_eq!(interval_stddev(&[]), 0.0);
+        assert_eq!(ivstd_5s(&[1.0, 4.0]), 0.0);
+        assert_eq!(ivstd_5s(&[]), 0.0);
     }
 
     #[test]

@@ -10,14 +10,30 @@
 //! extractor is in fact a thin wrapper that replays the trace through this
 //! type.
 //!
+//! # Traffic buckets
+//!
+//! Snapshot times and all three sampling periods of Table 5 are multiples
+//! of 5 s, so every traffic window `[t − period, t)` is exactly a run of
+//! whole 5 s buckets. Each (packet type, direction) slot keeps, per
+//! non-empty bucket, exact integer statistics over [`SimTime`]
+//! microseconds: the packet count, the first and last packet time, and
+//! the sum of squared intervals inside the bucket. Adjacent buckets merge
+//! exactly (the interval that joins them is the gap between one's last
+//! and the next one's first packet), so one backward walk over at most
+//! 180 buckets gives a slot's counts and interval spreads for all three
+//! periods. The spread is the population standard deviation of the
+//! window's microsecond intervals, computed from exact sums and rounded
+//! to `f64` only at the end.
+//!
 //! # Memory bound
 //!
-//! State is bounded by the widest sampling window, not by run length:
-//! packet times older than 900 s (the longest period of Table 5), route
-//! events older than the 5 s base window and mobility samples that can no
-//! longer be any future snapshot's nearest sample are all pruned as rows
-//! are emitted. A 10 000-second run holds the same state as a 1 000-second
-//! one.
+//! State is bounded by the widest sampling window, not by run length or
+//! traffic: buckets older than 900 s (the longest period of Table 5),
+//! route events older than the 5 s base window and mobility samples that
+//! can no longer be any future snapshot's nearest sample are all pruned as
+//! rows are emitted. A slot holds one bucket per 5 s of the widest window
+//! (plus those of rows not yet emitted), however many packets it sees,
+//! and a 10 000-second run holds the same state as a 1 000-second one.
 //!
 //! # Emission discipline
 //!
@@ -34,10 +50,30 @@
 //! are flushed by [`IncrementalExtractor::finish`].
 
 use crate::extract::FeatureMatrix;
-use crate::spec::{FeatureSpec, PacketTypeDim, StatMeasure, N_TOPOLOGY_FEATURES};
+use crate::spec::{FeatureSpec, PacketTypeDim, StatMeasure, N_TOPOLOGY_FEATURES, SAMPLING_PERIODS};
 use manet_sim::sink::TraceSink;
 use manet_sim::trace::NodeTrace;
 use manet_sim::{Direction, RouteEventKind, SimTime, TracePacketKind};
+
+/// Snapshot cadence, and the width of a traffic bucket, in microseconds:
+/// the paper's 5 s.
+const SNAPSHOT_US: u64 = 5_000_000;
+
+/// Number of sampling periods (5 s, 1 min, 15 min).
+const N_PERIODS: usize = SAMPLING_PERIODS.len();
+
+/// Number of (packet type, direction) slots.
+const N_SLOTS: usize = PacketTypeDim::ALL.len() * Direction::ALL.len();
+
+/// Whole 5 s buckets in a span of `secs` seconds.
+fn buckets_in(secs: f64) -> u64 {
+    SimTime::from_secs(secs).as_micros() / SNAPSHOT_US
+}
+
+/// Start of bucket `k` (equivalently, the time of snapshot `k`), seconds.
+fn bucket_secs(k: u64) -> f64 {
+    SimTime::from_micros(k * SNAPSHOT_US).as_secs()
+}
 
 /// One completed snapshot emitted by the streaming extractor.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,62 +84,136 @@ pub struct SnapshotRow {
     pub values: Vec<f64>,
 }
 
-/// A sorted event-time buffer with an amortised-O(1) pruned front.
+/// Exact statistics of a time-ordered run of packets, in microseconds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Intervals {
+    /// Packets in the run.
+    n: u64,
+    /// Time of the first and of the last packet.
+    first: u64,
+    last: u64,
+    /// Sum of the squared intervals between consecutive packets. It fits:
+    /// the sum is at most `(last − first)²`, and a window spans < 900 s.
+    sumsq: u64,
+}
+
+impl Intervals {
+    /// A run of one packet at `t`.
+    fn at(t: u64) -> Intervals {
+        Intervals {
+            n: 1,
+            first: t,
+            last: t,
+            sumsq: 0,
+        }
+    }
+
+    /// Appends a packet at `t >= self.last`.
+    fn push(&mut self, t: u64) {
+        debug_assert!(self.last <= t, "packets arrive in time order");
+        let d = t - self.last;
+        self.sumsq += d * d;
+        self.last = t;
+        self.n += 1;
+    }
+
+    /// Prepends an earlier run: the interval joining the two runs is the
+    /// gap from its last packet to this run's first.
+    fn prepend(&mut self, earlier: &Intervals) {
+        if self.n == 0 {
+            *self = *earlier;
+            return;
+        }
+        let gap = self.first - earlier.last;
+        self.sumsq += earlier.sumsq + gap * gap;
+        self.first = earlier.first;
+        self.n += earlier.n;
+    }
+
+    /// Population standard deviation of the intervals, in seconds; zero
+    /// when fewer than two intervals exist.
+    ///
+    /// With `m` intervals summing to `s` (the intervals telescope to
+    /// `last − first`) and squares summing to `q`, the variance is
+    /// `(m·q − s²) / m²`. The numerator is exact in a `u128` and never
+    /// negative (Cauchy–Schwarz); it is rounded to `f64` once.
+    fn stddev(&self) -> f64 {
+        if self.n < 3 {
+            return 0.0;
+        }
+        let m = u128::from(self.n - 1);
+        let s = u128::from(self.last - self.first);
+        let num = m * u128::from(self.sumsq) - s * s;
+        (num as f64).sqrt() / (self.n - 1) as f64 / 1e6
+    }
+}
+
+/// The packets of one slot inside one 5 s bucket.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    /// Bucket number: the bucket covers `[k · 5 s, (k + 1) · 5 s)`.
+    k: u64,
+    stats: Intervals,
+}
+
+/// One slot's non-empty buckets, oldest first, with an amortised-O(1)
+/// pruned front.
 #[derive(Debug, Clone, Default)]
-struct TimesBuf {
-    times: Vec<f64>,
+struct Buckets {
+    run: Vec<Bucket>,
     start: usize,
 }
 
-impl TimesBuf {
-    fn push(&mut self, t: f64) {
-        debug_assert!(self.times.last().is_none_or(|&last| last <= t));
-        self.times.push(t);
+impl Buckets {
+    fn live(&self) -> &[Bucket] {
+        self.run.get(self.start..).unwrap_or(&[])
     }
 
-    /// Events with `lo <= t < hi` among the retained times.
-    fn window(&self, lo: f64, hi: f64) -> &[f64] {
-        let v = self.times.get(self.start..).unwrap_or(&[]);
-        let a = v.partition_point(|&t| t < lo);
-        let b = v.partition_point(|&t| t < hi);
-        // a <= b <= v.len() by partition_point on a sorted buffer.
-        v.get(a..b).unwrap_or(&[])
+    /// Adds a packet at `t` µs, no earlier than every packet so far.
+    fn push(&mut self, t: u64) {
+        let k = t / SNAPSHOT_US;
+        match self.run.last_mut() {
+            Some(b) if b.k == k => b.stats.push(t),
+            _ => self.run.push(Bucket {
+                k,
+                stats: Intervals::at(t),
+            }),
+        }
     }
 
-    /// Drops retained times `< min_lo`; they can appear in no future window.
-    fn prune(&mut self, min_lo: f64) {
-        while self.times.get(self.start).is_some_and(|&t| t < min_lo) {
+    /// The windows `[k − len, k)` (in buckets) for each of the ascending
+    /// `lens`, from one backward walk: each window extends the one before.
+    fn windows(&self, k: u64, lens: &[u64; N_PERIODS]) -> [Intervals; N_PERIODS] {
+        let live = self.live();
+        let end = live.partition_point(|b| b.k < k);
+        let mut newest_first = live.get(..end).unwrap_or(&[]).iter().rev().peekable();
+        let mut acc = Intervals::default();
+        let mut out = [Intervals::default(); N_PERIODS];
+        for (w, &len) in out.iter_mut().zip(lens) {
+            let lo = k.saturating_sub(len);
+            while let Some(b) = newest_first.next_if(|b| b.k >= lo) {
+                acc.prepend(&b.stats);
+            }
+            *w = acc;
+        }
+        out
+    }
+
+    /// Drops buckets before `min_k`; they can appear in no future window.
+    fn prune(&mut self, min_k: u64) {
+        while self.run.get(self.start).is_some_and(|b| b.k < min_k) {
             self.start += 1;
         }
-        if self.start > 64 && self.start * 2 >= self.times.len() {
-            self.times.drain(..self.start);
+        if self.start > 64 && self.start * 2 >= self.run.len() {
+            self.run.drain(..self.start);
             self.start = 0;
         }
     }
 
+    /// Packets the retained buckets cover.
     fn retained(&self) -> usize {
-        self.times.len() - self.start
+        self.live().iter().map(|b| b.stats.n as usize).sum()
     }
-}
-
-/// Population standard deviation of consecutive inter-event intervals;
-/// zero when fewer than two intervals exist.
-pub(crate) fn interval_stddev(times: &[f64]) -> f64 {
-    if times.len() < 3 {
-        // Fewer than two intervals: no spread to measure.
-        return 0.0;
-    }
-    let intervals: Vec<f64> = times
-        .windows(2)
-        .filter_map(|w| {
-            let [a, b] = w else { return None };
-            Some(b - a)
-        })
-        .collect();
-    let n = intervals.len() as f64;
-    let mean = intervals.iter().sum::<f64>() / n;
-    let var = intervals.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / n;
-    var.sqrt()
 }
 
 /// Streaming extractor of the paper's 140 features.
@@ -117,17 +227,19 @@ pub(crate) fn interval_stddev(times: &[f64]) -> f64 {
 #[derive(Debug, Clone)]
 pub struct IncrementalExtractor {
     spec: FeatureSpec,
-    snapshot_interval: f64,
-    /// Next snapshot time to emit.
-    next_t: f64,
+    /// The next snapshot to emit is at `next_k · 5 s`; its traffic
+    /// windows end just before bucket `next_k`.
+    next_k: u64,
     /// Lower bound on all future event times.
     watermark: f64,
     /// Whether future events are known to arrive strictly after the
     /// watermark (true after `advance_to`) or merely at-or-after it
     /// (after an ingested event).
     watermark_strict: bool,
-    /// `traffic[ptype_idx * 4 + dir_idx]` → sorted packet times.
-    traffic: Vec<TimesBuf>,
+    /// `traffic[ptype_idx * 4 + dir_idx]` → that slot's buckets.
+    traffic: Vec<Buckets>,
+    /// Each sampling period in buckets, ascending: 1, 12 and 180.
+    period_buckets: [u64; N_PERIODS],
     /// Raw trace kind → indices into [`PacketTypeDim::ALL`] it feeds.
     kind_to_ptypes: Vec<Vec<usize>>,
     /// Route events inside (or after) the current base window.
@@ -149,7 +261,6 @@ impl IncrementalExtractor {
     /// Creates an extractor with the paper's 5-second snapshot cadence.
     pub fn new() -> IncrementalExtractor {
         let spec = FeatureSpec::new();
-        let snapshot_interval = 5.0;
         let kind_to_ptypes = TracePacketKind::ALL
             .iter()
             .map(|&k| {
@@ -163,11 +274,11 @@ impl IncrementalExtractor {
             .collect();
         IncrementalExtractor {
             spec,
-            snapshot_interval,
-            next_t: snapshot_interval,
+            next_k: 1,
             watermark: 0.0,
             watermark_strict: false,
-            traffic: vec![TimesBuf::default(); PacketTypeDim::ALL.len() * Direction::ALL.len()],
+            traffic: vec![Buckets::default(); N_SLOTS],
+            period_buckets: SAMPLING_PERIODS.map(buckets_in),
             kind_to_ptypes,
             routes: Vec::new(),
             routes_start: 0,
@@ -181,10 +292,13 @@ impl IncrementalExtractor {
         &self.spec
     }
 
-    /// Number of buffered events currently retained (diagnostic; this is
-    /// the quantity the pruning rules keep bounded by window width).
+    /// Number of buffered events currently retained (diagnostic): the
+    /// packets the retained traffic buckets cover, plus the buffered route
+    /// events and mobility samples. The pruning rules keep it bounded by
+    /// window width. Traffic memory itself is buckets, one per slot per 5 s
+    /// of the widest window, whatever the packet rate.
     pub fn retained_events(&self) -> usize {
-        self.traffic.iter().map(TimesBuf::retained).sum::<usize>()
+        self.traffic.iter().map(Buckets::retained).sum::<usize>()
             + (self.routes.len() - self.routes_start)
             + self.mobility.len()
     }
@@ -197,8 +311,9 @@ impl IncrementalExtractor {
         k.index()
     }
 
-    /// Buffers a packet observation without advancing the watermark.
-    fn buffer_packet(&mut self, t: f64, kind: TracePacketKind, dir: Direction) {
+    /// Buffers a packet observation at `t` µs without advancing the
+    /// watermark.
+    fn buffer_packet(&mut self, t: u64, kind: TracePacketKind, dir: Direction) {
         let d = Self::dir_idx(dir);
         let Some(ptypes) = self.kind_to_ptypes.get(Self::kind_idx(kind)) else {
             return;
@@ -236,8 +351,7 @@ impl IncrementalExtractor {
     /// extractor's `5, 10, … <= duration` grid), regardless of watermark.
     /// Call once, after the run has fully ended.
     pub fn finish(&mut self, duration: SimTime) {
-        let dur = duration.as_secs();
-        while self.next_t <= dur + 1e-9 {
+        while self.next_k * SNAPSHOT_US <= duration.as_micros() {
             self.emit_row();
         }
     }
@@ -252,7 +366,7 @@ impl IncrementalExtractor {
     /// chronological, which is all the buffers require.
     pub(crate) fn preload(&mut self, trace: &NodeTrace) {
         for e in &trace.packet_events {
-            self.buffer_packet(e.t.as_secs(), e.kind, e.dir);
+            self.buffer_packet(e.t.as_micros(), e.kind, e.dir);
         }
         for e in &trace.route_events {
             self.routes.push((e.t.as_secs(), e.kind, e.route_len));
@@ -279,7 +393,7 @@ impl IncrementalExtractor {
     /// Emits every snapshot the watermark proves complete.
     fn try_emit(&mut self) {
         loop {
-            let t = self.next_t;
+            let t = bucket_secs(self.next_k);
             // Window completeness: all events `< t` must have arrived.
             if self.watermark < t {
                 return;
@@ -305,12 +419,13 @@ impl IncrementalExtractor {
         }
     }
 
-    /// Computes and records the snapshot at `self.next_t`, then prunes
-    /// state no future snapshot can see. Must mirror the batch loop body
-    /// in `FeatureExtractor` operation for operation.
+    /// Computes and records the snapshot at `next_k · 5 s`, then prunes
+    /// state no future snapshot can see. Batch and streaming extraction
+    /// both emit every row here.
     fn emit_row(&mut self) {
-        let t = self.next_t;
-        let lo = t - self.snapshot_interval;
+        let k = self.next_k;
+        let t = bucket_secs(k);
+        let lo = bucket_secs(k.saturating_sub(1));
         let mut row = Vec::with_capacity(self.spec.len());
 
         // --- Feature Set I ---
@@ -364,35 +479,41 @@ impl IncrementalExtractor {
         debug_assert_eq!(row.len(), N_TOPOLOGY_FEATURES);
 
         // --- Feature Set II ---
-        let ptype_idx = |p: PacketTypeDim| p.index();
+        let mut windows = [[Intervals::default(); N_PERIODS]; N_SLOTS];
+        for (w, buf) in windows.iter_mut().zip(&self.traffic) {
+            *w = buf.windows(k, &self.period_buckets);
+        }
         for f in self.spec.traffic_features() {
-            let lo_w = (t - f.period).max(0.0);
-            let slot = ptype_idx(f.ptype) * Direction::ALL.len() + Self::dir_idx(f.dir);
-            let window = match self.traffic.get(slot) {
-                Some(buf) => buf.window(lo_w, t),
-                None => &[],
-            };
-            let v = match f.stat {
-                StatMeasure::Count => window.len() as f64,
-                StatMeasure::IntervalStdDev => interval_stddev(window),
-            };
-            row.push(v);
+            let slot = f.ptype.index() * Direction::ALL.len() + Self::dir_idx(f.dir);
+            // Every period of the spec is a sampling period.
+            let len = buckets_in(f.period);
+            let period = self.period_buckets.iter().position(|&b| b == len);
+            let w = period
+                .and_then(|p| windows.get(slot)?.get(p))
+                .copied()
+                .unwrap_or_default();
+            row.push(match f.stat {
+                StatMeasure::Count => w.n as f64,
+                StatMeasure::IntervalStdDev => w.stddev(),
+            });
         }
 
         self.ready.push(SnapshotRow {
             time: t,
             values: row,
         });
-        self.next_t = t + self.snapshot_interval;
+        self.next_k = k + 1;
         self.prune(t);
     }
 
     /// Drops state the just-emitted snapshot at `t` was the last to need.
     fn prune(&mut self, t: f64) {
-        // Packet times: the widest future window starts at `next_t - 900`.
-        let min_lo = self.next_t - 900.0;
+        // Traffic: the widest future window starts `widest` buckets
+        // before `next_k`.
+        let widest = self.period_buckets.iter().copied().max().unwrap_or(0);
+        let min_k = self.next_k.saturating_sub(widest);
         for buf in &mut self.traffic {
-            buf.prune(min_lo);
+            buf.prune(min_k);
         }
         // Route events: each lives in exactly one base window, which has
         // now closed for everything `< t`.
@@ -418,9 +539,8 @@ impl IncrementalExtractor {
 
 impl TraceSink for IncrementalExtractor {
     fn packet(&mut self, t: SimTime, kind: TracePacketKind, dir: Direction) {
-        let ts = t.as_secs();
-        self.buffer_packet(ts, kind, dir);
-        self.observe(ts);
+        self.buffer_packet(t.as_micros(), kind, dir);
+        self.observe(t.as_secs());
     }
 
     fn route(&mut self, t: SimTime, kind: RouteEventKind, route_len: Option<u8>) {
@@ -591,6 +711,118 @@ mod tests {
             "retained {retained} events; pruning is not bounding state"
         );
         assert!(!ext.drain_rows().is_empty());
+    }
+
+    /// The pre-bucket formula: two `f64` passes over the intervals of the
+    /// window's times in seconds.
+    fn f64_formula(times: &[f64]) -> f64 {
+        if times.len() < 3 {
+            return 0.0;
+        }
+        let intervals: Vec<f64> = times.windows(2).map(|w| w[1] - w[0]).collect();
+        let n = intervals.len() as f64;
+        let mean = intervals.iter().sum::<f64>() / n;
+        let var = intervals.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / n;
+        var.sqrt()
+    }
+
+    /// Rows of a run with data sends at `times_us`, flushed at `secs`.
+    fn data_sent_rows(times_us: &[u64], secs: f64) -> Vec<SnapshotRow> {
+        let mut ext = IncrementalExtractor::new();
+        for &t in times_us {
+            TraceSink::packet(
+                &mut ext,
+                SimTime::from_micros(t),
+                TracePacketKind::Data,
+                Direction::Sent,
+            );
+        }
+        ext.finish(SimTime::from_secs(secs));
+        ext.drain_rows()
+    }
+
+    fn col(name: &str) -> usize {
+        FeatureSpec::new()
+            .names()
+            .iter()
+            .position(|n| n == name)
+            .expect("feature exists")
+    }
+
+    #[test]
+    fn periodic_stream_has_exactly_zero_spread() {
+        // One send every 0.1 s: every interval is 100 000 µs. The f64
+        // formula reports rounding noise for such windows; the exact one
+        // reports 0.
+        let times: Vec<u64> = (0..10_000).map(|i| 50_000 + i * 100_000).collect();
+        let rows = data_sent_rows(&times, 1000.0);
+        assert_eq!(rows.len(), 200);
+        for p in ["5", "60", "900"] {
+            let c = col(&format!("data_sent_{p}s_ivstd"));
+            for r in &rows {
+                assert_eq!(
+                    r.values[c].to_bits(),
+                    0.0f64.to_bits(),
+                    "{p} s at {}",
+                    r.time
+                );
+            }
+        }
+        let first_window: Vec<f64> = times[..50]
+            .iter()
+            .map(|&t| SimTime::from_micros(t).as_secs())
+            .collect();
+        assert!(
+            f64_formula(&first_window) > 0.0,
+            "the f64 formula is noisy here"
+        );
+    }
+
+    #[test]
+    fn extreme_spread_agrees_with_the_f64_formula() {
+        // A thousand sends 1 µs apart, then one 899.999 s later: the
+        // largest sums one 900 s window can hold.
+        let mut times: Vec<u64> = (0..1000).collect();
+        times.push(899_999_999);
+        let rows = data_sent_rows(&times, 900.0);
+        let got = rows[179].values[col("data_sent_900s_ivstd")];
+        let secs: Vec<f64> = times
+            .iter()
+            .map(|&t| SimTime::from_micros(t).as_secs())
+            .collect();
+        let old = f64_formula(&secs);
+        assert!(got > 28.0, "spread {got}");
+        assert!((got - old).abs() <= 1e-12, "exact {got} vs f64 {old}");
+        assert_eq!(rows[0].values[col("data_sent_5s_ivstd")], 0.0);
+        assert_eq!(rows[179].values[col("data_sent_900s_count")], 1001.0);
+    }
+
+    #[test]
+    fn bucket_memory_is_flat_in_run_length() {
+        let mut ext = IncrementalExtractor::new();
+        let mut per_slot = Vec::new();
+        for i in 0..=12_000u64 {
+            let t = SimTime::from_micros(i * 250_000);
+            TraceSink::packet(&mut ext, t, TracePacketKind::Data, Direction::Sent);
+            if i % 5 == 0 {
+                TraceSink::packet(&mut ext, t, TracePacketKind::Rreq, Direction::Received);
+            }
+            if i % 20 == 0 {
+                // Mobility samples let the watermark settle each row.
+                TraceSink::mobility(&mut ext, t, 1.0);
+            }
+            if i % 4000 == 0 {
+                let live: Vec<usize> = ext.traffic.iter().map(|b| b.live().len()).collect();
+                per_slot.push((t.as_secs(), live));
+            }
+        }
+        let (at_1000, at_3000) = (&per_slot[1].1, &per_slot[3].1);
+        assert_eq!((per_slot[1].0, per_slot[3].0), (1000.0, 3000.0));
+        assert_eq!(at_1000, at_3000);
+        // Data sends feed one slot and RREQs two (rreq and route); each
+        // holds the 180 buckets of the widest window plus the one filling.
+        assert_eq!(at_3000.iter().filter(|&&n| n == 181).count(), 3);
+        assert!(at_3000.iter().all(|&n| n == 0 || n == 181));
     }
 
     #[test]

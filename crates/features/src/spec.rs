@@ -76,7 +76,10 @@ impl PacketTypeDim {
 pub enum StatMeasure {
     /// Number of packets in the window.
     Count,
-    /// Standard deviation of inter-packet intervals in the window.
+    /// Population standard deviation of the inter-packet intervals in the
+    /// window, computed exactly from the packets' [`manet_sim::SimTime`]
+    /// microseconds and rounded to `f64` seconds once; zero with fewer
+    /// than two intervals.
     IntervalStdDev,
 }
 

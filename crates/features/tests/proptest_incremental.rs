@@ -4,9 +4,19 @@
 //! names, times and values.
 //!
 //! The oracle below is the original, pre-streaming batch algorithm,
-//! copied verbatim. The production `FeatureExtractor` is now a wrapper
-//! over the incremental path, so comparing against it alone would be
-//! circular; the oracle keeps the old semantics pinned independently.
+//! copied verbatim except for one function. The production
+//! `FeatureExtractor` is now a wrapper over the incremental path, so
+//! comparing against it alone would be circular; the oracle keeps the
+//! semantics pinned independently: sorted `f64` times, windows cut by
+//! `f64` comparisons, no buckets.
+//!
+//! The one replaced function is `interval_stddev`. Production computes
+//! the exact population standard deviation of the window's microsecond
+//! intervals from integer sums, rounded to `f64` once; the oracle computes
+//! the same definition the slow way, interval by interval. The verbatim
+//! two-pass `f64` formula of the original stays beside it as a second
+//! check: on every window the oracle evaluates, the two must agree within
+//! [`oracle::F64_FORMULA_BOUND`] seconds.
 
 use manet_features::{rows_to_matrix, FeatureMatrix, IncrementalExtractor};
 use manet_sim::sink::TraceSink;
@@ -64,7 +74,12 @@ mod oracle {
         }
     }
 
-    fn interval_stddev(times: &[f64]) -> f64 {
+    /// How far the original `f64` formula may drift from the exact
+    /// definition, in seconds.
+    pub const F64_FORMULA_BOUND: f64 = 1e-12;
+
+    /// The original formula: two `f64` passes over the intervals.
+    fn f64_interval_stddev(times: &[f64]) -> f64 {
         if times.len() < 3 {
             return 0.0;
         }
@@ -73,6 +88,37 @@ mod oracle {
         let mean = intervals.iter().sum::<f64>() / n;
         let var = intervals.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / n;
         var.sqrt()
+    }
+
+    /// The exact definition: the population standard deviation of the
+    /// intervals between the window's times in whole microseconds (each
+    /// `f64` time is a `SimTime` read back as seconds, so the conversion
+    /// is lossless), with `Σd` and `Σd²` summed interval by interval in
+    /// integers and the same final float operations as production.
+    fn interval_stddev(times: &[f64]) -> f64 {
+        if times.len() < 3 {
+            return 0.0;
+        }
+        let us: Vec<u64> = times
+            .iter()
+            .map(|&t| SimTime::from_secs(t).as_micros())
+            .collect();
+        let (mut sum, mut sumsq) = (0u128, 0u128);
+        for w in us.windows(2) {
+            let d = u128::from(w[1] - w[0]);
+            sum += d;
+            sumsq += d * d;
+        }
+        let m = us.len() as u64 - 1;
+        let num = u128::from(m) * sumsq - sum * sum;
+        let exact = (num as f64).sqrt() / m as f64 / 1e6;
+        let old = f64_interval_stddev(times);
+        assert!(
+            (exact - old).abs() <= F64_FORMULA_BOUND,
+            "exact {exact} vs f64 formula {old} over {} times",
+            times.len()
+        );
+        exact
     }
 
     pub fn extract(trace: &NodeTrace, duration: SimTime) -> FeatureMatrix {
@@ -192,9 +238,12 @@ impl Ev {
 
 const DURATION: f64 = 60.0;
 
-fn event_strategy() -> impl Strategy<Value = Ev> {
+/// Longer than the widest window (900 s), so late rows evict early buckets.
+const LONG_DURATION: f64 = 1200.0;
+
+fn event_strategy(horizon: f64) -> impl Strategy<Value = Ev> {
     (
-        (0usize..3, 0.0f64..DURATION),
+        (0usize..3, 0.0f64..horizon),
         (0usize..6, 0usize..5, 0usize..4),
         (0u8..9, 0.0f64..25.0),
     )
@@ -209,16 +258,51 @@ fn event_strategy() -> impl Strategy<Value = Ev> {
         })
 }
 
+/// A burst of 3 to 7 packets of one kind and direction, evenly spaced by
+/// `mantissa · 10^exp` µs (0 µs to 9 s), so that one slot's window holds
+/// three or more packets at spacings from simultaneous to seconds.
+fn burst_strategy() -> impl Strategy<Value = Vec<Ev>> {
+    (
+        (0.0f64..LONG_DURATION, 3u64..8),
+        (0u64..10, 0u32..7),
+        (0usize..6, 0usize..4),
+    )
+        .prop_map(|((start, len), (mantissa, exp), (pk, d))| {
+            let gap = mantissa * 10u64.pow(exp);
+            (0..len)
+                .map(|j| start + (j * gap) as f64 / 1e6)
+                .filter(|&t| t < LONG_DURATION)
+                .map(|t| Ev::Packet(t, TracePacketKind::ALL[pk], Direction::ALL[d]))
+                .collect()
+        })
+}
+
+fn sorted(mut events: Vec<Ev>) -> Vec<Ev> {
+    events.sort_by(|a, b| a.time().partial_cmp(&b.time()).unwrap());
+    events
+}
+
 /// A chronological event stream plus, per gap, whether the driver lets the
 /// clock catch up (an `advance_to` between deliveries).
 fn stream_strategy() -> impl Strategy<Value = (Vec<Ev>, Vec<bool>)> {
     (
-        proptest::collection::vec(event_strategy(), 0..250),
+        proptest::collection::vec(event_strategy(DURATION), 0..250),
         proptest::collection::vec(proptest::bool::ANY, 250),
     )
-        .prop_map(|(mut events, advances)| {
-            events.sort_by(|a, b| a.time().partial_cmp(&b.time()).unwrap());
-            (events, advances)
+        .prop_map(|(events, advances)| (sorted(events), advances))
+}
+
+/// Bursts over [`LONG_DURATION`], mixed with scattered events of every
+/// kind, plus the clock advances.
+fn clustered_stream_strategy() -> impl Strategy<Value = (Vec<Ev>, Vec<bool>)> {
+    (
+        proptest::collection::vec(burst_strategy(), 1..60),
+        proptest::collection::vec(event_strategy(LONG_DURATION), 0..120),
+        proptest::collection::vec(proptest::bool::ANY, 540),
+    )
+        .prop_map(|(bursts, scattered, advances)| {
+            let events = bursts.into_iter().flatten().chain(scattered).collect();
+            (sorted(events), advances)
         })
 }
 
@@ -234,6 +318,53 @@ fn trace_of(events: &[Ev]) -> NodeTrace {
     tr
 }
 
+/// Streams `events` into an extractor the way a live simulator drives it,
+/// letting the clock catch up after event `i` when `advances[i]` holds.
+fn stream(events: &[Ev], advances: &[bool], duration: SimTime) -> FeatureMatrix {
+    let mut ext = IncrementalExtractor::new();
+    for (i, &e) in events.iter().enumerate() {
+        let now = SimTime::from_secs(e.time());
+        match e {
+            Ev::Packet(_, k, d) => TraceSink::packet(&mut ext, now, k, d),
+            Ev::Route(_, k, l) => TraceSink::route(&mut ext, now, k, l),
+            Ev::Mobility(_, v) => TraceSink::mobility(&mut ext, now, v),
+        }
+        // A clock advance to the last delivered instant is only a valid
+        // promise ("no more events at or before this time") when the
+        // next event lies strictly later.
+        let next = events
+            .get(i + 1)
+            .map_or(duration, |n| SimTime::from_secs(n.time()));
+        if advances[i] && next > now {
+            ext.advance_to(now);
+        }
+    }
+    ext.advance_to(duration);
+    ext.finish(duration);
+    let rows = ext.drain_rows();
+    rows_to_matrix(ext.spec(), rows)
+}
+
+/// Names, times and every value equal the oracle's, bit for bit.
+fn assert_bit_identical(got: &FeatureMatrix, expected: &FeatureMatrix) {
+    prop_assert_eq!(&got.names, &expected.names);
+    prop_assert_eq!(&got.times, &expected.times);
+    prop_assert_eq!(got.rows.len(), expected.rows.len());
+    for (r, (a, b)) in got.rows.iter().zip(&expected.rows).enumerate() {
+        for (c, (x, y)) in a.iter().zip(b).enumerate() {
+            prop_assert!(
+                x.to_bits() == y.to_bits(),
+                "row {} col {} ({}): {} != {}",
+                r,
+                c,
+                got.names[c],
+                x,
+                y
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -241,38 +372,7 @@ proptest! {
     fn incremental_replay_equals_batch_matrix((events, advances) in stream_strategy()) {
         let duration = SimTime::from_secs(DURATION);
         let expected = oracle::extract(&trace_of(&events), duration);
-
-        let mut ext = IncrementalExtractor::new();
-        for (i, &e) in events.iter().enumerate() {
-            match e {
-                Ev::Packet(t, k, d) => TraceSink::packet(&mut ext, SimTime::from_secs(t), k, d),
-                Ev::Route(t, k, l) => TraceSink::route(&mut ext, SimTime::from_secs(t), k, l),
-                Ev::Mobility(t, v) => TraceSink::mobility(&mut ext, SimTime::from_secs(t), v),
-            }
-            // A clock advance to the last delivered instant is only a valid
-            // promise ("no more events at or before this time") when the
-            // next event lies strictly later.
-            let next_t = events.get(i + 1).map_or(DURATION, Ev::time);
-            if advances[i] && next_t > e.time() {
-                ext.advance_to(SimTime::from_secs(e.time()));
-            }
-        }
-        ext.advance_to(duration);
-        ext.finish(duration);
-
-        let rows = ext.drain_rows();
-        let got = rows_to_matrix(ext.spec(), rows);
-        prop_assert_eq!(&got.names, &expected.names);
-        prop_assert_eq!(&got.times, &expected.times);
-        prop_assert_eq!(got.rows.len(), expected.rows.len());
-        for (r, (a, b)) in got.rows.iter().zip(&expected.rows).enumerate() {
-            for (c, (x, y)) in a.iter().zip(b).enumerate() {
-                prop_assert!(
-                    x.to_bits() == y.to_bits(),
-                    "row {} col {} ({}): {} != {}", r, c, got.names[c], x, y
-                );
-            }
-        }
+        assert_bit_identical(&stream(&events, &advances, duration), &expected);
     }
 
     #[test]
@@ -283,5 +383,15 @@ proptest! {
         let got = manet_features::FeatureExtractor::new().extract(&trace, duration);
         prop_assert_eq!(&got.times, &expected.times);
         prop_assert_eq!(&got.rows, &expected.rows);
+    }
+
+    #[test]
+    fn clustered_long_streams_equal_the_oracle((events, advances) in clustered_stream_strategy()) {
+        let duration = SimTime::from_secs(LONG_DURATION);
+        let trace = trace_of(&events);
+        let expected = oracle::extract(&trace, duration);
+        assert_bit_identical(&stream(&events, &advances, duration), &expected);
+        let batch = manet_features::FeatureExtractor::new().extract(&trace, duration);
+        assert_bit_identical(&batch, &expected);
     }
 }
