@@ -229,7 +229,7 @@ fn int_literal(text: &str) -> Option<i128> {
 }
 
 /// Whether a numeric literal token is a float (`0.5`, `1e-3`, `2f64`).
-fn float_literal(text: &str) -> bool {
+pub(crate) fn float_literal(text: &str) -> bool {
     text.contains('.')
         || text.ends_with("f64")
         || text.ends_with("f32")

@@ -101,13 +101,13 @@ pub const PREDICT_ROOTS: [&str; 15] = [
 pub struct FileCtx {
     /// Raw source lines of the file.
     pub lines: Vec<String>,
-    /// `(rule, line)` pairs (0-based lines) with a justified allow.
+    /// `(rule, line)` pairs with a justified allow.
     pub allowed: Vec<(Rule, usize)>,
 }
 
 impl FileCtx {
-    pub(crate) fn is_allowed(&self, rule: Rule, line0: usize) -> bool {
-        self.allowed.iter().any(|&(r, l)| r == rule && l == line0)
+    pub(crate) fn is_allowed(&self, rule: Rule, line: usize) -> bool {
+        self.allowed.contains(&(rule, line))
     }
 
     pub(crate) fn snippet(&self, line1: usize) -> String {
@@ -146,10 +146,9 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
         };
         let chain = render_chain(&graph.chain(&parent, i));
         for site in &f.panics {
-            let line0 = site.line - 1;
             // A justified D004 (hot-path panic contract) allow covers the
             // same site for D006.
-            if ctx.is_allowed(Rule::D006, line0) || ctx.is_allowed(Rule::D004, line0) {
+            if ctx.is_allowed(Rule::D006, site.line) || ctx.is_allowed(Rule::D004, site.line) {
                 continue;
             }
             findings.push(Finding {
@@ -190,8 +189,7 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
             {
                 continue;
             }
-            let line0 = g.line - 1;
-            if ctx.is_allowed(Rule::D007, line0) {
+            if ctx.is_allowed(Rule::D007, g.line) {
                 continue;
             }
             findings.push(Finding {
@@ -222,7 +220,7 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
             continue;
         };
         for site in &f.flow.reductions {
-            if ctx.is_allowed(Rule::D009, site.line - 1) {
+            if ctx.is_allowed(Rule::D009, site.line) {
                 continue;
             }
             findings.push(Finding {
@@ -259,7 +257,7 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
         };
         let chain = render_chain(&graph.chain(&hot_parent, i));
         for site in &f.flow.casts {
-            if ctx.is_allowed(Rule::D010, site.line - 1) {
+            if ctx.is_allowed(Rule::D010, site.line) {
                 continue;
             }
             findings.push(Finding {
@@ -284,8 +282,7 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
         };
         let chain = render_chain(&graph.chain(&predict_parent, i));
         for site in &f.allocs {
-            let line0 = site.line - 1;
-            if ctx.is_allowed(Rule::D008, line0) {
+            if ctx.is_allowed(Rule::D008, site.line) {
                 continue;
             }
             findings.push(Finding {

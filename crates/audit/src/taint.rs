@@ -751,7 +751,7 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
                 SinkKind::AllocSize => Rule::D012,
                 SinkKind::Index | SinkKind::Arith => Rule::D013,
             };
-            if ctx.is_allowed(rule, h.line - 1) {
+            if ctx.is_allowed(rule, h.line) {
                 continue;
             }
             let mut chain = h.prov.path.clone();
@@ -930,7 +930,7 @@ fn lock_rules(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findi
         let Some(ctx) = files.get(&f.file) else {
             continue;
         };
-        if ctx.is_allowed(Rule::D014, s.line - 1) {
+        if ctx.is_allowed(Rule::D014, s.line) {
             continue;
         }
         let how = match s.via {
@@ -972,7 +972,7 @@ fn lock_rules(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findi
             let Some(h) = named_guard.or(g.held.first().filter(|_| direct)) else {
                 continue;
             };
-            if ctx.is_allowed(Rule::D014, g.line - 1) {
+            if ctx.is_allowed(Rule::D014, g.line) {
                 continue;
             }
             let path = if direct {
