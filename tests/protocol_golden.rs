@@ -1,7 +1,9 @@
 //! Golden traces of the protocol layer.
 //!
 //! AODV and DSR each run without an attack and under the black hole,
-//! selective dropping and the update storm. Each run is pinned to three
+//! selective dropping and the update storm, on a 20-node world, and under
+//! the black hole on a 120-node world whose radio contention spans many
+//! grid cells. Each run is pinned to three
 //! values: the simulator's event count, its frame counters, and an FNV-1a
 //! digest of the audit traces at two honest vantage nodes. A change to the
 //! routing agents, the attack wrappers or the scenario builder that moves
@@ -66,6 +68,13 @@ fn observe<A: Agent>(mut sim: Simulator<A>) -> Golden {
     }
 }
 
+fn simulate(protocol: Protocol, s: Scenario) -> Golden {
+    match protocol {
+        Protocol::Aodv => observe(s.build_aodv()),
+        Protocol::Dsr => observe(s.build_dsr()),
+    }
+}
+
 fn run(protocol: Protocol, attack: Option<Attack>) -> Golden {
     let mut s = Scenario::paper_default(protocol, Transport::Cbr)
         .with_nodes(20)
@@ -76,10 +85,21 @@ fn run(protocol: Protocol, attack: Option<Attack>) -> Golden {
     if let Some(a) = attack {
         s = s.with_attack(a);
     }
-    match protocol {
-        Protocol::Aodv => observe(s.build_aodv()),
-        Protocol::Dsr => observe(s.build_dsr()),
-    }
+    simulate(protocol, s)
+}
+
+/// A black hole at node 7 from 15 s, on 120 nodes over 3 000 m × 3 000 m
+/// for 60 s. The radio's contention grid is 6 × 6 cells of 550 m here;
+/// the 600 m worlds above fit in 2 × 2.
+fn run_wide(protocol: Protocol) -> Golden {
+    let s = Scenario::paper_default(protocol, Transport::Cbr)
+        .with_nodes(120)
+        .with_world(3000.0, 3000.0)
+        .with_connections(240)
+        .with_duration(60.0)
+        .with_seed(1)
+        .with_attack(Attack::blackhole_at(&[15.0]));
+    simulate(protocol, s)
 }
 
 /// Runs an attacked scenario, checks it against its pinned values, and
@@ -186,4 +206,24 @@ fn dsr_storm() {
         digest: 0x83b5448eb70d338e,
     };
     check_attacked(Protocol::Dsr, Attack::storm_at(&[50.0]), want, &DSR_CLEAN);
+}
+
+#[test]
+fn aodv_blackhole_wide_field() {
+    let want = Golden {
+        events: 284_575,
+        frames: (227_182, 10_016),
+        digest: 0xe490ea4069d9cac2,
+    };
+    assert_eq!(run_wide(Protocol::Aodv), want);
+}
+
+#[test]
+fn dsr_blackhole_wide_field() {
+    let want = Golden {
+        events: 188_451,
+        frames: (133_695, 6_164),
+        digest: 0xc857907b551ca683,
+    };
+    assert_eq!(run_wide(Protocol::Dsr), want);
 }
