@@ -9,7 +9,6 @@
 //! decorators.
 
 use crate::app::AppData;
-use crate::mobility::Point;
 use crate::packet::{NodeId, Packet, PacketId, TxDest};
 use crate::rng::SimRng;
 use crate::sink::TraceSink;
@@ -38,7 +37,6 @@ impl TimerToken {
 pub struct Ctx<'a, H> {
     now: SimTime,
     node: NodeId,
-    pos: Point,
     pub(crate) out: Vec<(Packet<H>, TxDest)>,
     pub(crate) timers: Vec<(SimTime, TimerToken)>,
     pub(crate) deliveries: Vec<(AppData, u32, NodeId)>,
@@ -51,7 +49,6 @@ impl<'a, H> Ctx<'a, H> {
     pub(crate) fn new(
         now: SimTime,
         node: NodeId,
-        pos: Point,
         trace: &'a mut dyn TraceSink,
         rng: &'a mut SimRng,
         next_packet_id: &'a mut u64,
@@ -59,7 +56,6 @@ impl<'a, H> Ctx<'a, H> {
         Ctx {
             now,
             node,
-            pos,
             out: Vec::new(),
             timers: Vec::new(),
             deliveries: Vec::new(),
@@ -77,11 +73,6 @@ impl<'a, H> Ctx<'a, H> {
     /// The node this agent runs on.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// The node's current position.
-    pub fn pos(&self) -> Point {
-        self.pos
     }
 
     /// The agent's RNG stream.
@@ -147,7 +138,6 @@ impl<H: std::fmt::Debug> std::fmt::Debug for Ctx<'_, H> {
         f.debug_struct("Ctx")
             .field("now", &self.now)
             .field("node", &self.node)
-            .field("pos", &self.pos)
             .field("out", &self.out)
             .field("timers", &self.timers)
             .field("deliveries", &self.deliveries)
@@ -175,7 +165,6 @@ impl<H: std::fmt::Debug> std::fmt::Debug for Ctx<'_, H> {
 pub struct AgentHarness {
     node: NodeId,
     now: SimTime,
-    pos: Point,
     trace: NodeTrace,
     rng: SimRng,
     counter: u64,
@@ -187,7 +176,6 @@ impl AgentHarness {
         AgentHarness {
             node,
             now: SimTime::ZERO,
-            pos: Point::default(),
             trace: NodeTrace::new(),
             rng: crate::rng::derive_stream(0xBAD5EED, node.0 as u64),
             counter: 0,
@@ -204,7 +192,6 @@ impl AgentHarness {
         Ctx::new(
             self.now,
             self.node,
-            self.pos,
             &mut self.trace,
             &mut self.rng,
             &mut self.counter,
@@ -398,14 +385,8 @@ mod tests {
         let mut trace = NodeTrace::new();
         let mut rng = derive_stream(0, 0);
         let mut counter = 0u64;
-        let mut ctx: Ctx<'_, ()> = Ctx::new(
-            SimTime::ZERO,
-            NodeId(0),
-            Point::default(),
-            &mut trace,
-            &mut rng,
-            &mut counter,
-        );
+        let mut ctx: Ctx<'_, ()> =
+            Ctx::new(SimTime::ZERO, NodeId(0), &mut trace, &mut rng, &mut counter);
         let a = ctx.fresh_packet_id();
         let b = ctx.fresh_packet_id();
         assert_ne!(a, b);
@@ -481,14 +462,7 @@ mod tests {
             header: (),
             app: None,
         };
-        let mut ctx = Ctx::new(
-            SimTime::ZERO,
-            NodeId(2),
-            Point::default(),
-            &mut trace,
-            &mut rng,
-            &mut counter,
-        );
+        let mut ctx = Ctx::new(SimTime::ZERO, NodeId(2), &mut trace, &mut rng, &mut counter);
         agent.on_packet(&mut ctx, pkt);
         assert!(
             ctx.out.is_empty(),

@@ -107,8 +107,9 @@ pub struct Simulator<A: Agent> {
     grid: SpatialGrid,
     /// Scratch: candidate receivers gathered per transmission.
     candidates_scratch: Vec<NodeId>,
-    /// Scratch: exact in-range receivers per transmission.
-    in_range_scratch: Vec<NodeId>,
+    /// Scratch: exact in-range receivers per transmission, with their
+    /// positions at the transmission's instant.
+    in_range_scratch: Vec<(NodeId, Point)>,
     /// Recycled receiver lists for `DeliverBatch` events (no steady-state
     /// allocation on the fan-out path).
     batch_pool: Vec<Vec<(NodeId, bool)>>,
@@ -489,19 +490,14 @@ impl<A: Agent> Simulator<A> {
     ) {
         let now = self.now;
         let i = node.index();
-        // audit: allow(D006, reason = "NodeId values are allocated by this simulator and always index the slot vectors")
-        let m = &mut self.nodes.mobility[i];
-        m.advance_to(now);
-        let pos = m.position(now);
         let mut ctx = Ctx::new(
             now,
             node,
-            pos,
-            self.nodes.sinks[i].as_mut(), // audit: allow(D006, reason = "slot vectors share one length; i was bounds-checked by the mobility access above")
-            &mut self.nodes.rngs[i], // audit: allow(D006, reason = "slot vectors share one length; i was bounds-checked by the mobility access above")
+            self.nodes.sinks[i].as_mut(), // audit: allow(D006, reason = "NodeId values are allocated by this simulator and always index the slot vectors")
+            &mut self.nodes.rngs[i], // audit: allow(D006, reason = "slot vectors share one length; i was bounds-checked by the sinks access above")
             &mut self.packet_counter,
         );
-        // audit: allow(D006, reason = "slot vectors share one length; i was bounds-checked by the mobility access above")
+        // audit: allow(D006, reason = "slot vectors share one length; i was bounds-checked by the sinks access above")
         f(&mut self.nodes.agents[i], &mut ctx);
         let Ctx {
             out,
@@ -526,8 +522,13 @@ impl<A: Agent> Simulator<A> {
                 });
             }
         }
-        for (pkt, dest) in out {
-            self.transmit(node, pos, pkt, dest);
+        // The sender's position matters only to a transmission, so its
+        // trajectory rolls forward only when the callback staged a frame.
+        if !out.is_empty() {
+            let pos = self.position(node);
+            for (pkt, dest) in out {
+                self.transmit(node, pos, pkt, dest);
+            }
         }
     }
 
@@ -582,14 +583,14 @@ impl<A: Agent> Simulator<A> {
         let mut in_range = std::mem::take(&mut self.in_range_scratch);
         in_range.clear();
         self.grid.candidates_into(now, tx_pos, &mut candidates);
-        // Exact range check at transmit-time positions. Next-hop membership
-        // is resolved here, during the walk, instead of re-scanning
-        // `in_range` afterwards.
+        // Exact range check at transmit-time positions, which the loss
+        // rolls below reuse. Next-hop membership is resolved here, during
+        // the walk, instead of re-scanning `in_range` afterwards.
         let unicast_hop = match dest {
             TxDest::Unicast(h) => Some(h),
             TxDest::Broadcast => None,
         };
-        let mut hop_in_range = false;
+        let mut hop_pos = None;
         for &nid in &candidates {
             if nid == sender {
                 continue;
@@ -600,9 +601,9 @@ impl<A: Agent> Simulator<A> {
             let p = m.position(now);
             if self.radio.in_range(tx_pos, p) {
                 if unicast_hop == Some(nid) {
-                    hop_in_range = true;
+                    hop_pos = Some(p);
                 }
-                in_range.push(nid);
+                in_range.push((nid, p));
             }
         }
         // Debug-build oracle: the all-nodes scan must find the same
@@ -610,15 +611,15 @@ impl<A: Agent> Simulator<A> {
         // moves no trajectory and draws from no RNG stream of the run.
         #[cfg(debug_assertions)]
         {
-            let scanned: Vec<NodeId> = (0..self.cfg.n_nodes)
+            let scanned: Vec<(NodeId, Point)> = (0..self.cfg.n_nodes)
                 .map(NodeId)
                 .zip(&self.nodes.mobility)
-                .filter(|&(nid, m)| {
+                .filter_map(|(nid, m)| {
                     let mut walker = m.clone();
                     walker.advance_to(now);
-                    nid != sender && self.radio.in_range(tx_pos, walker.position(now))
+                    let p = walker.position(now);
+                    (nid != sender && self.radio.in_range(tx_pos, p)).then_some((nid, p))
                 })
-                .map(|(nid, _)| nid)
                 .collect();
             // audit: allow(D006, reason = "debug-build oracle: a grid that disagrees with the all-nodes scan is a kernel bug and must fail the run that hit it")
             assert_eq!(
@@ -633,9 +634,7 @@ impl<A: Agent> Simulator<A> {
         rx.clear();
         match dest {
             TxDest::Broadcast => {
-                for &nid in &in_range {
-                    // audit: allow(D006, reason = "in_range only holds NodeIds enumerated from the slot vectors above")
-                    let rx_pos = self.nodes.mobility[nid.index()].position(now);
+                for &(nid, rx_pos) in &in_range {
                     match self.radio.receive(now, rx_pos) {
                         Reception::Ok => {
                             self.delivered_frames += 1;
@@ -647,21 +646,17 @@ impl<A: Agent> Simulator<A> {
                 self.push_deliveries(arrive, pkt, rx);
             }
             TxDest::Unicast(next_hop) => {
-                if hop_in_range {
+                if let Some(hop_pos) = hop_pos {
                     // Promiscuous overhears first (they don't depend on the
                     // addressed outcome).
                     if self.cfg.promiscuous {
-                        for &nid in in_range.iter().filter(|&&n| n != next_hop) {
-                            // audit: allow(D006, reason = "in_range only holds NodeIds enumerated from the slot vectors above")
-                            let rx_pos = self.nodes.mobility[nid.index()].position(now);
+                        for &(nid, rx_pos) in in_range.iter().filter(|&&(n, _)| n != next_hop) {
                             if self.radio.receive(now, rx_pos) == Reception::Ok {
                                 rx.push((nid, true));
                             }
                         }
                     }
-                    // audit: allow(D006, reason = "hop_in_range was resolved in the walk above; NodeIds index the slot vectors")
-                    let rx_pos = self.nodes.mobility[next_hop.index()].position(now);
-                    match self.radio.receive(now, rx_pos) {
+                    match self.radio.receive(now, hop_pos) {
                         Reception::Ok => {
                             self.delivered_frames += 1;
                             rx.push((next_hop, false));
