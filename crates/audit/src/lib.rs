@@ -405,13 +405,21 @@ fn scan_source_inner(rel: &str, source: &str, tokens: &[lexer::Token]) -> FileSc
         }
     }
 
-    // The bindings the rules key on: `name: [a::b::]T` for a hash
-    // collection or float type `T`, and `let [mut] name` statements that
-    // build a hash collection.
+    // The bindings the rules key on: `name: [&['a] [mut]] [a::b::]T` for a
+    // hash collection or float type `T`, and `let [mut] name` statements
+    // that build a hash collection.
     let (mut hash_names, mut float_names) = (BTreeSet::new(), BTreeSet::new());
     for i in 0..n {
         if c.is_ident(i) && c.is_punct(i + 1, ":") {
             let mut ty = i + 2;
+            while c.is_punct(ty, "&")
+                || c.is_word(ty, "mut")
+                || c.toks
+                    .get(ty)
+                    .is_some_and(|t| t.kind == TokenKind::Lifetime)
+            {
+                ty += 1;
+            }
             while c.is_ident(ty) && c.is_punct(ty + 1, "::") {
                 ty += 2;
             }
@@ -472,9 +480,9 @@ fn scan_source_inner(rel: &str, source: &str, tokens: &[lexer::Token]) -> FileSc
             hit(Rule::D002);
         }
         if !in_test && (run(i, &["=", "="]) || run(i, &["!", "="])) {
-            // The token on the left, or the right's `[*]a.b.name` path
+            // The token on the left, or the right's `[*|-]a.b.name` path
             // when no call follows it, is a float literal or binding.
-            let k = path_end(i + 2 + usize::from(c.is_punct(i + 2, "*")));
+            let k = path_end(i + 2 + usize::from(c.is_punct(i + 2, "*") || c.is_punct(i + 2, "-")));
             if float(i.wrapping_sub(1)) || float(k) && !c.is_punct(k + 1, "(") {
                 hit(Rule::D003);
             }
@@ -628,8 +636,10 @@ mod tests {
     fn d001_flags_hashmap_iteration() {
         let src = "struct S { m: HashMap<u32, u32> }\n\
                    fn f(s: &S) -> Vec<u32> { s.m.values().copied().collect() }\n\
-                   fn g() {\n    let seen =\n        HashMap::new();\n    for k in seen.keys() {}\n}\n";
-        assert_eq!(rules(DET, src), vec![Rule::D001, Rule::D001]);
+                   fn g() {\n    let seen =\n        HashMap::new();\n    for k in seen.keys() {}\n}\n\
+                   fn h(m: &HashMap<u32, u32>) -> u32 { m.values().sum() }\n\
+                   fn i<'a>(n: &'a mut HashSet<u32>) -> usize { n.iter().count() }\n";
+        assert_eq!(rules(DET, src), vec![Rule::D001; 4]);
     }
 
     #[test]
@@ -702,14 +712,16 @@ mod tests {
     #[test]
     fn d003_flags_float_literal_equality() {
         let src = "fn f(x: f64) -> bool { x == 0.0 }\n\
-                   fn g(v: &[f64]) -> bool { v[0] == 1e-3 }\n";
-        assert_eq!(rules(DET, src), vec![Rule::D003, Rule::D003]);
+                   fn g(v: &[f64]) -> bool { v[0] == 1e-3 }\n\
+                   fn h(s: &S) -> bool { s.total() != -1.0 }\n";
+        assert_eq!(rules(DET, src), vec![Rule::D003, Rule::D003, Rule::D003]);
     }
 
     #[test]
     fn d003_flags_typed_float_identifier() {
-        let src = "fn f(score: f64, threshold: f64) -> bool { score != threshold }\n";
-        assert_eq!(rules(DET, src), vec![Rule::D003]);
+        let src = "fn f(score: f64, threshold: f64) -> bool { score != threshold }\n\
+                   fn g(x: &f64) -> bool { *x == y() }\n";
+        assert_eq!(rules(DET, src), vec![Rule::D003, Rule::D003]);
     }
 
     #[test]
