@@ -60,6 +60,6 @@ pub use mobility::{Point, RandomWaypoint, Waypoint};
 pub use packet::{NodeId, Packet, PacketId, TxDest};
 pub use radio::RadioModel;
 pub use simulator::Simulator;
-pub use sink::{AuditEvent, ForwardingSink, NullSink, TraceSink};
+pub use sink::{NullSink, TraceSink};
 pub use time::SimTime;
 pub use trace::{Direction, NodeTrace, PacketEvent, RouteEvent, RouteEventKind, TracePacketKind};

@@ -4,9 +4,9 @@
 //! audit stream as it is produced. To support that posture, agents do not
 //! write into a concrete [`NodeTrace`] — their context routes every
 //! observation through a [`TraceSink`]. The in-memory [`NodeTrace`] is one
-//! sink implementation (the post-hoc path); a [`ForwardingSink`] pushes
-//! events to a subscriber as they occur (the streaming path); a
-//! [`NullSink`] disables recording.
+//! sink implementation (the post-hoc path); a shared `Rc<RefCell<S>>`
+//! lets a driver read a sink while the simulator writes it (the
+//! streaming path); a [`NullSink`] disables recording.
 //!
 //! Downstream crates build on this: `manet-features` implements
 //! [`TraceSink`] for its incremental extractor, so a running simulator can
@@ -14,36 +14,9 @@
 //! ever materialising a full trace.
 
 use crate::time::SimTime;
-use crate::trace::{
-    Direction, MobilitySample, NodeTrace, PacketEvent, RouteEvent, RouteEventKind, TracePacketKind,
-};
+use crate::trace::{Direction, NodeTrace, RouteEventKind, TracePacketKind};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// One audit observation, as routed through a [`TraceSink`].
-///
-/// This is the unit a [`ForwardingSink`] hands to its subscriber; it is the
-/// tagged union of the three record types a [`NodeTrace`] stores.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AuditEvent {
-    /// A packet observation.
-    Packet(PacketEvent),
-    /// A route-fabric observation.
-    Route(RouteEvent),
-    /// A mobility sample.
-    Mobility(MobilitySample),
-}
-
-impl AuditEvent {
-    /// When the observation was made.
-    pub fn time(&self) -> SimTime {
-        match self {
-            AuditEvent::Packet(e) => e.t,
-            AuditEvent::Route(e) => e.t,
-            AuditEvent::Mobility(e) => e.t,
-        }
-    }
-}
 
 /// A destination for one node's audit observations.
 ///
@@ -66,11 +39,6 @@ pub trait TraceSink {
     fn as_node_trace(&self) -> Option<&NodeTrace> {
         None
     }
-
-    /// Consumes the sink and extracts its in-memory trace, if it holds one.
-    fn into_node_trace(self: Box<Self>) -> Option<NodeTrace> {
-        None
-    }
 }
 
 impl TraceSink for NodeTrace {
@@ -89,10 +57,6 @@ impl TraceSink for NodeTrace {
     fn as_node_trace(&self) -> Option<&NodeTrace> {
         Some(self)
     }
-
-    fn into_node_trace(self: Box<Self>) -> Option<NodeTrace> {
-        Some(*self)
-    }
 }
 
 /// Shared sinks: lets a driver keep a handle to the sink while the
@@ -110,34 +74,6 @@ impl<S: TraceSink + ?Sized> TraceSink for Rc<RefCell<S>> {
 
     fn mobility(&mut self, t: SimTime, velocity: f64) {
         self.borrow_mut().mobility(t, velocity);
-    }
-}
-
-/// A sink that forwards every observation to a subscriber callback as it
-/// occurs — the push end of the streaming pipeline.
-#[derive(Debug)]
-pub struct ForwardingSink<F: FnMut(AuditEvent)> {
-    subscriber: F,
-}
-
-impl<F: FnMut(AuditEvent)> ForwardingSink<F> {
-    /// Creates a sink forwarding to `subscriber`.
-    pub fn new(subscriber: F) -> ForwardingSink<F> {
-        ForwardingSink { subscriber }
-    }
-}
-
-impl<F: FnMut(AuditEvent)> TraceSink for ForwardingSink<F> {
-    fn packet(&mut self, t: SimTime, kind: TracePacketKind, dir: Direction) {
-        (self.subscriber)(AuditEvent::Packet(PacketEvent { t, kind, dir }));
-    }
-
-    fn route(&mut self, t: SimTime, kind: RouteEventKind, route_len: Option<u8>) {
-        (self.subscriber)(AuditEvent::Route(RouteEvent { t, kind, route_len }));
-    }
-
-    fn mobility(&mut self, t: SimTime, velocity: f64) {
-        (self.subscriber)(AuditEvent::Mobility(MobilitySample { t, velocity }));
     }
 }
 
@@ -174,23 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn forwarding_sink_pushes_events_in_order() {
-        let events = Rc::new(RefCell::new(Vec::new()));
-        let tap = events.clone();
-        let mut sink = ForwardingSink::new(move |e: AuditEvent| tap.borrow_mut().push(e));
-        sink.packet(
-            SimTime::from_secs(1.0),
-            TracePacketKind::Rreq,
-            Direction::Forwarded,
-        );
-        sink.mobility(SimTime::from_secs(2.0), 1.0);
-        let events = events.borrow();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].time().as_secs(), 1.0);
-        assert!(matches!(events[1], AuditEvent::Mobility(_)));
-    }
-
-    #[test]
     fn null_discards() {
         let mut null = NullSink;
         null.packet(
@@ -213,16 +132,5 @@ mod tests {
             None,
         );
         assert_eq!(shared.borrow().route_events.len(), 1);
-    }
-
-    #[test]
-    fn boxed_trace_extracts() {
-        let mut tr = NodeTrace::new();
-        tr.mobility_sample(SimTime::from_secs(1.0), 2.0);
-        let boxed: Box<dyn TraceSink> = Box::new(tr);
-        let back = boxed.into_node_trace().expect("in-memory sink");
-        assert_eq!(back.mobility.len(), 1);
-        let null: Box<dyn TraceSink> = Box::new(NullSink);
-        assert!(null.into_node_trace().is_none());
     }
 }
