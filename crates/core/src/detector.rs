@@ -138,7 +138,7 @@ impl AnomalyDetector {
     ///
     /// Panics if `row` has the wrong width.
     pub fn score_with(&self, row: &[u8], scratch: &mut Vec<f64>) -> f64 {
-        self.engine.score_row(row, self.method.into(), scratch)
+        self.engine.score_row(row, self.method, scratch)
     }
 
     /// Scores a packed row-major batch (`rows.len()` must be a multiple
@@ -150,8 +150,7 @@ impl AnomalyDetector {
     ///
     /// Panics if `rows.len()` is not a multiple of the ensemble width.
     pub fn score_rows_with(&self, rows: &[u8], out: &mut Vec<f64>, scratch: &mut Vec<f64>) {
-        self.engine
-            .score_batch(rows, self.method.into(), out, scratch);
+        self.engine.score_batch(rows, self.method, out, scratch);
     }
 
     /// Scores every row of a table, fanning contiguous row chunks out

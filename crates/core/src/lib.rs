@@ -54,7 +54,7 @@ pub mod persist;
 pub mod reduction;
 pub mod threshold;
 
-pub use cfa_ml::compiled::{CompiledEnsemble, CompiledMethod, CompiledModel};
+pub use cfa_ml::compiled::{CompiledEnsemble, CompiledModel};
 pub use detector::{AnomalyDetector, SnapshotVerdict, Verdict};
 pub use eval::{PrPoint, ScoredEvent};
 pub use model::{CrossFeatureModel, ScoreMethod};

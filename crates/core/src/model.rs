@@ -1,31 +1,8 @@
 //! The cross-feature ensemble: Algorithms 1–3 of the paper.
 
 use crate::parallel::{map_chunks, Parallelism};
-use cfa_ml::compiled::CompiledMethod;
+pub use cfa_ml::ScoreMethod;
 use cfa_ml::{Classifier, Learner, NominalTable};
-
-/// How sub-model outputs are combined into an event score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScoreMethod {
-    /// Algorithm 2: the fraction of sub-models whose *predicted* value for
-    /// their labelled feature equals the event's true value.
-    MatchCount,
-    /// Algorithm 3: the mean probability the sub-models assign to the true
-    /// values, `Σᵢ p(fᵢ(x) | x) / L`. Treats Algorithm 2 as the special
-    /// case where the predicted class has probability 1.
-    AvgProbability,
-}
-
-/// `cfa-ml`'s compiled layer mirrors [`ScoreMethod`] (it sits below this
-/// crate in the dependency graph); the conversion is lossless.
-impl From<ScoreMethod> for CompiledMethod {
-    fn from(method: ScoreMethod) -> CompiledMethod {
-        match method {
-            ScoreMethod::MatchCount => CompiledMethod::MatchCount,
-            ScoreMethod::AvgProbability => CompiledMethod::AvgProbability,
-        }
-    }
-}
 
 /// The ensemble of per-feature sub-models produced by Algorithm 1.
 ///

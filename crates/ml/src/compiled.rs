@@ -44,16 +44,16 @@
 use crate::persist::AnyModel;
 use crate::{argmax_last, Classifier, NO_CLASS};
 
-/// How a sub-model's per-event contribution is computed. Mirrors
-/// `cfa-core`'s `ScoreMethod` (duplicated here because `cfa-ml` sits below
-/// `cfa-core` in the crate graph; `cfa-core` provides the conversion).
+/// How sub-model outputs are combined into an event score, on the
+/// compiled engine and on `cfa-core`'s interpreted walk alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompiledMethod {
-    /// Algorithm 2 of the paper: contribute 1.0 when the sub-model's
-    /// prediction matches the observed value, else 0.0.
+pub enum ScoreMethod {
+    /// Algorithm 2: the fraction of sub-models whose *predicted* value for
+    /// their labelled feature equals the event's true value.
     MatchCount,
-    /// Algorithm 3 of the paper: contribute the probability the sub-model
-    /// assigns to the observed value.
+    /// Algorithm 3: the mean probability the sub-models assign to the true
+    /// values, `Σᵢ p(fᵢ(x) | x) / L`. Treats Algorithm 2 as the special
+    /// case where the predicted class has probability 1.
     AvgProbability,
 }
 
@@ -301,7 +301,7 @@ impl CompiledBayes {
         rows: &[u8],
         width: usize,
         class_col: usize,
-        method: CompiledMethod,
+        method: ScoreMethod,
         out: &mut [f64],
     ) {
         let mut packed_blocks = rows.chunks_exact(ROW_BLOCK * width);
@@ -347,15 +347,11 @@ fn softmax(scores: &mut [f64]) {
 /// prediction match (`argmax_last`, as `predict`) or the observed value's
 /// probability (`0.0` past the last class, as `prob_of`).
 #[inline]
-fn bayes_contribution<const K: usize>(
-    mut scores: [f64; K],
-    truth: u8,
-    method: CompiledMethod,
-) -> f64 {
+fn bayes_contribution<const K: usize>(mut scores: [f64; K], truth: u8, method: ScoreMethod) -> f64 {
     softmax(&mut scores);
     match method {
-        CompiledMethod::MatchCount => f64::from(argmax_last(&scores) == truth),
-        CompiledMethod::AvgProbability => scores.get(usize::from(truth)).copied().unwrap_or(0.0),
+        ScoreMethod::MatchCount => f64::from(argmax_last(&scores) == truth),
+        ScoreMethod::AvgProbability => scores.get(usize::from(truth)).copied().unwrap_or(0.0),
     }
 }
 
@@ -500,7 +496,7 @@ impl CompiledModel {
         rows: &[u8],
         width: usize,
         i: usize,
-        method: CompiledMethod,
+        method: ScoreMethod,
         out: &mut [f64],
         scratch: &mut Vec<f64>,
     ) {
@@ -561,7 +557,7 @@ impl CompiledEnsemble {
     /// Scores one discretized event row; bit-identical to the interpreted
     /// ensemble's average sub-model score. `scratch` is a reusable
     /// probability buffer: after warm-up no allocation happens here.
-    pub fn score_row(&self, row: &[u8], method: CompiledMethod, scratch: &mut Vec<f64>) -> f64 {
+    pub fn score_row(&self, row: &[u8], method: ScoreMethod, scratch: &mut Vec<f64>) -> f64 {
         assert_eq!(row.len(), self.n_features, "event width mismatch");
         let mut total = 0.0;
         for (i, model) in self.models.iter().enumerate() {
@@ -581,7 +577,7 @@ impl CompiledEnsemble {
     pub fn score_batch(
         &self,
         rows: &[u8],
-        method: CompiledMethod,
+        method: ScoreMethod,
         out: &mut Vec<f64>,
         scratch: &mut Vec<f64>,
     ) {
@@ -610,14 +606,14 @@ fn one_model_score(
     model: &CompiledModel,
     row: &[u8],
     i: usize,
-    method: CompiledMethod,
+    method: ScoreMethod,
     scratch: &mut Vec<f64>,
 ) -> f64 {
     // audit: allow(D006, reason = "i enumerates the ensemble's models and row width == n_features is asserted at every public entry")
     let truth = row[i];
     match method {
-        CompiledMethod::MatchCount => f64::from(model.predict(row, scratch) == truth),
-        CompiledMethod::AvgProbability => model.prob_of(row, truth, scratch),
+        ScoreMethod::MatchCount => f64::from(model.predict(row, scratch) == truth),
+        ScoreMethod::AvgProbability => model.prob_of(row, truth, scratch),
     }
 }
 
@@ -767,7 +763,7 @@ mod tests {
         let rows: Vec<Vec<u8>> = probe_rows(&cards);
         let mut scratch = Vec::new();
         let mut batch = Vec::new();
-        for method in [CompiledMethod::MatchCount, CompiledMethod::AvgProbability] {
+        for method in [ScoreMethod::MatchCount, ScoreMethod::AvgProbability] {
             let want: Vec<u64> = rows
                 .iter()
                 .map(|row| ensemble.score_row(row, method, &mut scratch).to_bits())
@@ -797,11 +793,6 @@ mod tests {
         let ensemble = CompiledEnsemble::compile(&sub_models);
         let mut out = Vec::new();
         let mut scratch = Vec::new();
-        ensemble.score_batch(
-            &[0, 1, 0],
-            CompiledMethod::MatchCount,
-            &mut out,
-            &mut scratch,
-        );
+        ensemble.score_batch(&[0, 1, 0], ScoreMethod::MatchCount, &mut out, &mut scratch);
     }
 }

@@ -63,7 +63,7 @@ pub mod persist;
 pub mod ripper;
 
 pub use c45::C45;
-pub use compiled::{CompiledEnsemble, CompiledMethod, CompiledModel};
+pub use compiled::{CompiledEnsemble, CompiledModel, ScoreMethod};
 pub use dataset::{DatasetError, NominalTable};
 pub use naive_bayes::NaiveBayes;
 pub use persist::{AnyLearner, AnyModel, Persist, PersistError};

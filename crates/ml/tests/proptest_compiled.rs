@@ -4,7 +4,7 @@
 //! predictions, single-class lookups (in- and out-of-range), and whole
 //! ensemble scores through both `score_row` and the SoA `score_batch`.
 
-use cfa_ml::compiled::{CompiledEnsemble, CompiledMethod, CompiledModel};
+use cfa_ml::compiled::{CompiledEnsemble, CompiledModel, ScoreMethod};
 use cfa_ml::{AnyLearner, AnyModel, Classifier, Learner, NaiveBayes, NominalTable, Ripper, C45};
 use proptest::prelude::*;
 
@@ -112,7 +112,7 @@ proptest! {
         rows.extend(probes);
         let packed: Vec<u8> = rows.iter().flatten().copied().collect();
         let mut scratch = Vec::new();
-        for method in [CompiledMethod::MatchCount, CompiledMethod::AvgProbability] {
+        for method in [ScoreMethod::MatchCount, ScoreMethod::AvgProbability] {
             // The interpreted reference: average per-model contribution,
             // summed in model order (cfa-core's `score_all` shape).
             let interpreted: Vec<u64> = rows
@@ -121,10 +121,10 @@ proptest! {
                     let mut total = 0.0;
                     for (i, model) in sub_models.iter().enumerate() {
                         total += match method {
-                            CompiledMethod::MatchCount => {
+                            ScoreMethod::MatchCount => {
                                 f64::from(model.predict_row(row, i, &mut scratch) == row[i])
                             }
-                            CompiledMethod::AvgProbability => {
+                            ScoreMethod::AvgProbability => {
                                 model.prob_of_row(row, i, row[i], &mut scratch)
                             }
                         };
