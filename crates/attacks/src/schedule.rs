@@ -79,35 +79,6 @@ impl Schedule {
             Schedule::Sessions(v) => v.iter().any(|&(b, e)| t >= b && t < e),
         }
     }
-
-    /// Ground-truth labelling helper: whether the *interval*
-    /// `[t, t + window)` overlaps any active period. Feature snapshots
-    /// summarise a window, so a snapshot is "attacked" if the attack was
-    /// live at any point inside it.
-    pub fn overlaps(&self, t: SimTime, window: SimTime) -> bool {
-        match self {
-            Schedule::Always => true,
-            Schedule::OnOff {
-                start,
-                duration,
-                gap,
-            } => {
-                let end = t + window;
-                if end <= *start {
-                    return false;
-                }
-                let period = (*duration + *gap).as_micros();
-                let rel = t.as_micros().saturating_sub(start.as_micros()) % period;
-                // Active if the window covers the start of a session or
-                // begins inside one.
-                rel < duration.as_micros() || (period - rel) < window.as_micros() || t < *start
-            }
-            Schedule::Sessions(v) => {
-                let end = t + window;
-                v.iter().any(|&(b, e)| b < end && t < e)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,32 +117,6 @@ mod tests {
         assert!(!sched.is_active(s(2600.0)));
         assert!(sched.is_active(s(5099.0)));
         assert!(!sched.is_active(s(7500.0)));
-    }
-
-    #[test]
-    fn overlap_catches_window_straddling_session_start() {
-        let sched = Schedule::sessions([(s(100.0), s(200.0))]);
-        assert!(!sched.overlaps(s(90.0), s(5.0)));
-        assert!(
-            sched.overlaps(s(97.0), s(5.0)),
-            "window [97,102) touches the session"
-        );
-        assert!(sched.overlaps(s(195.0), s(5.0)));
-        assert!(!sched.overlaps(s(200.0), s(5.0)));
-    }
-
-    #[test]
-    fn on_off_overlap_matches_point_queries_inside_sessions() {
-        let sched = Schedule::on_off(s(1000.0), s(50.0));
-        for i in 0..400 {
-            let t = s(900.0 + i as f64);
-            if sched.is_active(t) {
-                assert!(
-                    sched.overlaps(t, s(5.0)),
-                    "active instant must overlap at {t}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -32,23 +32,6 @@ proptest! {
     }
 
     #[test]
-    fn active_instants_always_overlap_their_window(
-        start in 0.0f64..2000.0,
-        duration in 1.0f64..300.0,
-        probe in 0.0f64..6000.0,
-        window in 0.1f64..30.0,
-    ) {
-        let sched = Schedule::on_off(
-            SimTime::from_secs(start),
-            SimTime::from_secs(duration),
-        );
-        let t = SimTime::from_secs(probe);
-        if sched.is_active(t) {
-            prop_assert!(sched.overlaps(t, SimTime::from_secs(window)));
-        }
-    }
-
-    #[test]
     fn sessions_active_iff_inside_an_interval(
         intervals in proptest::collection::vec((0.0f64..1000.0, 1.0f64..200.0), 1..6),
         probe in 0.0f64..2000.0,

@@ -135,20 +135,6 @@ fn sessions_of(starts: &[f64], len: f64) -> Schedule {
     )
 }
 
-/// How ground-truth labels treat the aftermath of attack sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LabelPolicy {
-    /// Only snapshots overlapping an active session are anomalous.
-    SessionsOnly,
-    /// Every snapshot from the first session onward is anomalous. This is
-    /// the labelling the paper's evaluation implies: it observes that the
-    /// network "may not recover from the implemented intrusions very well"
-    /// and that there is "no way to figure out exactly when the intrusion
-    /// actions have ended and the observed anomalies are just the lasting
-    /// damages" — post-attack windows remain genuinely damaged.
-    PersistentFromFirstAttack,
-}
-
 /// A full scenario description.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -178,8 +164,6 @@ pub struct Scenario {
     pub monitored: NodeId,
     /// Attacks present in the trace (empty = normal trace).
     pub attacks: Vec<Attack>,
-    /// How ground truth treats post-session lasting damage.
-    pub label_policy: LabelPolicy,
 }
 
 /// The output of running a scenario: features + ground truth for the
@@ -188,10 +172,10 @@ pub struct Scenario {
 pub struct TraceBundle {
     /// Continuous 140-feature matrix, one row per 5 s snapshot.
     pub matrix: FeatureMatrix,
-    /// Ground truth per row: was any attack active during the snapshot's
-    /// base window?
+    /// Ground truth per row: does the snapshot come after the first
+    /// attack session's start?
     pub labels: Vec<bool>,
-    /// The scenario that produced this bundle.
+    /// The scenario that produced this bundle, monitored at its vantage.
     pub scenario: Scenario,
 }
 
@@ -211,7 +195,6 @@ impl Scenario {
             traffic_seed: 0x7AFF,
             monitored: NodeId(0),
             attacks: Vec::new(),
-            label_policy: LabelPolicy::PersistentFromFirstAttack,
         }
     }
 
@@ -275,12 +258,6 @@ impl Scenario {
     /// Replaces the monitored node.
     pub fn with_monitored(mut self, node: NodeId) -> Scenario {
         self.monitored = node;
-        self
-    }
-
-    /// Replaces the ground-truth label policy.
-    pub fn with_label_policy(mut self, policy: LabelPolicy) -> Scenario {
-        self.label_policy = policy;
         self
     }
 
@@ -361,33 +338,30 @@ impl Scenario {
             .map(|&node| {
                 self.bundle_for(
                     node,
-                    &extractor.extract(sim.trace(node), SimTime::from_secs(self.duration_secs)),
+                    extractor.extract(sim.trace(node), SimTime::from_secs(self.duration_secs)),
                 )
             })
             .collect()
     }
 
     /// Labels one vantage node's feature matrix into a [`TraceBundle`].
-    fn bundle_for(&self, node: NodeId, matrix: &FeatureMatrix) -> TraceBundle {
-        let window = SimTime::from_secs(5.0);
+    /// Every snapshot after the first attack session starts is anomalous:
+    /// the paper observes that the network "may not recover from the
+    /// implemented intrusions very well" and that there is "no way to
+    /// figure out exactly when the intrusion actions have ended and the
+    /// observed anomalies are just the lasting damages", so post-attack
+    /// windows are labelled as the damage they carry.
+    fn bundle_for(&self, node: NodeId, matrix: FeatureMatrix) -> TraceBundle {
         let first_start = self.first_attack_start();
         let labels = matrix
             .times
             .iter()
-            .map(|&t| match (self.label_policy, first_start) {
-                (LabelPolicy::PersistentFromFirstAttack, Some(start)) => t > start,
-                _ => {
-                    let lo = SimTime::from_secs((t - 5.0).max(0.0));
-                    self.attacks.iter().any(|a| a.schedule.overlaps(lo, window))
-                }
-            })
+            .map(|&t| first_start.is_some_and(|start| t > start))
             .collect();
-        let mut scenario = self.clone();
-        scenario.monitored = node;
         TraceBundle {
-            matrix: matrix.clone(),
+            matrix,
             labels,
-            scenario,
+            scenario: self.clone().with_monitored(node),
         }
     }
 

@@ -9,7 +9,7 @@
 //! touches. Release builds compile the oracle out, so these tests are
 //! ignored there instead of passing without checking anything.
 
-use manet_cfa::scenario::{Attack, LabelPolicy, Protocol, Scenario, Transport};
+use manet_cfa::scenario::{Attack, Protocol, Scenario, Transport};
 use manet_cfa::sim::NodeId;
 
 fn paper_attacked(protocol: Protocol) -> Scenario {
@@ -20,7 +20,6 @@ fn paper_attacked(protocol: Protocol) -> Scenario {
         .with_seed(17)
         .with_attack(Attack::blackhole_at(&[120.0, 250.0]))
         .with_attack(Attack::storm_at(&[300.0]).from_node(NodeId(11)))
-        .with_label_policy(LabelPolicy::SessionsOnly)
 }
 
 /// Runs `scenario` under the kernel's grid-vs-scan oracle.
