@@ -15,7 +15,7 @@
 //! two machines can compare corpora without diffing files.
 
 use manet_cfa::core::Parallelism;
-use manet_cfa::fleet::{run_fleet, write_fleet, FleetSpec};
+use manet_cfa::fleet::{run_fleet, write_fleet};
 use manet_cfa::scenario::{Attack, Protocol, Scenario, Transport};
 use manet_cfa::sim::NodeId;
 use std::path::PathBuf;
@@ -102,7 +102,9 @@ fn parse_vantages(s: &str) -> Result<Vec<NodeId>, String> {
 }
 
 struct FleetArgs {
-    spec: FleetSpec,
+    base: Scenario,
+    seeds: Vec<u64>,
+    vantages: Vec<NodeId>,
     out: PathBuf,
     threads: usize,
 }
@@ -200,14 +202,14 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
         if v.index() >= usize::from(base.n_nodes) {
             return Err(format!("vantage {} out of range", v.index()));
         }
+        if base.attacks.iter().any(|a| a.attacker == *v) {
+            return Err(format!("vantage {} is the attacker", v.index()));
+        }
     }
     Ok(FleetArgs {
-        spec: FleetSpec {
-            base,
-            seeds,
-            vantages,
-            parallelism: Parallelism::threads(threads),
-        },
+        base,
+        seeds,
+        vantages,
         out: out.ok_or("--out DIR is required")?,
         threads,
     })
@@ -224,15 +226,15 @@ fn fleet(args: &[String]) -> ExitCode {
     // Range validation at the trust boundary: every job count derived
     // from CLI input downstream of here (fan-out width, per-run scratch)
     // is bounded by these caps.
-    if parsed.spec.seeds.len() as u64 > MAX_FLEET_SEEDS || parsed.threads > MAX_FLEET_THREADS {
+    if parsed.seeds.len() as u64 > MAX_FLEET_SEEDS || parsed.threads > MAX_FLEET_THREADS {
         eprintln!(
             "cfa-bench fleet: {} seeds / {} threads exceeds the fleet caps ({MAX_FLEET_SEEDS} / {MAX_FLEET_THREADS})",
-            parsed.spec.seeds.len(),
+            parsed.seeds.len(),
             parsed.threads,
         );
         return ExitCode::FAILURE;
     }
-    let base = &parsed.spec.base;
+    let base = &parsed.base;
     println!(
         "fleet: {} {} — {} nodes on {:.0}x{:.0} m, {} s, {} seeds x {} vantages, {} threads",
         base.protocol.name(),
@@ -241,12 +243,17 @@ fn fleet(args: &[String]) -> ExitCode {
         base.width,
         base.height,
         base.duration_secs,
-        parsed.spec.seeds.len(),
-        parsed.spec.vantages.len(),
+        parsed.seeds.len(),
+        parsed.vantages.len(),
         parsed.threads,
     );
+    let runs: Vec<(Scenario, Vec<NodeId>)> = parsed
+        .seeds
+        .iter()
+        .map(|&seed| (base.clone().with_seed(seed), parsed.vantages.clone()))
+        .collect();
     let started = std::time::Instant::now();
-    let result = run_fleet(&parsed.spec);
+    let result = run_fleet(&runs, Parallelism::threads(parsed.threads));
     let elapsed = started.elapsed().as_secs_f64();
     match write_fleet(&result, &parsed.out) {
         Ok(manifest) => {
@@ -263,5 +270,26 @@ fn fleet(args: &[String]) -> ExitCode {
             eprintln!("cfa-bench fleet: writing {}: {e}", parsed.out.display());
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<FleetArgs, String> {
+        let args: Vec<String> = args.split_whitespace().map(str::to_string).collect();
+        parse_fleet_args(&args)
+    }
+
+    #[test]
+    fn an_attacker_vantage_is_a_usage_error() {
+        let err = parse("--attack blackhole --vantages 0,3,7 --out x").err();
+        assert_eq!(err.as_deref(), Some("vantage 7 is the attacker"));
+        assert!(parse("--attack blackhole --vantages 0,3,8,11 --out x").is_ok());
+        assert!(
+            parse("--vantages 0,3,7 --out x").is_ok(),
+            "no attack, no attacker"
+        );
     }
 }

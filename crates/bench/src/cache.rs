@@ -1,214 +1,122 @@
 //! On-disk caching of simulated feature bundles.
 //!
 //! A 10 000-second simulation takes tens of seconds; experiment binaries
-//! share scenarios, so bundles are cached under `target/cfa-cache/` in a
-//! simple text format keyed by a hash of the scenario description.
+//! share scenarios, so each vantage's bundle is cached under
+//! `target/cfa-cache/` as the fleet driver's CSV ([`bundle_to_csv`]),
+//! named by the FNV-1a-64 hash of the scenario description, the vantage
+//! node and `CACHE_VERSION`. Every run that misses goes to one
+//! [`run_fleet`] call, so misses simulate in parallel at the
+//! `CFA_THREADS` budget. The cache is an accelerator, not a correctness
+//! dependency: an unreadable or malformed file is a miss, and any I/O
+//! error degrades to a fresh run.
 
-use manet_cfa::features::FeatureMatrix;
+use manet_cfa::core::Parallelism;
+use manet_cfa::fleet::{bundle_from_csv, bundle_to_csv, run_fleet};
+use manet_cfa::ml::persist::fnv1a64;
 use manet_cfa::scenario::{Scenario, TraceBundle};
-use std::collections::hash_map::DefaultHasher;
+use manet_cfa::sim::NodeId;
 use std::fs;
-use std::hash::{Hash, Hasher};
-use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Bump to invalidate previously cached bundles after behaviour changes.
-const CACHE_VERSION: u32 = 6;
+const CACHE_VERSION: u32 = 7;
 
-/// Why the bundle cache could not be used.
-#[derive(Debug)]
-pub enum CacheError {
-    /// The cache directory could not be created.
-    CreateDir {
-        /// The directory that could not be created.
-        path: PathBuf,
-        /// The underlying filesystem error.
-        source: io::Error,
-    },
-    /// The simulation produced no bundle for a requested vantage node.
-    MissingBundle {
-        /// The node whose bundle is missing.
-        node: u16,
-    },
+const CACHE_DIR: &str = "target/cfa-cache";
+
+fn bundle_path(scenario: &Scenario, node: NodeId) -> PathBuf {
+    let key = format!("{scenario:?}|{}|v{CACHE_VERSION}", node.0);
+    Path::new(CACHE_DIR).join(format!("bundle_{:016x}.csv", fnv1a64(key.as_bytes())))
 }
 
-impl std::fmt::Display for CacheError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CacheError::CreateDir { path, source } => {
-                write!(
-                    f,
-                    "cannot create cache directory {}: {source}",
-                    path.display()
-                )
-            }
-            CacheError::MissingBundle { node } => {
-                write!(f, "simulation produced no bundle for node {node}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CacheError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CacheError::CreateDir { source, .. } => Some(source),
-            CacheError::MissingBundle { .. } => None,
-        }
-    }
-}
-
-fn cache_dir() -> Result<PathBuf, CacheError> {
-    let dir = PathBuf::from("target/cfa-cache");
-    fs::create_dir_all(&dir).map_err(|source| CacheError::CreateDir {
-        path: dir.clone(),
-        source,
-    })?;
-    Ok(dir)
-}
-
-fn scenario_key(scenario: &Scenario, node: u16) -> String {
-    let mut h = DefaultHasher::new();
-    format!("{scenario:?}|{node}|v{CACHE_VERSION}").hash(&mut h);
-    format!("bundle_{:016x}.txt", h.finish())
-}
-
-fn serialize(bundle: &TraceBundle) -> String {
-    let m = &bundle.matrix;
-    let mut out = String::new();
-    out.push_str(&m.names.join(","));
-    out.push('\n');
-    out.push_str(
-        &m.times
-            .iter()
-            .map(f64::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    out.push_str(
-        &bundle
-            .labels
-            .iter()
-            .map(|&l| if l { "1" } else { "0" })
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in &m.rows {
-        out.push_str(&row.iter().map(f64::to_string).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    out
-}
-
-fn deserialize(text: &str, scenario: &Scenario) -> Option<TraceBundle> {
-    let mut lines = text.lines();
-    let names: Vec<String> = lines.next()?.split(',').map(str::to_string).collect();
-    let times: Vec<f64> = lines
-        .next()?
-        .split(',')
-        .map(|v| v.parse().ok())
-        .collect::<Option<_>>()?;
-    let labels: Vec<bool> = lines.next()?.split(',').map(|v| v == "1").collect();
-    let mut rows = Vec::with_capacity(times.len());
-    for line in lines {
-        let row: Vec<f64> = line
-            .split(',')
-            .map(|v| v.parse().ok())
-            .collect::<Option<_>>()?;
-        if row.len() != names.len() {
-            return None;
-        }
-        rows.push(row);
-    }
-    if rows.len() != times.len() || labels.len() != times.len() {
-        return None;
-    }
-    Some(TraceBundle {
-        matrix: FeatureMatrix { names, times, rows },
-        labels,
-        scenario: scenario.clone(),
-    })
-}
-
-/// Fallible core of [`cached_bundles`]: errors name the failing path or
-/// node instead of panicking.
-///
-/// # Errors
-///
-/// [`CacheError::CreateDir`] when the cache directory cannot be created.
-pub fn try_cached_bundles(
-    scenario: &Scenario,
-    nodes: &[manet_cfa::sim::NodeId],
-) -> Result<Vec<TraceBundle>, CacheError> {
-    let dir = cache_dir()?;
-    let paths: Vec<PathBuf> = nodes
+/// A run's bundles, if every vantage's file is cached and well formed.
+fn load(scenario: &Scenario, nodes: &[NodeId]) -> Option<Vec<TraceBundle>> {
+    nodes
         .iter()
-        .map(|n| dir.join(scenario_key(scenario, n.0)))
-        .collect();
-    let cached: Option<Vec<TraceBundle>> = paths
-        .iter()
-        .map(|p| {
-            fs::read_to_string(p)
-                .ok()
-                .and_then(|text| deserialize(&text, scenario))
+        .map(|&node| {
+            let csv = fs::read_to_string(bundle_path(scenario, node)).ok()?;
+            bundle_from_csv(&csv, scenario.clone().with_monitored(node))
         })
+        .collect()
+}
+
+/// Caches a fresh run's bundles. Each file is written aside and renamed
+/// into place, so an interrupted write never leaves a short bundle.
+fn store(scenario: &Scenario, bundles: &[TraceBundle]) {
+    let _ = fs::create_dir_all(CACHE_DIR);
+    for bundle in bundles {
+        let path = bundle_path(scenario, bundle.scenario.monitored);
+        let tmp = path.with_extension("tmp");
+        let _ = fs::write(&tmp, bundle_to_csv(bundle)).and_then(|()| fs::rename(&tmp, &path));
+    }
+}
+
+/// Runs every `(scenario, vantages)` pair, re-using cached bundles when
+/// all of a run's vantages are cached. The runs that miss simulate
+/// together in one [`run_fleet`] call. Returns each run's bundles, one
+/// per vantage, in run order — bit-identical to an uncached run at any
+/// `CFA_THREADS`, each labelled with its run's scenario monitored at its
+/// vantage.
+///
+/// # Panics
+///
+/// On an invalid scenario/vantage combination that misses the cache, as
+/// [`Scenario::run_nodes`].
+pub fn cached_runs(runs: &[(Scenario, Vec<NodeId>)]) -> Vec<Vec<TraceBundle>> {
+    let hits: Vec<_> = runs.iter().map(|(s, nodes)| load(s, nodes)).collect();
+    let misses: Vec<_> = runs
+        .iter()
+        .zip(&hits)
+        .filter(|(_, hit)| hit.is_none())
+        .map(|(run, _)| run.clone())
         .collect();
-    if let Some(bundles) = cached {
-        return Ok(bundles);
-    }
-    let bundles = scenario.run_nodes(nodes);
-    for (bundle, path) in bundles.iter().zip(&paths) {
-        let _ = fs::write(path, serialize(bundle));
-    }
-    Ok(bundles)
+    let fresh = if misses.is_empty() {
+        Vec::new()
+    } else {
+        run_fleet(&misses, Parallelism::from_env()).runs
+    };
+    let mut fresh = fresh.into_iter();
+    runs.iter()
+        .zip(hits)
+        .map(|((scenario, _), hit)| {
+            hit.unwrap_or_else(|| {
+                let bundles = fresh.next().map(|run| run.bundles).unwrap_or_default();
+                store(scenario, &bundles);
+                bundles
+            })
+        })
+        .collect()
 }
 
-/// Single-node counterpart of [`try_cached_bundles`].
-///
-/// # Errors
-///
-/// [`CacheError::CreateDir`] when the cache directory cannot be created;
-/// [`CacheError::MissingBundle`] when the simulation breaks its
-/// one-bundle-per-node contract.
-pub fn try_cached_bundle(scenario: &Scenario) -> Result<TraceBundle, CacheError> {
-    let node = scenario.monitored;
-    try_cached_bundles(scenario, &[node])?
-        .pop()
-        .ok_or(CacheError::MissingBundle { node: node.0 })
+/// Runs `scenario` for the given vantage nodes through [`cached_runs`].
+/// One simulation produces all requested nodes' bundles.
+pub fn cached_bundles(scenario: &Scenario, nodes: &[NodeId]) -> Vec<TraceBundle> {
+    cached_runs(&[(scenario.clone(), nodes.to_vec())])
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
-/// Runs `scenario` for the given vantage nodes, re-using cached bundles
-/// when available. One simulation produces all requested nodes' bundles.
-/// The cache is an accelerator, not a correctness dependency: any cache
-/// trouble degrades to an uncached run.
-pub fn cached_bundles(scenario: &Scenario, nodes: &[manet_cfa::sim::NodeId]) -> Vec<TraceBundle> {
-    match try_cached_bundles(scenario, nodes) {
-        Ok(bundles) => bundles,
-        Err(e) => {
-            eprintln!("cfa-bench: {e}; running uncached");
-            scenario.run_nodes(nodes)
-        }
-    }
-}
-
-/// Single-node convenience wrapper around [`cached_bundles`], with the
-/// same degrade-to-uncached behaviour.
+/// Single-node counterpart of [`cached_bundles`], for the scenario's
+/// monitored node.
 pub fn cached_bundle(scenario: &Scenario) -> TraceBundle {
-    match try_cached_bundle(scenario) {
-        Ok(bundle) => bundle,
-        Err(e) => {
-            eprintln!("cfa-bench: {e}; running uncached");
-            scenario.run()
-        }
-    }
+    let mut bundles = cached_bundles(scenario, &[scenario.monitored]);
+    bundles.pop().expect("one bundle per vantage")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use manet_cfa::scenario::{Protocol, Transport};
+
+    fn bits(b: &TraceBundle) -> (Vec<u64>, Vec<Vec<u64>>) {
+        let times = b.matrix.times.iter().map(|t| t.to_bits()).collect();
+        let rows = b
+            .matrix
+            .rows
+            .iter()
+            .map(|r| r.iter().map(|v| v.to_bits()).collect());
+        (times, rows.collect())
+    }
 
     #[test]
     fn round_trips_through_disk() {
@@ -225,17 +133,45 @@ mod tests {
     }
 
     #[test]
-    fn serialization_is_lossless() {
+    fn a_cache_hit_returns_the_bundles_the_run_made() {
+        let scenario = Scenario::paper_default(Protocol::Aodv, Transport::Cbr)
+            .with_nodes(10)
+            .with_connections(5)
+            .with_duration(60.0)
+            .with_seed(0xD00D);
+        let nodes = [NodeId(0), NodeId(3)];
+        let fresh = scenario.run_nodes(&nodes);
+        let _ = cached_bundles(&scenario, &nodes); // fills the cache if cold
+        let hit = cached_bundles(&scenario, &nodes);
+        assert_eq!(hit.len(), fresh.len());
+        for (h, f) in hit.iter().zip(&fresh) {
+            assert_eq!(h.scenario.monitored, f.scenario.monitored);
+            assert_eq!(h.matrix.names, f.matrix.names);
+            assert_eq!(h.labels, f.labels);
+            assert_eq!(bits(h), bits(f));
+        }
+    }
+
+    #[test]
+    fn a_malformed_cache_file_is_a_miss() {
         let scenario = Scenario::paper_default(Protocol::Dsr, Transport::Cbr)
             .with_nodes(8)
             .with_connections(4)
             .with_duration(40.0)
             .with_seed(0xBEEF);
-        let bundle = scenario.run();
-        let text = serialize(&bundle);
-        let back = deserialize(&text, &scenario).expect("parse back");
-        assert_eq!(bundle.matrix.rows, back.matrix.rows);
-        assert_eq!(bundle.matrix.names, back.matrix.names);
-        assert_eq!(bundle.labels, back.labels);
+        fs::create_dir_all(CACHE_DIR).expect("create cache dir");
+        fs::write(
+            bundle_path(&scenario, scenario.monitored),
+            "time,a,label\n1.0,x,0\n",
+        )
+        .expect("write a malformed bundle");
+        let bundle = cached_bundle(&scenario);
+        let fresh = scenario.run();
+        assert_eq!(bits(&bundle), bits(&fresh));
+        assert_eq!(bundle.labels, fresh.labels);
+        assert!(
+            load(&scenario, &[scenario.monitored]).is_some(),
+            "the miss was cached"
+        );
     }
 }

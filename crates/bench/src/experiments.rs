@@ -1,7 +1,7 @@
 //! Shared experiment machinery: one [`ScenarioSet`] per
 //! (protocol, transport) combination, with cached simulations.
 
-use crate::cache::{cached_bundle, cached_bundles};
+use crate::cache::cached_runs;
 use manet_cfa::pipeline::{Outcome, Pipeline};
 use manet_cfa::scenario::{Attack, Protocol, Scenario, TraceBundle, Transport};
 use manet_cfa::sim::NodeId;
@@ -27,16 +27,23 @@ pub struct ScenarioSet {
 }
 
 impl ScenarioSet {
-    /// Builds (or loads from cache) the full set for a combination.
+    /// Builds (or loads from cache) the full set for a combination, in
+    /// one [`cached_runs`] call.
     ///
     /// Training uses seeds 1–3 (6 vantage nodes each); normal tests use
     /// seeds 4–5; the attack trace uses seed 6.
     pub fn build(protocol: Protocol, transport: Transport) -> ScenarioSet {
-        let train = training_set(protocol, transport);
-        let normal_tests = (4..=5u64)
-            .map(|seed| cached_bundle(&crate::base_scenario(protocol, transport).with_seed(seed)))
-            .collect();
-        let mixed_attack = cached_bundle(&crate::mixed_attack_scenario(protocol, transport, 6));
+        let base = crate::base_scenario(protocol, transport);
+        let tests = [
+            base.clone().with_seed(4),
+            base.clone().with_seed(5),
+            crate::mixed_attack_scenario(protocol, transport, 6),
+        ];
+        let mut runs = training_runs(protocol, transport);
+        runs.extend(tests.map(|s| (s, vec![base.monitored])));
+        let mut train: Vec<TraceBundle> = cached_runs(&runs).into_iter().flatten().collect();
+        let mixed_attack = train.pop().expect("the mixed-attack bundle");
+        let normal_tests = train.split_off(train.len() - 2);
         ScenarioSet {
             protocol,
             transport,
@@ -77,13 +84,19 @@ impl ScenarioSet {
 /// bundles and then score their test scenarios live, so no test-side
 /// `NodeTrace` is ever materialised.
 pub fn training_set(protocol: Protocol, transport: Transport) -> Vec<TraceBundle> {
-    let train_nodes = Pipeline::default_train_nodes(50);
-    let mut train = Vec::new();
-    for seed in 1..=3u64 {
-        let s = crate::base_scenario(protocol, transport).with_seed(seed);
-        train.extend(cached_bundles(&s, &train_nodes));
-    }
-    train
+    cached_runs(&training_runs(protocol, transport))
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// The training runs: seeds 1–3, each seen from the 6 default vantages.
+fn training_runs(protocol: Protocol, transport: Transport) -> Vec<(Scenario, Vec<NodeId>)> {
+    let base = crate::base_scenario(protocol, transport);
+    let nodes = Pipeline::default_train_nodes(50);
+    (1..=3u64)
+        .map(|seed| (base.clone().with_seed(seed), nodes.clone()))
+        .collect()
 }
 
 /// Builds the black-hole-only trace used by Figures 5(a)/6 (three 100 s

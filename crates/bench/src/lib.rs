@@ -17,8 +17,10 @@
 //! | `ablations` | bucket count / sub-model count / windows / threshold sweeps |
 //!
 //! Simulated feature bundles are cached on disk (under
-//! `target/cfa-cache/`), so re-running a binary re-uses earlier
-//! simulations. Set `CFA_FAST=1` to run shortened (2 000 s) scenarios.
+//! `target/cfa-cache/`, as the fleet driver's CSV), so re-running a binary
+//! re-uses earlier simulations, and the runs it misses simulate together
+//! through the fleet driver. Set `CFA_FAST=1` to run shortened (2 000 s)
+//! scenarios.
 
 use manet_cfa::scenario::{Attack, Protocol, Scenario, Transport};
 use manet_cfa::sim::NodeId;

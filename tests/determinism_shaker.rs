@@ -12,7 +12,7 @@
 
 use manet_cfa::core::{fit_threshold, smooth, Parallelism, ScoreMethod};
 use manet_cfa::features::FeatureMatrix;
-use manet_cfa::fleet::{run_fleet, FleetSpec};
+use manet_cfa::fleet::run_fleet;
 use manet_cfa::pipeline::{ClassifierKind, Pipeline, TrainedPipeline};
 use manet_cfa::scenario::{Attack, Protocol, Scenario, Transport};
 use manet_cfa::sim::NodeId;
@@ -193,13 +193,10 @@ fn fleet_matrices_are_bit_identical_at_any_thread_count() {
     // the same contract as the parallel ensemble engine, now holding for
     // whole seeded simulations.
     let (_, attacked) = attack_scenario(Protocol::Aodv);
-    let spec = |threads: usize| FleetSpec {
-        base: attacked.clone(),
-        seeds: vec![13, 14, 15],
-        vantages: vec![NodeId(0), NodeId(3)],
-        parallelism: Parallelism::threads(threads),
-    };
-    let reference = run_fleet(&spec(1));
+    let runs: Vec<_> = [13, 14, 15]
+        .map(|seed| (attacked.clone().with_seed(seed), vec![NodeId(0), NodeId(3)]))
+        .to_vec();
+    let reference = run_fleet(&runs, Parallelism::threads(1));
     let ref_bits: Vec<Vec<u64>> = reference
         .runs
         .iter()
@@ -216,7 +213,7 @@ fn fleet_matrices_are_bit_identical_at_any_thread_count() {
     assert!(!ref_bits.is_empty());
     let checksum = reference.checksum();
     for threads in [2usize, 4] {
-        let run = run_fleet(&spec(threads));
+        let run = run_fleet(&runs, Parallelism::threads(threads));
         let bits: Vec<Vec<u64>> = run
             .runs
             .iter()
