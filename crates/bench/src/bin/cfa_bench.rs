@@ -68,7 +68,8 @@ const MAX_FLEET_SEEDS: u64 = 65_536;
 /// parallel win and a typo'd huge value would exhaust the process.
 const MAX_FLEET_THREADS: usize = 1024;
 
-/// Parses `A,B,C` or the half-open range `A..B` into a seed list.
+/// Parses `A,B,C` or the half-open range `A..B` into a seed list. A
+/// repeated seed is an error: it would simulate the run twice.
 fn parse_seeds(s: &str) -> Result<Vec<u64>, String> {
     if let Some((a, b)) = s.split_once("..") {
         let lo: u64 = a.trim().parse().map_err(|_| format!("bad seed `{a}`"))?;
@@ -84,21 +85,42 @@ fn parse_seeds(s: &str) -> Result<Vec<u64>, String> {
         }
         Ok((lo..hi).collect())
     } else {
-        s.split(',')
+        let seeds = s
+            .split(',')
             .map(|t| t.trim().parse().map_err(|_| format!("bad seed `{t}`")))
-            .collect()
+            .collect::<Result<Vec<u64>, _>>()?;
+        match first_repeat(&seeds) {
+            Some(seed) => Err(format!("seed {seed} is repeated")),
+            None => Ok(seeds),
+        }
     }
 }
 
+/// Parses `A,B,C` into a vantage list. A repeated vantage is an error: it
+/// would write, list and count the same bundle twice.
 fn parse_vantages(s: &str) -> Result<Vec<NodeId>, String> {
-    s.split(',')
+    let vantages = s
+        .split(',')
         .map(|t| {
             t.trim()
                 .parse::<u16>()
                 .map(NodeId)
                 .map_err(|_| format!("bad vantage node `{t}`"))
         })
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    match first_repeat(&vantages) {
+        Some(v) => Err(format!("vantage {} is repeated", v.index())),
+        None => Ok(vantages),
+    }
+}
+
+/// The first item that equals an earlier one.
+fn first_repeat<T: PartialEq + Copy>(items: &[T]) -> Option<T> {
+    items
+        .iter()
+        .enumerate()
+        .find(|&(i, x)| items.iter().position(|y| y == x) != Some(i))
+        .map(|(_, &x)| x)
 }
 
 struct FleetArgs {
@@ -291,5 +313,15 @@ mod tests {
             parse("--vantages 0,3,7 --out x").is_ok(),
             "no attack, no attacker"
         );
+    }
+
+    #[test]
+    fn a_repeated_seed_or_vantage_is_a_usage_error() {
+        let err = parse("--seeds 1,2,1 --out x").err();
+        assert_eq!(err.as_deref(), Some("seed 1 is repeated"));
+        let err = parse("--vantages 0,3,0 --out x").err();
+        assert_eq!(err.as_deref(), Some("vantage 0 is repeated"));
+        assert!(parse("--seeds 1,2 --vantages 0,3 --out x").is_ok());
+        assert!(parse("--seeds 1..3 --out x").is_ok());
     }
 }

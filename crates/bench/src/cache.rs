@@ -2,9 +2,11 @@
 //!
 //! A 10 000-second simulation takes tens of seconds; experiment binaries
 //! share scenarios, so each vantage's bundle is cached under
-//! `target/cfa-cache/` as the fleet driver's CSV ([`bundle_to_csv`]),
-//! named by the FNV-1a-64 hash of the scenario description, the vantage
-//! node and `CACHE_VERSION`. Every run that misses goes to one
+//! `target/cfa-cache/v{CACHE_VERSION}/` as the fleet driver's CSV
+//! ([`bundle_to_csv`]), named by the FNV-1a-64 hash of the scenario
+//! description, the vantage node and `CACHE_VERSION`. A process's first
+//! store removes every other entry of `target/cfa-cache/`, so bundles of
+//! earlier versions do not pile up. Every run that misses goes to one
 //! [`run_fleet`] call, so misses simulate in parallel at the
 //! `CFA_THREADS` budget. The cache is an accelerator, not a correctness
 //! dependency: an unreadable or malformed file is a miss, and any I/O
@@ -17,15 +19,42 @@ use manet_cfa::scenario::{Scenario, TraceBundle};
 use manet_cfa::sim::NodeId;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Once;
 
 /// Bump to invalidate previously cached bundles after behaviour changes.
 const CACHE_VERSION: u32 = 7;
 
 const CACHE_DIR: &str = "target/cfa-cache";
 
+/// The directory this version's bundles live in.
+fn version_dir(root: &Path) -> PathBuf {
+    root.join(format!("v{CACHE_VERSION}"))
+}
+
 fn bundle_path(scenario: &Scenario, node: NodeId) -> PathBuf {
     let key = format!("{scenario:?}|{}|v{CACHE_VERSION}", node.0);
-    Path::new(CACHE_DIR).join(format!("bundle_{:016x}.csv", fnv1a64(key.as_bytes())))
+    version_dir(Path::new(CACHE_DIR)).join(format!("bundle_{:016x}.csv", fnv1a64(key.as_bytes())))
+}
+
+/// Removes every entry of `root` except this version's directory: flat
+/// bundles and other versions' directories alike. Errors are ignored, as
+/// everywhere in the cache.
+fn remove_other_versions(root: &Path) {
+    let keep = version_dir(root);
+    let Ok(entries) = fs::read_dir(root) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path == keep {
+            continue;
+        }
+        let _ = if path.is_dir() {
+            fs::remove_dir_all(&path)
+        } else {
+            fs::remove_file(&path)
+        };
+    }
 }
 
 /// A run's bundles, if every vantage's file is cached and well formed.
@@ -42,7 +71,9 @@ fn load(scenario: &Scenario, nodes: &[NodeId]) -> Option<Vec<TraceBundle>> {
 /// Caches a fresh run's bundles. Each file is written aside and renamed
 /// into place, so an interrupted write never leaves a short bundle.
 fn store(scenario: &Scenario, bundles: &[TraceBundle]) {
-    let _ = fs::create_dir_all(CACHE_DIR);
+    static PRUNE: Once = Once::new();
+    PRUNE.call_once(|| remove_other_versions(Path::new(CACHE_DIR)));
+    let _ = fs::create_dir_all(version_dir(Path::new(CACHE_DIR)));
     for bundle in bundles {
         let path = bundle_path(scenario, bundle.scenario.monitored);
         let tmp = path.with_extension("tmp");
@@ -159,7 +190,7 @@ mod tests {
             .with_connections(4)
             .with_duration(40.0)
             .with_seed(0xBEEF);
-        fs::create_dir_all(CACHE_DIR).expect("create cache dir");
+        fs::create_dir_all(version_dir(Path::new(CACHE_DIR))).expect("create cache dir");
         fs::write(
             bundle_path(&scenario, scenario.monitored),
             "time,a,label\n1.0,x,0\n",
@@ -173,5 +204,30 @@ mod tests {
             load(&scenario, &[scenario.monitored]).is_some(),
             "the miss was cached"
         );
+    }
+
+    #[test]
+    fn other_versions_are_removed() {
+        let root = Path::new("target/cfa-cache-prune-test");
+        let _ = fs::remove_dir_all(root);
+        let current = version_dir(root).join("bundle_current.csv");
+        let flat = root.join("bundle_0123456789abcdef.csv");
+        let old = root.join("v6");
+        fs::create_dir_all(&old).expect("create an old version's directory");
+        fs::create_dir_all(version_dir(root)).expect("create this version's directory");
+        fs::write(old.join("bundle_old.csv"), "old").expect("plant an old bundle");
+        fs::write(&flat, "stale").expect("plant a flat bundle");
+        fs::write(&current, "current").expect("write a current bundle");
+        remove_other_versions(root);
+        assert!(
+            !flat.exists(),
+            "a flat bundle from before versioned directories"
+        );
+        assert!(!old.exists(), "an earlier version's directory");
+        assert_eq!(
+            fs::read_to_string(&current).ok().as_deref(),
+            Some("current")
+        );
+        let _ = fs::remove_dir_all(root);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::model::{CrossFeatureModel, ScoreMethod};
 use crate::parallel::{map_chunks, Parallelism};
-use crate::threshold::select_threshold;
+use crate::threshold::{is_alarm, select_threshold};
 use cfa_ml::compiled::CompiledEnsemble;
 use cfa_ml::{AnyModel, Learner, NominalTable};
 
@@ -13,17 +13,6 @@ pub enum Verdict {
     Normal,
     /// The event's score fell below the threshold.
     Anomaly,
-}
-
-/// Score and decision for one streamed snapshot — what
-/// [`AnomalyDetector::score_snapshot_with`] returns to an online caller
-/// that wants both pieces from a single ensemble pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SnapshotVerdict {
-    /// The ensemble score (higher = more normal).
-    pub score: f64,
-    /// The threshold decision for that score.
-    pub verdict: Verdict,
 }
 
 /// A trained cross-feature anomaly detector.
@@ -185,30 +174,10 @@ impl AnomalyDetector {
     ///
     /// Panics if `row` has the wrong width.
     pub fn classify(&self, row: &[u8]) -> Verdict {
-        if self.score(row) >= self.threshold {
-            Verdict::Normal
-        } else {
+        if is_alarm(self.score(row), self.threshold) {
             Verdict::Anomaly
-        }
-    }
-
-    /// Scores and classifies one streamed snapshot in a single ensemble
-    /// pass, with a caller-owned scratch buffer for allocation-free
-    /// streaming — the streaming counterpart of
-    /// [`AnomalyDetector::score`] + [`AnomalyDetector::classify`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` has the wrong width.
-    pub fn score_snapshot_with(&self, row: &[u8], scratch: &mut Vec<f64>) -> SnapshotVerdict {
-        let score = self.score_with(row, scratch);
-        SnapshotVerdict {
-            score,
-            verdict: if score >= self.threshold {
-                Verdict::Normal
-            } else {
-                Verdict::Anomaly
-            },
+        } else {
+            Verdict::Normal
         }
     }
 }
@@ -323,17 +292,14 @@ mod tests {
             assert_eq!(oracle, table, "score_table at {threads} threads");
         }
 
-        // The snapshot verdict is the explicit threshold decision on the
-        // oracle score.
+        // `classify` is the alarm rule on the oracle score.
         for (row, &bits) in rows.iter().zip(&oracle) {
-            let snap = det.score_snapshot_with(row, &mut scratch);
-            let want = if f64::from_bits(bits) >= det.threshold() {
-                Verdict::Normal
-            } else {
+            let want = if is_alarm(f64::from_bits(bits), det.threshold()) {
                 Verdict::Anomaly
+            } else {
+                Verdict::Normal
             };
-            assert_eq!(snap.score.to_bits(), bits);
-            assert_eq!(snap.verdict, want);
+            assert_eq!(det.classify(row), want);
         }
     }
 

@@ -55,7 +55,7 @@ pub mod reduction;
 pub mod threshold;
 
 pub use cfa_ml::compiled::{CompiledEnsemble, CompiledModel};
-pub use detector::{AnomalyDetector, SnapshotVerdict, Verdict};
+pub use detector::{AnomalyDetector, Verdict};
 pub use eval::{PrPoint, ScoredEvent};
 pub use model::{CrossFeatureModel, ScoreMethod};
 pub use online::{smooth, Alarm, MonitorReport, NodeScoreSeries, OnlineMonitor, MONITOR_STEP_SECS};
@@ -64,4 +64,4 @@ pub use persist::{ModelArtifact, FORMAT_VERSION, MAGIC, MAX_PAYLOAD_BYTES};
 pub use reduction::{
     select_informative, submodel_predictability, submodel_predictability_with, SubModelStats,
 };
-pub use threshold::{fit_threshold, select_threshold, FittedThreshold};
+pub use threshold::{fit_threshold, is_alarm, select_threshold, FittedThreshold};

@@ -17,7 +17,8 @@
 //! moving average the batch pipeline applies, so post-hoc scoring of the
 //! same run reproduces the monitor's decisions exactly.
 
-use crate::detector::{AnomalyDetector, Verdict};
+use crate::detector::AnomalyDetector;
+use crate::threshold::is_alarm;
 use manet_features::{EqualFrequencyDiscretizer, IncrementalExtractor};
 use manet_sim::sink::NullSink;
 use manet_sim::{Agent, NodeId, SimTime, Simulator};
@@ -238,12 +239,7 @@ impl<'a, A: Agent> OnlineMonitor<'a, A> {
                 }
                 let smoothed = trailing_mean(tap.recent.iter());
                 tap.series.push((row.time, smoothed));
-                let verdict = if smoothed >= self.detector.threshold() {
-                    Verdict::Normal
-                } else {
-                    Verdict::Anomaly
-                };
-                if verdict == Verdict::Anomaly {
+                if is_alarm(smoothed, self.detector.threshold()) {
                     let alarm = Alarm {
                         node: tap.node,
                         snapshot_time: row.time,

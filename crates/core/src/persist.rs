@@ -326,10 +326,13 @@ mod tests {
         for v in 0..10 {
             let cont = [f64::from(v), f64::from(v) * 2.0, 30.0 - f64::from(v)];
             artifact.discretizer.transform_row_into(&cont, &mut row);
-            let a = artifact.detector.score_snapshot_with(&row, &mut scratch);
-            let b = loaded.detector.score_snapshot_with(&row, &mut scratch);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-            assert_eq!(a.verdict, b.verdict);
+            let a = artifact.detector.score_with(&row, &mut scratch);
+            let b = loaded.detector.score_with(&row, &mut scratch);
+            assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(
+                crate::is_alarm(a, artifact.detector.threshold()),
+                crate::is_alarm(b, loaded.detector.threshold())
+            );
         }
     }
 

@@ -11,8 +11,7 @@
 /// detector knows both the operating point and the calibration intent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FittedThreshold {
-    /// The decision threshold θ (events scoring strictly below are
-    /// flagged).
+    /// The decision threshold θ (see [`is_alarm`]).
     pub threshold: f64,
     /// The target false-alarm rate the threshold was the quantile of.
     pub false_alarm_rate: f64,
@@ -36,8 +35,8 @@ pub fn fit_threshold(normal_scores: &[f64], false_alarm_rate: f64) -> FittedThre
 /// most `false_alarm_rate` of them fall strictly below it.
 ///
 /// Returns the largest threshold θ with
-/// `|{s : s < θ}| / n ≤ false_alarm_rate`. Events are later classified as
-/// anomalies when their score is **strictly below** θ.
+/// `|{s : s < θ}| / n ≤ false_alarm_rate`. Events are later classified by
+/// [`is_alarm`]: an anomaly unless the score is at or above θ.
 ///
 /// # Panics
 ///
@@ -62,9 +61,24 @@ pub fn select_threshold(normal_scores: &[f64], false_alarm_rate: f64) -> f64 {
     sorted[budget.min(n - 1)]
 }
 
+/// The alarm rule: a score at or above `threshold` is normal, and
+/// anything else, NaN included, alarms.
+#[inline]
+pub fn is_alarm(score: f64, threshold: f64) -> bool {
+    let normal = score >= threshold;
+    !normal
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_nan_score_alarms() {
+        assert!(!is_alarm(0.5, 0.5));
+        assert!(is_alarm(0.4, 0.5));
+        assert!(is_alarm(f64::NAN, 0.5));
+    }
 
     #[test]
     fn zero_false_alarms_admits_every_normal_event() {

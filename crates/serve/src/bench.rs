@@ -266,8 +266,8 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
                                             detector.method(),
                                             &mut probs,
                                         );
-                                        // The server alarms unless score >= θ.
-                                        let same_alarm = s.alarm != (local >= detector.threshold());
+                                        let same_alarm = s.alarm
+                                            == cfa_core::is_alarm(local, detector.threshold());
                                         if local.to_bits() != s.score.to_bits() || !same_alarm {
                                             outcome.mismatches += 1;
                                         }

@@ -34,8 +34,9 @@
 //! registered model. Alarm events carry a per-model sequence number that
 //! increases by one per alarm, so a subscriber can assert in-order,
 //! gap-free delivery. Scores are IEEE-754 bit patterns, so a served score
-//! is bit-identical to the in-process `score_snapshot_with` result for
-//! the same row. All multi-byte integers are little-endian. Frames above
+//! is bit-identical to the in-process `AnomalyDetector::score_with` result
+//! for the same row, and its alarm bit is `cfa_core::is_alarm` of that
+//! score. All multi-byte integers are little-endian. Frames above
 //! [`MAX_FRAME_BYTES`] are rejected without being read.
 
 /// Largest frame either side will accept (8 MiB — roughly 7 000 batched

@@ -474,11 +474,9 @@ fn score_rows_into(
     let threshold = detector.threshold();
     for (i, &score) in scores.iter().enumerate() {
         put_f64(resp, score);
-        // Same decision as `score_snapshot_with`: Normal iff
-        // score >= threshold.
-        let alarm = if score >= threshold { 0u8 } else { 1u8 };
-        resp.push(alarm);
-        if alarm == 1 {
+        let alarm = cfa_core::is_alarm(score, threshold);
+        resp.push(u8::from(alarm));
+        if alarm {
             alarms.push((i as u32, score));
         }
     }

@@ -127,7 +127,7 @@ fn interpreted(
     reference.discretizer.transform_row_into(row, row_u8);
     let det = &reference.detector;
     let score = det.model().score_with(row_u8, det.method(), probs);
-    (score, score < det.threshold())
+    (score, cfa_core::is_alarm(score, det.threshold()))
 }
 
 /// The in-process engine's `(score, alarm)` for one continuous row.
@@ -138,8 +138,9 @@ fn in_process(
     probs: &mut Vec<f64>,
 ) -> (f64, bool) {
     reference.discretizer.transform_row_into(row, row_u8);
-    let snap = reference.detector.score_snapshot_with(row_u8, probs);
-    (snap.score, snap.verdict == cfa_core::Verdict::Anomaly)
+    let det = &reference.detector;
+    let score = det.score_with(row_u8, probs);
+    (score, cfa_core::is_alarm(score, det.threshold()))
 }
 
 fn start_server(cfg: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<cfa_serve::ServeStats>) {

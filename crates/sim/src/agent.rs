@@ -26,11 +26,6 @@ impl TimerToken {
     /// Tokens with this bit set are reserved for attack decorators wrapping
     /// the agent; honest protocol implementations must not use them.
     pub const ATTACK_BIT: u64 = 1 << 63;
-
-    /// Whether the token belongs to an attack decorator.
-    pub fn is_attack(self) -> bool {
-        self.0 & Self::ATTACK_BIT != 0
-    }
 }
 
 /// Buffered execution context for agent callbacks.
@@ -223,7 +218,7 @@ pub trait Agent {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Self::Header>, pkt: Packet<Self::Header>);
 
     /// Called when this node overhears a unicast frame addressed to another
-    /// node (only when the scenario enables promiscuous mode).
+    /// node; every node overhears every unicast it receives.
     fn on_promiscuous(&mut self, ctx: &mut Ctx<'_, Self::Header>, pkt: &Packet<Self::Header>) {
         let _ = (ctx, pkt);
     }
@@ -373,12 +368,6 @@ impl Agent for FloodAgent {
 mod tests {
     use super::*;
     use crate::rng::derive_stream;
-
-    #[test]
-    fn attack_bit_is_reserved() {
-        assert!(TimerToken(TimerToken::ATTACK_BIT).is_attack());
-        assert!(!TimerToken(42).is_attack());
-    }
 
     #[test]
     fn ctx_allocates_unique_packet_ids() {

@@ -5,9 +5,12 @@ use crate::time::SimTime;
 /// Parameters of a simulation scenario.
 ///
 /// Defaults match the experimental setup of §4.1 of the paper: a
-/// 1000 m × 1000 m field, random-waypoint mobility with 10 s pause time and
-/// 20 m/s maximum speed, 10 000 s of virtual time, and route statistics
-/// sampled every 5 s.
+/// 1000 m × 1000 m field, random-waypoint mobility with 20 m/s maximum
+/// speed and 10 000 s of virtual time. The settings no scenario varies are
+/// constants with the paper's values: [`SimConfig::PAUSE`],
+/// [`SimConfig::MOBILITY_SAMPLE_INTERVAL`], [`SimConfig::BANDWIDTH_BPS`]
+/// and [`SimConfig::MAC_JITTER`]. Nodes always overhear unicast frames
+/// addressed to others, which DSR's eavesdropping route learning needs.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Number of nodes in the network.
@@ -21,23 +24,12 @@ pub struct SimConfig {
     /// Interference range in metres, within which concurrent transmissions
     /// raise the loss probability (ns-2's default carrier-sense 550 m).
     pub interference_range: f64,
-    /// Link bandwidth in bits/s (2 Mb/s, the classic 802.11 ns-2 setting).
-    pub bandwidth_bps: f64,
     /// Baseline frame-loss probability on an in-range link.
     pub base_loss: f64,
-    /// Mean MAC queueing/backoff jitter added per transmission, seconds.
-    pub mac_jitter: f64,
-    /// Random-waypoint pause time.
-    pub pause: SimTime,
     /// Random-waypoint maximum speed, m/s.
     pub max_speed: f64,
     /// Total virtual duration of the run.
     pub duration: SimTime,
-    /// Interval between mobility samples written to node traces.
-    pub mobility_sample_interval: SimTime,
-    /// Whether nodes overhear unicast frames addressed to others
-    /// (required by DSR's eavesdropping route learning).
-    pub promiscuous: bool,
     /// Master seed from which all component RNG streams derive.
     pub seed: u64,
 }
@@ -50,20 +42,29 @@ impl Default for SimConfig {
             height: 1000.0,
             range: 250.0,
             interference_range: 550.0,
-            bandwidth_bps: 2_000_000.0,
             base_loss: 0.005,
-            mac_jitter: 0.002,
-            pause: SimTime::from_secs(10.0),
             max_speed: 20.0,
             duration: SimTime::from_secs(10_000.0),
-            mobility_sample_interval: SimTime::from_secs(5.0),
-            promiscuous: true,
             seed: 1,
         }
     }
 }
 
 impl SimConfig {
+    /// Random-waypoint pause time: the paper's 10 s.
+    pub const PAUSE: SimTime = SimTime::from_micros(10_000_000);
+
+    /// Interval between the mobility samples written to node traces: 5 s,
+    /// the paper's snapshot period.
+    pub const MOBILITY_SAMPLE_INTERVAL: SimTime = SimTime::from_micros(5_000_000);
+
+    /// Link bandwidth in bits/s (2 Mb/s, the classic 802.11 ns-2 setting).
+    pub const BANDWIDTH_BPS: f64 = 2_000_000.0;
+
+    /// Upper end of the uniform MAC queueing/backoff jitter added to each
+    /// transmission, in seconds.
+    pub const MAC_JITTER: f64 = 0.002;
+
     /// Starts building a configuration from the paper's defaults.
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder::default()
@@ -87,17 +88,11 @@ impl SimConfig {
         if self.interference_range < self.range {
             return Err("interference range must be >= radio range".into());
         }
-        if self.bandwidth_bps <= 0.0 {
-            return Err("bandwidth must be positive".into());
-        }
         if !(0.0..1.0).contains(&self.base_loss) {
             return Err("base_loss must be in [0, 1)".into());
         }
         if self.max_speed <= 0.0 {
             return Err("max_speed must be positive".into());
-        }
-        if self.mobility_sample_interval == SimTime::ZERO {
-            return Err("mobility_sample_interval must be positive".into());
         }
         Ok(())
     }
@@ -141,27 +136,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the random-waypoint pause time in seconds.
-    pub fn pause_secs(mut self, secs: f64) -> Self {
-        self.cfg.pause = SimTime::from_secs(secs);
-        self
-    }
-
-    /// Sets the maximum node speed in m/s.
-    pub fn max_speed(mut self, mps: f64) -> Self {
-        self.cfg.max_speed = mps;
-        self
-    }
-
     /// Sets the baseline frame-loss probability.
     pub fn base_loss(mut self, p: f64) -> Self {
         self.cfg.base_loss = p;
-        self
-    }
-
-    /// Enables or disables promiscuous overhearing.
-    pub fn promiscuous(mut self, on: bool) -> Self {
-        self.cfg.promiscuous = on;
         self
     }
 
@@ -194,10 +171,10 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(c.width, 1000.0);
         assert_eq!(c.height, 1000.0);
-        assert_eq!(c.pause.as_secs(), 10.0);
+        assert_eq!(SimConfig::PAUSE.as_secs(), 10.0);
         assert_eq!(c.max_speed, 20.0);
         assert_eq!(c.duration.as_secs(), 10_000.0);
-        assert_eq!(c.mobility_sample_interval.as_secs(), 5.0);
+        assert_eq!(SimConfig::MOBILITY_SAMPLE_INTERVAL.as_secs(), 5.0);
         assert!(c.validate().is_ok());
     }
 
@@ -208,17 +185,14 @@ mod tests {
             .field(200.0, 300.0)
             .range(100.0)
             .duration_secs(10.0)
-            .pause_secs(1.0)
-            .max_speed(5.0)
             .base_loss(0.0)
-            .promiscuous(false)
             .seed(99)
             .build();
         assert_eq!(c.n_nodes, 5);
         assert_eq!(c.width, 200.0);
         assert_eq!(c.height, 300.0);
         assert_eq!(c.range, 100.0);
-        assert!(!c.promiscuous);
+        assert_eq!(c.base_loss, 0.0);
         assert_eq!(c.seed, 99);
     }
 

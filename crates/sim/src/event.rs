@@ -9,31 +9,21 @@ use std::collections::BinaryHeap;
 /// The kinds of events the simulator kernel processes.
 #[derive(Debug)]
 pub enum EventKind<H> {
-    /// A frame arrives at a node. `promiscuous` marks overheard unicasts
-    /// addressed to someone else.
-    Deliver {
-        /// Receiving node.
-        to: NodeId,
-        /// The frame.
-        pkt: Packet<H>,
-        /// Whether this is a promiscuous overhear rather than an addressed
-        /// reception.
-        promiscuous: bool,
-    },
-    /// One radio transmission fanned out to its surviving receivers,
-    /// queued as a single event instead of one `Deliver` per receiver.
+    /// One radio transmission arrives at its surviving receivers, one or
+    /// many, as a single event.
     ///
-    /// All receptions of a transmission share the arrival instant and are
-    /// pushed back-to-back, so they occupy a contiguous `(t, seq)` run in
-    /// the schedule, and nothing scheduled while they pop can land inside
-    /// that run (transmit latency is strictly positive and fresh sequence
-    /// numbers sort after the run). Processing the list front-to-back is
-    /// therefore bit-identical to popping the per-receiver events — while
-    /// doing one heap push/pop per *transmission* instead of per receiver.
-    DeliverBatch {
+    /// All receptions of a transmission share the arrival instant, so one
+    /// event per transmission takes the `(t, seq)` slot their per-receiver
+    /// events would have filled back to back, and nothing scheduled while
+    /// they are processed can land inside it (transmit latency is strictly
+    /// positive and fresh sequence numbers sort after it). Processing the
+    /// list front to back is therefore bit-identical to popping one event
+    /// per receiver, with one heap push and pop per transmission.
+    Deliver {
         /// The frame (cloned per receiver only at delivery time).
         pkt: Packet<H>,
-        /// `(receiver, promiscuous overhear)` in reception order.
+        /// `(receiver, promiscuous overhear)` in reception order; an
+        /// overhear is a unicast addressed to someone else.
         receivers: Vec<(NodeId, bool)>,
     },
     /// A unicast transmission failed at the link layer (target unreachable

@@ -40,16 +40,58 @@ use crate::time::SimTime;
 /// is unaffected because candidate gathering is always a superset filter.
 const MAX_CELLS: usize = 1 << 16;
 
+/// The geometry of a uniform cell grid over the field, shared by
+/// [`SpatialGrid`] and the radio's contention window.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cells {
+    /// Cell edge length in metres.
+    pub(crate) edge: f64,
+    /// Number of cell columns.
+    pub(crate) cols: usize,
+    /// Number of cell rows.
+    pub(crate) rows: usize,
+}
+
+impl Cells {
+    /// Square cells of edge `edge` over a `width`×`height` field, the edge
+    /// doubled until there are at most `max_cells` of them.
+    pub(crate) fn new(width: f64, height: f64, edge: f64, max_cells: usize) -> Cells {
+        let dims = |edge: f64| Cells {
+            edge,
+            cols: (width / edge).ceil().max(1.0) as usize,
+            rows: (height / edge).ceil().max(1.0) as usize,
+        };
+        let mut cells = dims(edge);
+        while cells.len() > max_cells {
+            cells = dims(cells.edge * 2.0);
+        }
+        cells
+    }
+
+    /// Number of cells.
+    pub(crate) fn len(&self) -> usize {
+        self.cols * self.rows
+    }
+
+    /// Column and row of the cell holding `p`, clamped into the grid.
+    pub(crate) fn cell_of(&self, p: Point) -> (usize, usize) {
+        let cx = ((p.x / self.edge) as usize).min(self.cols - 1);
+        let cy = ((p.y / self.edge) as usize).min(self.rows - 1);
+        (cx, cy)
+    }
+
+    /// Row-major index of the cell at column `cx` and row `cy`.
+    pub(crate) fn index(&self, (cx, cy): (usize, usize)) -> usize {
+        cy * self.cols + cx
+    }
+}
+
 /// A uniform cell grid over the simulation field, bucketing node ids by
 /// their position at the last rebuild.
 #[derive(Debug)]
 pub struct SpatialGrid {
-    /// Cell edge length in metres (≥ radio range).
-    cell: f64,
-    /// Number of cell columns.
-    cols: usize,
-    /// Number of cell rows.
-    rows: usize,
+    /// Cell geometry (edge ≥ radio range).
+    cells: Cells,
     /// Radio range the grid answers queries for.
     range: f64,
     /// Maximum node speed, bounding staleness drift.
@@ -78,34 +120,15 @@ impl SpatialGrid {
         assert!(max_speed > 0.0, "max_speed must be positive");
         // Cell edge = radio range: a query disc of radius `range` then
         // touches at most a 3×3 neighbourhood (plus staleness slack).
-        let mut cell = range;
-        let dims = |cell: f64| {
-            let cols = (width / cell).ceil().max(1.0) as usize;
-            let rows = (height / cell).ceil().max(1.0) as usize;
-            (cols, rows)
-        };
-        let (mut cols, mut rows) = dims(cell);
-        while cols * rows > MAX_CELLS {
-            cell *= 2.0;
-            (cols, rows) = dims(cell);
-        }
+        let cells = Cells::new(width, height, range, MAX_CELLS);
         SpatialGrid {
-            cell,
-            cols,
-            rows,
+            cells,
             range,
             max_speed,
-            members: (0..cols * rows).map(|_| Vec::new()).collect(),
+            members: (0..cells.len()).map(|_| Vec::new()).collect(),
             mask: Vec::new(),
             refreshed_at: SimTime::ZERO,
         }
-    }
-
-    /// Flat cell index of a position (clamped to the field).
-    fn cell_of(&self, p: Point) -> usize {
-        let cx = ((p.x / self.cell) as usize).min(self.cols - 1);
-        let cy = ((p.y / self.cell) as usize).min(self.rows - 1);
-        cy * self.cols + cx
     }
 
     /// Rebuckets every node from its position at time `now`. The `i`-th
@@ -117,7 +140,7 @@ impl SpatialGrid {
         }
         let mut count = 0usize;
         for (i, p) in positions.enumerate() {
-            let idx = self.cell_of(p);
+            let idx = self.cells.index(self.cells.cell_of(p));
             if let Some(cell) = self.members.get_mut(idx) {
                 // audit: allow(D007, reason = "cells are cleared at the top of every rebuild; occupancy is bounded by n_nodes")
                 cell.push(NodeId(i as u16));
@@ -145,12 +168,12 @@ impl SpatialGrid {
         // bucketed node can have reached by `now`.
         let slack = self.max_speed * now.saturating_sub(self.refreshed_at).as_secs();
         let reach = self.range + slack;
-        let cx0 = (((center.x - reach) / self.cell).floor().max(0.0)) as usize;
-        let cy0 = (((center.y - reach) / self.cell).floor().max(0.0)) as usize;
-        let cx1 = ((((center.x + reach) / self.cell) as usize).max(cx0)).min(self.cols - 1);
-        let cy1 = ((((center.y + reach) / self.cell) as usize).max(cy0)).min(self.rows - 1);
-        let cx0 = cx0.min(self.cols - 1);
-        let cy0 = cy0.min(self.rows - 1);
+        let (cx0, cy0) = self
+            .cells
+            .cell_of(Point::new(center.x - reach, center.y - reach));
+        let (cx1, cy1) = self
+            .cells
+            .cell_of(Point::new(center.x + reach, center.y + reach));
         // Mark gathered ids in the scratch bitmap, then emit set bits low
         // to high: ascending id order (matching the brute-force all-nodes
         // scan exactly) with no per-query sort. Zeroing the mask is a
@@ -160,7 +183,7 @@ impl SpatialGrid {
         }
         for cy in cy0..=cy1 {
             for cx in cx0..=cx1 {
-                if let Some(cell) = self.members.get(cy * self.cols + cx) {
+                if let Some(cell) = self.members.get(self.cells.index((cx, cy))) {
                     for id in cell {
                         let i = id.index();
                         if let Some(w) = self.mask.get_mut(i / 64) {
@@ -254,6 +277,6 @@ mod tests {
         // 1e6 x 1e6 field with a 10 m range would want 1e10 cells; the cap
         // coarsens the grid instead.
         let g = SpatialGrid::new(1_000_000.0, 1_000_000.0, 10.0, 20.0);
-        assert!(g.cols * g.rows <= MAX_CELLS);
+        assert!(g.cells.len() <= MAX_CELLS);
     }
 }

@@ -6,7 +6,8 @@
 //! * **disc propagation** — a frame reaches exactly the nodes within
 //!   `range` metres of the transmitter at transmission time;
 //! * **transmit latency** — `size·8 / bandwidth` plus a uniform MAC
-//!   queueing/backoff jitter;
+//!   queueing/backoff jitter ([`SimConfig::BANDWIDTH_BPS`],
+//!   [`SimConfig::MAC_JITTER`]);
 //! * **contention loss** — each reception is independently lost with
 //!   probability `base_loss` plus a term that grows with the number of
 //!   recent transmissions inside the interference range of the receiver, so
@@ -20,6 +21,7 @@
 //!   should be read as the residual loss after MAC retries.
 
 use crate::config::SimConfig;
+use crate::grid::Cells;
 use crate::mobility::Point;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -40,34 +42,30 @@ pub enum Reception {
 /// around a receiver scans only the cell neighbourhood that can possibly
 /// contain them instead of every transmission in the window world-wide —
 /// the count itself is exact (each bucketed candidate still passes the
-/// precise distance test), so loss probabilities and RNG draws are
-/// bit-identical to the flat scan.
+/// distance test), so loss probabilities and RNG draws are bit-identical
+/// to the flat scan.
+///
+/// Every distance test compares `dx² + dy²` with a squared threshold taken
+/// once per radius, which decides exactly as `a.distance(b) <= r` does.
 ///
 /// Most receptions need no count at all: [`RadioModel::receive`] draws
 /// first and compares the draw with the loss probability of an upper
 /// bound on the count, taken once per transmission.
 #[derive(Debug)]
 pub struct RadioModel {
-    range: f64,
-    interference_range: f64,
-    bandwidth_bps: f64,
     base_loss: f64,
-    mac_jitter: f64,
     contention_window: SimTime,
     /// Recent transmissions, bucketed by transmitter cell. Each cell is
     /// pruned lazily when pushed to or counted, so entries are dropped
     /// amortized O(1).
     cells: Vec<TxWindow>,
-    cell: f64,
-    cols: usize,
-    rows: usize,
+    grid: Cells,
     /// Cells per axis a contention scan must reach: `ceil(interference /
     /// cell)`, so the scanned square always covers the interference disc.
     reach: usize,
-    /// Conservative squared-distance bands for the radio range and the
-    /// interference range (see [`RadioModel::within`]).
-    range_sq_band: (f64, f64),
-    intf_sq_band: (f64, f64),
+    /// `sq_threshold` of the radio range and of the interference range.
+    range_sq: f64,
+    intf_sq: f64,
     /// `range + interference_range`, widened by a relative 1e-9 so the
     /// rounding of the triangle inequality cannot shrink it: every
     /// contender of every receiver in a transmitter's range lies within
@@ -106,121 +104,73 @@ impl RadioModel {
         // cell out (3×3). Finer cells would shave scanned *area*, but most
         // cells hold no transmissions inside the 10 ms window, so the
         // per-cell probe overhead dominates and costs more than it saves.
-        let mut cell = cfg.interference_range.max(1.0);
-        let dims = |cell: f64| {
-            let cols = (cfg.width / cell).ceil().max(1.0) as usize;
-            let rows = (cfg.height / cell).ceil().max(1.0) as usize;
-            (cols, rows)
-        };
-        let (mut cols, mut rows) = dims(cell);
-        while cols * rows > Self::MAX_CELLS {
-            cell *= 2.0;
-            (cols, rows) = dims(cell);
-        }
-        let reach = (cfg.interference_range / cell).ceil().max(1.0) as usize;
+        let grid = Cells::new(
+            cfg.width,
+            cfg.height,
+            cfg.interference_range.max(1.0),
+            Self::MAX_CELLS,
+        );
+        let reach = (cfg.interference_range / grid.edge).ceil().max(1.0) as usize;
         RadioModel {
-            range: cfg.range,
-            interference_range: cfg.interference_range,
-            bandwidth_bps: cfg.bandwidth_bps,
             base_loss: cfg.base_loss,
-            mac_jitter: cfg.mac_jitter,
             contention_window: SimTime::from_secs(0.01),
-            cells: (0..cols * rows).map(|_| TxWindow::default()).collect(),
-            cell,
-            cols,
-            rows,
+            cells: (0..grid.len()).map(|_| TxWindow::default()).collect(),
+            grid,
             reach,
-            range_sq_band: Self::sq_band(cfg.range),
-            intf_sq_band: Self::sq_band(cfg.interference_range),
+            range_sq: Self::sq_threshold(cfg.range),
+            intf_sq: Self::sq_threshold(cfg.interference_range),
             bound_radius: (cfg.range + cfg.interference_range) * (1.0 + 1e-9),
             last_tx: None,
             rng,
         }
     }
 
-    /// Conservative `(lo, hi)` band around `r²` for [`RadioModel::within`]:
-    /// thousands of ulps on either side of where the exact comparison could
-    /// possibly flip.
-    fn sq_band(r: f64) -> (f64, f64) {
-        let r2 = r * r;
-        (r2 * (1.0 - 1e-12), r2 * (1.0 + 1e-12))
+    /// The largest `s` with `s.sqrt() <= r`. `sqrt` is monotone and
+    /// correctly rounded, and `Point::distance` squares each difference
+    /// with one multiply, so `dx² + dy² <= sq_threshold(r)` decides exactly
+    /// as `a.distance(b) <= r`. The threshold lies within an ulp or two of
+    /// `r * r`.
+    fn sq_threshold(r: f64) -> f64 {
+        let mut s = r * r;
+        while s.sqrt() > r {
+            s = s.next_down();
+        }
+        while s.is_finite() && s.next_up().sqrt() <= r {
+            s = s.next_up();
+        }
+        s
     }
 
-    /// Exactly `a.distance(b) <= r`, square-root-free outside a ±1e-12
-    /// relative band around `r²`. `sqrt` is monotonic and correctly
-    /// rounded, so the comparison is a threshold in squared distance that
-    /// can sit at most a few ulps away from `r²`; inside the (vastly
-    /// wider) band the exact expression decides, keeping every outcome
-    /// bit-for-bit identical to the plain distance test.
+    /// `dx² + dy²`, the squared distance `Point::distance` takes the root
+    /// of.
     #[inline]
-    fn within(a: Point, b: Point, r: f64, (lo, hi): (f64, f64)) -> bool {
+    fn sq_dist(a: Point, b: Point) -> f64 {
         let dx = a.x - b.x;
         let dy = a.y - b.y;
-        let s = dx * dx + dy * dy;
-        if s <= lo {
-            true
-        } else if s >= hi {
-            false
-        } else {
-            a.distance(b) <= r
-        }
+        dx * dx + dy * dy
     }
 
-    /// Number of points within `r` of `rx` — exact: the same outcome per
-    /// point as `p.distance(rx) <= r`. The main pass is branchless (and
-    /// free of the deciding comparison's rare middle case) so it
-    /// vectorizes; points that land inside the ambiguity band are
-    /// re-decided by the exact expression in a second, almost-never-taken
-    /// pass.
-    fn count_within(xs: &[f64], ys: &[f64], rx: Point, r: f64, (lo, hi): (f64, f64)) -> usize {
-        let mut inside = 0usize;
-        let mut ambiguous = 0usize;
-        for (&x, &y) in xs.iter().zip(ys) {
-            let dx = x - rx.x;
-            let dy = y - rx.y;
-            let s = dx * dx + dy * dy;
-            inside += usize::from(s <= lo);
-            ambiguous += usize::from(s > lo && s < hi);
-        }
-        if ambiguous > 0 {
-            inside += xs
-                .iter()
-                .zip(ys)
-                .filter(|&(&x, &y)| {
-                    let dx = x - rx.x;
-                    let dy = y - rx.y;
-                    let s = dx * dx + dy * dy;
-                    s > lo && s < hi && Point::new(x, y).distance(rx) <= r
-                })
-                .count();
-        }
-        inside
+    /// Number of points within squared distance `sq` of `at`; branchless,
+    /// so it vectorizes.
+    fn count_within(xs: &[f64], ys: &[f64], at: Point, sq: f64) -> usize {
+        xs.iter()
+            .zip(ys)
+            .map(|(&x, &y)| usize::from(Self::sq_dist(Point::new(x, y), at) <= sq))
+            .sum()
     }
 
-    /// Grid cell index of a position (clamped into bounds).
-    fn cell_of(&self, p: Point) -> (usize, usize) {
-        let cx = ((p.x / self.cell) as isize).clamp(0, self.cols as isize - 1) as usize;
-        let cy = ((p.y / self.cell) as isize).clamp(0, self.rows as isize - 1) as usize;
-        (cx, cy)
-    }
-
-    /// The radio transmission range in metres.
-    pub fn range(&self) -> f64 {
-        self.range
-    }
-
-    /// Whether a receiver at `rx` can hear a transmitter at `tx`.
+    /// Whether a receiver at `rx` can hear a transmitter at `tx`: exactly
+    /// `tx.distance(rx) <= range`.
     #[inline]
     pub fn in_range(&self, tx: Point, rx: Point) -> bool {
-        Self::within(tx, rx, self.range, self.range_sq_band)
+        Self::sq_dist(tx, rx) <= self.range_sq
     }
 
     /// Registers a transmission (for contention accounting) and returns its
     /// airtime + jitter latency.
     pub fn begin_transmission(&mut self, now: SimTime, tx_pos: Point, size_bytes: u32) -> SimTime {
         let horizon = now.saturating_sub(self.contention_window);
-        let (cx, cy) = self.cell_of(tx_pos);
-        let idx = cy * self.cols + cx;
+        let idx = self.grid.index(self.grid.cell_of(tx_pos));
         if let Some(cell) = self.cells.get_mut(idx) {
             cell.prune(horizon);
             cell.push(now, tx_pos);
@@ -230,8 +180,8 @@ impl RadioModel {
             pos: tx_pos,
             p_max: None,
         });
-        let airtime = size_bytes as f64 * 8.0 / self.bandwidth_bps;
-        let jitter = self.rng.gen_range(0.0..=self.mac_jitter);
+        let airtime = size_bytes as f64 * 8.0 / SimConfig::BANDWIDTH_BPS;
+        let jitter = self.rng.gen_range(0.0..=SimConfig::MAC_JITTER);
         SimTime::from_secs(airtime + jitter)
     }
 
@@ -294,19 +244,18 @@ impl RadioModel {
     /// count: the live window entries within interference range of the
     /// receiver, less the frame's own transmission.
     fn loss_probability(&mut self, now: SimTime, rx_pos: Point) -> f64 {
-        let (cx, cy) = self.cell_of(rx_pos);
+        let (cx, cy) = self.grid.cell_of(rx_pos);
         // Every transmitter within interference range of `rx_pos` lies
         // within `reach` cells of its cell (reach·cell ≥ interference
         // range), so this counts exactly the set the flat scan counted.
         let cells = (
             (cx.saturating_sub(self.reach), cy.saturating_sub(self.reach)),
             (
-                (cx + self.reach).min(self.cols - 1),
-                (cy + self.reach).min(self.rows - 1),
+                (cx + self.reach).min(self.grid.cols - 1),
+                (cy + self.reach).min(self.grid.rows - 1),
             ),
         );
-        let (r, band) = (self.interference_range, self.intf_sq_band);
-        let contenders = self.count_in(now, cells, rx_pos, r, band);
+        let contenders = self.count_in(now, cells, rx_pos, self.intf_sq);
         // The frame's own transmission doesn't contend with itself.
         self.p_loss(contenders.saturating_sub(1))
     }
@@ -330,11 +279,10 @@ impl RadioModel {
         }
         let rb = self.bound_radius;
         let cells = (
-            self.cell_of(Point::new(tx.pos.x - rb, tx.pos.y - rb)),
-            self.cell_of(Point::new(tx.pos.x + rb, tx.pos.y + rb)),
+            self.grid.cell_of(Point::new(tx.pos.x - rb, tx.pos.y - rb)),
+            self.grid.cell_of(Point::new(tx.pos.x + rb, tx.pos.y + rb)),
         );
-        // A band of zero width: `count_within` counts `s ≤ rb²` exactly.
-        let k = self.count_in(now, cells, tx.pos, rb, (rb * rb, rb * rb));
+        let k = self.count_in(now, cells, tx.pos, rb * rb);
         let p = self.p_loss(k.saturating_sub(1));
         self.last_tx = Some(LastTx {
             p_max: Some(p),
@@ -343,25 +291,24 @@ impl RadioModel {
         p
     }
 
-    /// Live window entries within `r` of `at` (by [`RadioModel::count_within`]
-    /// with `band`) in the cells from `lo` to `hi`, both corners included,
-    /// pruning each cell of the entries older than the window first.
+    /// Live window entries within squared distance `sq` of `at` in the
+    /// cells from `lo` to `hi`, both corners included, pruning each cell of
+    /// the entries older than the window first.
     fn count_in(
         &mut self,
         now: SimTime,
         (lo, hi): ((usize, usize), (usize, usize)),
         at: Point,
-        r: f64,
-        band: (f64, f64),
+        sq: f64,
     ) -> usize {
         let horizon = now.saturating_sub(self.contention_window);
         let mut n = 0usize;
         for y in lo.1..=hi.1 {
             for x in lo.0..=hi.0 {
-                if let Some(cell) = self.cells.get_mut(y * self.cols + x) {
+                if let Some(cell) = self.cells.get_mut(self.grid.index((x, y))) {
                     cell.prune(horizon);
                     let (xs, ys) = cell.coords();
-                    n += Self::count_within(xs, ys, at, r, band);
+                    n += Self::count_within(xs, ys, at, sq);
                 }
             }
         }
@@ -448,6 +395,29 @@ mod tests {
         let m = model(0.0);
         assert!(m.in_range(Point::new(0.0, 0.0), Point::new(250.0, 0.0)));
         assert!(!m.in_range(Point::new(0.0, 0.0), Point::new(250.1, 0.0)));
+    }
+
+    #[test]
+    fn count_within_is_the_distance_filter() {
+        let m = model(0.0);
+        let r = SimConfig::default().interference_range;
+        let rx = Point::new(400.0, 300.0);
+        // Points at the interference range and up to four ulps either side
+        // of it, in every direction.
+        let mut points = Vec::new();
+        for deg in 0..360 {
+            let (sin, cos) = f64::from(deg).to_radians().sin_cos();
+            let mut d = (0..4).fold(r, |d, _| d.next_down());
+            for _ in 0..9 {
+                points.push(Point::new(rx.x + d * cos, rx.y + d * sin));
+                d = d.next_up();
+            }
+        }
+        let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
+        let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
+        let want = points.iter().filter(|p| p.distance(rx) <= r).count();
+        assert!(0 < want && want < points.len(), "both sides of the edge");
+        assert_eq!(RadioModel::count_within(&xs, &ys, rx, m.intf_sq), want);
     }
 
     #[test]

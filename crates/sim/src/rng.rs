@@ -6,7 +6,7 @@
 //! of event interleaving changes in unrelated components.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// The RNG used throughout the simulator (a small, fast, seedable PRNG).
 pub type SimRng = SmallRng;
@@ -63,19 +63,10 @@ impl StreamLabel {
     }
 }
 
-/// Convenience: draws an exponentially distributed delay with the given
-/// mean, used for jitter. Returns 0 for non-positive means.
-pub fn exp_delay(rng: &mut SimRng, mean_secs: f64) -> f64 {
-    if mean_secs <= 0.0 {
-        return 0.0;
-    }
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    -mean_secs * u.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn streams_are_deterministic() {
@@ -100,14 +91,5 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), labels.len());
-    }
-
-    #[test]
-    fn exp_delay_is_positive_with_positive_mean() {
-        let mut rng = derive_stream(1, 1);
-        for _ in 0..100 {
-            assert!(exp_delay(&mut rng, 0.5) > 0.0);
-        }
-        assert_eq!(exp_delay(&mut rng, 0.0), 0.0);
     }
 }

@@ -110,7 +110,7 @@ pub struct Simulator<A: Agent> {
     /// Scratch: exact in-range receivers per transmission, with their
     /// positions at the transmission's instant.
     in_range_scratch: Vec<(NodeId, Point)>,
-    /// Recycled receiver lists for `DeliverBatch` events (no steady-state
+    /// Recycled receiver lists for `Deliver` events (no steady-state
     /// allocation on the fan-out path).
     batch_pool: Vec<Vec<(NodeId, bool)>>,
     /// Recycled same-instant worklist for `drain` (one live callback chain
@@ -148,7 +148,7 @@ impl<A: Agent> Simulator<A> {
                 cfg.width,
                 cfg.height,
                 cfg.max_speed,
-                cfg.pause,
+                SimConfig::PAUSE,
                 StreamLabel::Mobility(i).stream(cfg.seed),
             ));
             nodes.sinks.push(Box::new(NodeTrace::new()));
@@ -268,11 +268,6 @@ impl<A: Agent> Simulator<A> {
         self.events_processed
     }
 
-    /// Number of events currently scheduled (queue-depth diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Runs the simulation until the configured duration has elapsed.
     pub fn run(&mut self) {
         let end = self.cfg.duration;
@@ -295,8 +290,10 @@ impl<A: Agent> Simulator<A> {
                 pending.push(Pending::AppStart(i));
             }
             self.worklist = self.drain(pending);
-            self.queue
-                .push(self.cfg.mobility_sample_interval, EventKind::MobilitySample);
+            self.queue.push(
+                SimConfig::MOBILITY_SAMPLE_INTERVAL,
+                EventKind::MobilitySample,
+            );
         }
         while let Some(t) = self.queue.peek_time() {
             if t > end {
@@ -308,19 +305,8 @@ impl<A: Agent> Simulator<A> {
             self.now = ev.t;
             self.events_processed += 1;
             let first = match ev.kind {
-                EventKind::Deliver {
-                    to,
-                    pkt,
-                    promiscuous,
-                } => {
-                    if promiscuous {
-                        Pending::AgentPromiscuous(to, pkt)
-                    } else {
-                        Pending::AgentPacket(to, pkt)
-                    }
-                }
-                EventKind::DeliverBatch { pkt, receivers } => {
-                    self.deliver_batch(pkt, receivers);
+                EventKind::Deliver { pkt, receivers } => {
+                    self.deliver(pkt, receivers);
                     continue;
                 }
                 EventKind::TxFailed {
@@ -332,7 +318,7 @@ impl<A: Agent> Simulator<A> {
                 EventKind::AppTick { app, tag } => Pending::AppTick(app, tag),
                 EventKind::MobilitySample => {
                     self.sample_mobility();
-                    let next = self.now + self.cfg.mobility_sample_interval;
+                    let next = self.now + SimConfig::MOBILITY_SAMPLE_INTERVAL;
                     if next <= self.cfg.duration {
                         self.queue.push(next, EventKind::MobilitySample);
                     }
@@ -348,11 +334,11 @@ impl<A: Agent> Simulator<A> {
         }
     }
 
-    /// Processes one fanned-out transmission: each reception drains in
-    /// list order, exactly as the per-receiver `Deliver` events would have
-    /// popped (see [`EventKind::DeliverBatch`]). Each reception counts as
-    /// one processed event; the pop of the batch itself counted the first.
-    fn deliver_batch(&mut self, pkt: Packet<A::Header>, mut receivers: Vec<(NodeId, bool)>) {
+    /// Processes one transmission's receptions: each drains in list order,
+    /// exactly as one event per receiver would have popped (see
+    /// [`EventKind::Deliver`]). Each reception counts as one processed
+    /// event; the pop of the event itself counted the first.
+    fn deliver(&mut self, pkt: Packet<A::Header>, mut receivers: Vec<(NodeId, bool)>) {
         self.events_processed += (receivers.len() as u64).saturating_sub(1);
         let n = receivers.len();
         let mut frame = Some(pkt);
@@ -612,7 +598,7 @@ impl<A: Agent> Simulator<A> {
         }
         // Survivors of the loss roll accumulate into one recycled receiver
         // list and go into the schedule as a single event per transmission
-        // (see `EventKind::DeliverBatch` for the ordering argument).
+        // (see `EventKind::Deliver` for the ordering argument).
         let mut rx = self.batch_pool.pop().unwrap_or_default();
         rx.clear();
         match dest {
@@ -632,11 +618,9 @@ impl<A: Agent> Simulator<A> {
                 if let Some(hop_pos) = hop_pos {
                     // Promiscuous overhears first (they don't depend on the
                     // addressed outcome).
-                    if self.cfg.promiscuous {
-                        for &(nid, rx_pos) in in_range.iter().filter(|&&(n, _)| n != next_hop) {
-                            if self.radio.receive(now, rx_pos) == Reception::Ok {
-                                rx.push((nid, true));
-                            }
+                    for &(nid, rx_pos) in in_range.iter().filter(|&&(n, _)| n != next_hop) {
+                        if self.radio.receive(now, rx_pos) == Reception::Ok {
+                            rx.push((nid, true));
                         }
                     }
                     match self.radio.receive(now, hop_pos) {
@@ -669,32 +653,21 @@ impl<A: Agent> Simulator<A> {
         self.in_range_scratch = in_range;
     }
 
-    /// Queues the surviving receptions of one transmission: a lone receiver
-    /// rides a plain `Deliver` (smaller queue entry, list recycled); two or
-    /// more share a `DeliverBatch`.
+    /// Queues the surviving receptions of one transmission as one
+    /// `Deliver` event; with no survivor, nothing is queued and the list
+    /// goes back to the pool.
     fn push_deliveries(
         &mut self,
         arrive: SimTime,
         pkt: Packet<A::Header>,
-        mut rx: Vec<(NodeId, bool)>,
+        rx: Vec<(NodeId, bool)>,
     ) {
-        if rx.len() <= 1 {
-            if let Some(&(to, promiscuous)) = rx.first() {
-                self.queue.push(
-                    arrive,
-                    EventKind::Deliver {
-                        to,
-                        pkt,
-                        promiscuous,
-                    },
-                );
-            }
-            rx.clear();
+        if rx.is_empty() {
             // audit: allow(D007, reason = "recycling pool: bounded by the peak number of in-flight transmissions")
             self.batch_pool.push(rx);
         } else {
             self.queue
-                .push(arrive, EventKind::DeliverBatch { pkt, receivers: rx });
+                .push(arrive, EventKind::Deliver { pkt, receivers: rx });
         }
     }
 }

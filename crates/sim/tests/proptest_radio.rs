@@ -7,6 +7,10 @@
 //! receivers at the range edge and out of range, receptions at a later
 //! instant than the last transmission, steps that straddle the 10 ms
 //! contention window, and bursts dense enough to reach the 0.95 loss cap.
+//!
+//! A second property holds `RadioModel::in_range` to its definition,
+//! `tx.distance(rx) <= range`, for receivers placed exactly at the range
+//! and a few ulps either side of it.
 
 use manet_sim::rng::StreamLabel;
 use manet_sim::{Point, RadioModel, SimConfig, SimTime};
@@ -95,6 +99,21 @@ fn scatter(j: usize, alpha: f64) -> f64 {
     (j as f64 * alpha).fract()
 }
 
+/// `x` moved `k` ulps up (positive `k`) or down (negative `k`).
+fn ulps(x: f64, k: i32) -> f64 {
+    (0..k.unsigned_abs()).fold(x, |x, _| if k > 0 { x.next_up() } else { x.next_down() })
+}
+
+/// The paper's 250 m radio range, its 550 m interference range, or any
+/// range up to a kilometre.
+fn range_strategy() -> impl Strategy<Value = f64> {
+    (0u8..3, 1.0f64..1000.0).prop_map(|(kind, r)| match kind {
+        0 => 250.0,
+        1 => 550.0,
+        _ => r,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -160,5 +179,40 @@ proptest! {
             fast.begin_transmission(now, Point::default(), 64),
             full.begin_transmission(now, Point::default(), 64)
         );
+    }
+
+    #[test]
+    fn in_range_is_the_distance_test_at_the_edge(
+        range in range_strategy(),
+        tx in (0.0f64..3000.0, 0.0f64..3000.0),
+        angles in vec(0.0f64..std::f64::consts::TAU, 1..16),
+    ) {
+        let cfg = SimConfig {
+            range,
+            interference_range: range.max(550.0),
+            ..SimConfig::default()
+        };
+        let radio = RadioModel::new(&cfg, StreamLabel::Radio.stream(1));
+        let tx = Point::new(tx.0, tx.1);
+        for &angle in &angles {
+            // The receiver at the range, or a few ulps nearer or farther,
+            // along this direction...
+            for k in -4..=4 {
+                let d = ulps(range, k);
+                let edge = Point::new(tx.x + d * angle.cos(), tx.y + d * angle.sin());
+                // ...then nudged a few ulps along each axis.
+                for (jx, jy) in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (3, -3), (-3, 3)] {
+                    let rx = Point::new(ulps(edge.x, jx), ulps(edge.y, jy));
+                    prop_assert_eq!(
+                        radio.in_range(tx, rx),
+                        tx.distance(rx) <= range,
+                        "receiver {:?} from {:?} at range {}",
+                        rx,
+                        tx,
+                        range
+                    );
+                }
+            }
+        }
     }
 }

@@ -126,7 +126,7 @@ impl Outcome {
         let mut fp = 0usize;
         let positives = self.events.iter().filter(|e| e.is_anomaly).count();
         for e in &self.events {
-            if e.score < self.threshold {
+            if cfa_core::is_alarm(e.score, self.threshold) {
                 if e.is_anomaly {
                     tp += 1;
                 } else {
