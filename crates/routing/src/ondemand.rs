@@ -11,8 +11,7 @@
 use manet_sim::{
     Agent, AppData, Ctx, Direction, NodeId, NodeMap, SimTime, TimerToken, TracePacketKind,
 };
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Send-buffer entry lifetime, seconds.
 pub const BUFFER_TTL: f64 = 30.0;
@@ -41,13 +40,23 @@ struct Buffered {
 ///
 /// The maps are dense [`NodeMap`]s; only pruning iterates them, in id
 /// order.
+///
+/// The dedup keeps each origin's `(flood id, first sight)` records in
+/// arrival order. Sight times never decrease, so the records past
+/// [`SEEN_TTL`] are always a prefix of the queue, and a sweep pops them
+/// without visiting the live ones. The order is by time, not by id: one
+/// origin's ids are not monotone, since its own floods count up from 0
+/// while the attacks forge ids in its name from other bases (the AODV
+/// black hole counts up from `0x8000_0000`, the DSR one down from
+/// `u32::MAX`, the storm up from `0x4000_0000`).
 #[derive(Debug)]
 pub(crate) struct OnDemand {
     buffer: Vec<Buffered>,
     /// Discovery attempts made so far, by destination.
     discoveries: NodeMap<u32>,
-    /// Recently seen flood ids, by origin.
-    seen: NodeMap<BTreeMap<u32, SimTime>>,
+    /// Recently seen flood ids with their first-sight times, by origin, in
+    /// arrival order.
+    seen: NodeMap<VecDeque<(u32, SimTime)>>,
     next_flood_id: u32,
     /// Wait after the first REQUEST, seconds; after the `k`-th (`k ≥ 2`)
     /// the wait is `backoff · 2^min(k, 6)`.
@@ -82,16 +91,16 @@ impl OnDemand {
         id
     }
 
-    /// Records a REQUEST flood; `false` if it was seen before.
+    /// Records a REQUEST flood; `false` if it was seen before. The scan
+    /// runs newest first, since most repeats are of a flood just seen.
     pub(crate) fn first_sight(&mut self, origin: NodeId, id: u32, now: SimTime) -> bool {
-        // audit: allow(D007, reason = "sweep() prunes every origin's id set past SEEN_TTL each second")
-        match self.seen.entry_or_default(origin).entry(id) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                slot.insert(now);
-                true
-            }
+        // audit: allow(D007, reason = "sweep() pops every origin's records past SEEN_TTL each second; they arrive in time order, so those are a prefix")
+        let seen = self.seen.entry_or_default(origin);
+        if seen.iter().rev().any(|&(s, _)| s == id) {
+            return false;
         }
+        seen.push_back((id, now));
+        true
     }
 
     /// Buffers a packet until a route to `dst` appears. A full buffer
@@ -167,14 +176,23 @@ impl OnDemand {
     }
 
     /// Expires buffered packets past [`BUFFER_TTL`] and flood records past
-    /// [`SEEN_TTL`], then arms the next sweep.
+    /// [`SEEN_TTL`], then arms the next sweep. A queue left at a quarter
+    /// of its capacity or less is shrunk, so memory follows occupancy.
     fn sweep<H>(&mut self, ctx: &mut Ctx<'_, H>) {
         let now = ctx.now();
         let ttl = SimTime::from_secs(BUFFER_TTL);
         self.drop_where(ctx, |b| now.saturating_sub(b.enqueued) >= ttl);
         let seen_ttl = SimTime::from_secs(SEEN_TTL);
         for ids in self.seen.values_mut() {
-            ids.retain(|_, &mut t| now.saturating_sub(t) < seen_ttl);
+            while ids
+                .front()
+                .is_some_and(|&(_, t)| now.saturating_sub(t) >= seen_ttl)
+            {
+                ids.pop_front();
+            }
+            if ids.len() <= ids.capacity() / 4 {
+                ids.shrink_to_fit();
+            }
         }
         schedule_sweep(ctx);
     }
@@ -282,6 +300,163 @@ pub(crate) trait OnDemandAgent: Agent {
 impl OnDemand {
     /// Flood records currently held, over all origins.
     pub(crate) fn seen_len(&self) -> usize {
-        self.seen.values().map(BTreeMap::len).sum()
+        self.seen.values().map(VecDeque::len).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use manet_sim::rng::SimRng;
+    use manet_sim::AgentHarness;
+    use rand::{Rng, SeedableRng};
+    use std::collections::btree_map::Entry;
+    use std::collections::BTreeMap;
+
+    /// The REQUEST dedup as one B-tree per origin, swept by `retain`: the
+    /// reference the arrival-ordered queues must agree with.
+    #[derive(Default)]
+    struct BTreeDedup {
+        seen: NodeMap<BTreeMap<u32, SimTime>>,
+    }
+
+    impl BTreeDedup {
+        fn first_sight(&mut self, origin: NodeId, id: u32, now: SimTime) -> bool {
+            match self.seen.entry_or_default(origin).entry(id) {
+                Entry::Occupied(_) => false,
+                Entry::Vacant(slot) => {
+                    slot.insert(now);
+                    true
+                }
+            }
+        }
+
+        fn sweep(&mut self, now: SimTime) {
+            let seen_ttl = SimTime::from_secs(SEEN_TTL);
+            for ids in self.seen.values_mut() {
+                ids.retain(|_, &mut t| now.saturating_sub(t) < seen_ttl);
+            }
+        }
+
+        fn seen_len(&self) -> usize {
+            self.seen.values().map(BTreeMap::len).sum()
+        }
+    }
+
+    /// An [`OnDemand`] and the reference, driven in lockstep; every call
+    /// asserts that both answer alike and hold as many records.
+    struct Lockstep {
+        core: OnDemand,
+        oracle: BTreeDedup,
+        harness: AgentHarness,
+    }
+
+    impl Lockstep {
+        fn new() -> Lockstep {
+            Lockstep {
+                core: OnDemand::new(0.5, 3),
+                oracle: BTreeDedup::default(),
+                harness: AgentHarness::new(NodeId(9)),
+            }
+        }
+
+        fn sight(&mut self, origin: NodeId, id: u32, now: SimTime) -> bool {
+            let first = self.core.first_sight(origin, id, now);
+            assert_eq!(
+                first,
+                self.oracle.first_sight(origin, id, now),
+                "first_sight({origin:?}, {id:#x}) at {now:?}"
+            );
+            assert_eq!(self.core.seen_len(), self.oracle.seen_len());
+            first
+        }
+
+        fn sweep(&mut self, now: SimTime) -> usize {
+            self.harness.set_now(now);
+            self.core.sweep(&mut self.harness.ctx::<()>());
+            self.oracle.sweep(now);
+            assert_eq!(
+                self.core.seen_len(),
+                self.oracle.seen_len(),
+                "sweep at {now:?}"
+            );
+            self.core.seen_len()
+        }
+    }
+
+    /// The `n`-th flood id of one of the four sequences a node can see
+    /// under one origin: the origin's own floods, and the ids the AODV
+    /// black hole, the DSR black hole and the storm forge.
+    fn flood_id(sequence: usize, n: u32) -> u32 {
+        match sequence {
+            0 => n,
+            1 => 0x8000_0000u32.wrapping_add(n),
+            2 => u32::MAX.wrapping_sub(n),
+            _ => 0x4000_0000u32.wrapping_add(n),
+        }
+    }
+
+    #[test]
+    fn dedup_edges_match_the_btree() {
+        let ttl = SimTime::from_secs(SEEN_TTL);
+        let t0 = SimTime::from_secs(3.0);
+        let t1 = t0 + SimTime::from_micros(1);
+        let origin = NodeId(4);
+        let mut pair = Lockstep::new();
+        // The four sequences interleaved at one origin, then repeated.
+        for n in 0..3 {
+            for seq in 0..4 {
+                assert!(pair.sight(origin, flood_id(seq, n), t0));
+            }
+        }
+        for n in 0..3 {
+            for seq in 0..4 {
+                assert!(!pair.sight(origin, flood_id(seq, n), t0));
+            }
+        }
+        // A sweep at the instant of the inserts keeps them all.
+        assert_eq!(pair.sweep(t0), 12);
+        assert!(pair.sight(origin, 7, t1));
+        // Exactly SEEN_TTL after the first inserts they expire; the record
+        // a microsecond younger stays.
+        assert_eq!(pair.sweep(t0 + ttl), 1);
+        // An id whose record expired is a new flood again.
+        assert!(pair.sight(origin, flood_id(2, 1), t0 + ttl));
+        assert!(!pair.sight(origin, 7, t0 + ttl));
+        assert_eq!(pair.sweep(t1 + ttl), 1);
+        assert_eq!(pair.sweep(t0 + ttl + ttl), 0);
+        assert!(pair.sight(origin, 7, t0 + ttl + ttl));
+    }
+
+    #[test]
+    fn arrival_ordered_dedup_matches_the_btree() {
+        for seed in 0..16 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut pair = Lockstep::new();
+            let mut now = SimTime::ZERO;
+            // Next new id, by origin and sequence.
+            let mut next = [[0u32; 4]; 3];
+            for _ in 0..3000 {
+                // Half-second steps, so sweeps often fall exactly SEEN_TTL
+                // after an insert, or at the same instant as one.
+                now += SimTime::from_micros(500_000 * rng.gen_range(0..3u64));
+                if rng.gen_range(0..8) == 0 {
+                    pair.sweep(now);
+                    continue;
+                }
+                let origin = rng.gen_range(0..3usize);
+                let seq = rng.gen_range(0..4usize);
+                let n = &mut next[origin][seq];
+                // A new flood, or a repeat of a recent one, whose record
+                // may have expired by now.
+                let k = if *n == 0 || rng.gen_range(0..3) == 0 {
+                    *n += 1;
+                    *n - 1
+                } else {
+                    n.saturating_sub(rng.gen_range(1..6))
+                };
+                pair.sight(NodeId(origin as u16), flood_id(seq, k), now);
+            }
+        }
     }
 }

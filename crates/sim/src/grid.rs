@@ -12,15 +12,26 @@
 //!
 //! Node positions evolve continuously but the grid is rebuilt only at
 //! mobility-sample instants (and at simulation start). Between rebuilds a
-//! node can have moved at most `max_speed · (now − refreshed_at)` metres
-//! away from its bucketed position, so a query at time `now` scans every
-//! cell intersecting the disc of radius `range + max_speed · Δt` around
-//! the transmitter. The returned ids are therefore a **superset** of the
-//! true in-range set; the caller performs the exact range check against
-//! live positions. This keeps the grid path's observable behaviour —
-//! members *and* iteration order of the final in-range set — bit-identical
-//! to the brute-force all-nodes scan (asserted by
-//! `crates/sim/tests/proptest_grid.rs` and the kernel equivalence tests).
+//! node can have moved at most `max_speed · Δt` metres away from its
+//! bucketed position, `Δt = now − refreshed_at`, plus a rounding
+//! allowance. A leg's arrival time is rounded to the microsecond, so on
+//! each leg a node can run ahead of its speed by up to
+//! `max_speed · 0.5 µs`; one leg's end and the next one's start are a
+//! pause apart, so it moves on at most `Δt / pause + 1` legs in `Δt`.
+//!
+//! A query at time `now` therefore keeps a node only if its bucketed
+//! position lies within
+//! `range + max_speed · (Δt + 0.5 µs · (Δt / pause + 1))` of the
+//! transmitter, widened by a relative 1e-9 against float rounding, and it
+//! scans only the cells that disc touches. The returned ids are a
+//! **superset** of the true in-range set; the caller performs the exact
+//! range check against live positions. This keeps the grid path's
+//! observable behaviour — members *and* iteration order of the final
+//! in-range set — bit-identical to the brute-force all-nodes scan
+//! (asserted by `crates/sim/tests/proptest_grid.rs` and the kernel
+//! equivalence tests). A node left out is not advanced; it rolls its
+//! trajectory forward at its next query, and its legs come from its own
+//! RNG stream, whatever the query times.
 //!
 //! # Determinism
 //!
@@ -96,8 +107,11 @@ pub struct SpatialGrid {
     range: f64,
     /// Maximum node speed, bounding staleness drift.
     max_speed: f64,
-    /// Members per cell, row-major, each in ascending node-id order.
-    members: Vec<Vec<NodeId>>,
+    /// Pause at every waypoint: the least time between two leg ends.
+    pause: SimTime,
+    /// Members per cell with their bucketed positions, row-major, each in
+    /// ascending node-id order.
+    members: Vec<Vec<(NodeId, Point)>>,
     /// Scratch bitmap (one bit per node id, sized at rebuild) used by
     /// [`SpatialGrid::candidates_into`] to emit gathered candidates in
     /// ascending id order without a per-query sort.
@@ -108,16 +122,18 @@ pub struct SpatialGrid {
 
 impl SpatialGrid {
     /// Creates a grid over a `width`×`height` field for the given radio
-    /// `range` and mobility `max_speed`.
+    /// `range` and the mobility's `max_speed` and waypoint `pause`.
     ///
     /// # Panics
     ///
     /// Panics if any argument is not strictly positive (the same
-    /// invariants [`crate::SimConfig::validate`] enforces).
-    pub fn new(width: f64, height: f64, range: f64, max_speed: f64) -> SpatialGrid {
+    /// invariants [`crate::SimConfig::validate`] enforces; the simulator's
+    /// pause is [`crate::SimConfig::PAUSE`]).
+    pub fn new(width: f64, height: f64, range: f64, max_speed: f64, pause: SimTime) -> SpatialGrid {
         assert!(width > 0.0 && height > 0.0, "field must have positive area");
         assert!(range > 0.0, "radio range must be positive");
         assert!(max_speed > 0.0, "max_speed must be positive");
+        assert!(pause > SimTime::ZERO, "pause must be positive");
         // Cell edge = radio range: a query disc of radius `range` then
         // touches at most a 3×3 neighbourhood (plus staleness slack).
         let cells = Cells::new(width, height, range, MAX_CELLS);
@@ -125,6 +141,7 @@ impl SpatialGrid {
             cells,
             range,
             max_speed,
+            pause,
             members: (0..cells.len()).map(|_| Vec::new()).collect(),
             mask: Vec::new(),
             refreshed_at: SimTime::ZERO,
@@ -143,7 +160,7 @@ impl SpatialGrid {
             let idx = self.cells.index(self.cells.cell_of(p));
             if let Some(cell) = self.members.get_mut(idx) {
                 // audit: allow(D007, reason = "cells are cleared at the top of every rebuild; occupancy is bounded by n_nodes")
-                cell.push(NodeId(i as u16));
+                cell.push((NodeId(i as u16), p));
             }
             count = i + 1;
         }
@@ -164,10 +181,8 @@ impl SpatialGrid {
     /// steady state.
     pub fn candidates_into(&mut self, now: SimTime, center: Point, out: &mut Vec<NodeId>) {
         out.clear();
-        // Drift bound since the last rebuild; covers every position a
-        // bucketed node can have reached by `now`.
-        let slack = self.max_speed * now.saturating_sub(self.refreshed_at).as_secs();
-        let reach = self.range + slack;
+        let reach = self.reach(now);
+        let reach_sq = reach * reach;
         let (cx0, cy0) = self
             .cells
             .cell_of(Point::new(center.x - reach, center.y - reach));
@@ -184,7 +199,11 @@ impl SpatialGrid {
         for cy in cy0..=cy1 {
             for cx in cx0..=cx1 {
                 if let Some(cell) = self.members.get(self.cells.index((cx, cy))) {
-                    for id in cell {
+                    for &(id, p) in cell {
+                        let (dx, dy) = (p.x - center.x, p.y - center.y);
+                        if dx * dx + dy * dy > reach_sq {
+                            continue;
+                        }
                         let i = id.index();
                         if let Some(w) = self.mask.get_mut(i / 64) {
                             *w |= 1u64 << (i % 64);
@@ -203,11 +222,25 @@ impl SpatialGrid {
             }
         }
     }
+
+    /// How far from the query centre the bucketed position of a node
+    /// within `range` at `now` can lie: the range, the drift since the
+    /// rebuild, and half a microsecond at full speed for every leg the
+    /// node can move on in between (see the staleness contract), widened
+    /// by a relative 1e-9 so float rounding cannot shrink it.
+    fn reach(&self, now: SimTime) -> f64 {
+        let dt = now.saturating_sub(self.refreshed_at);
+        let leg_ends = dt.as_micros() / self.pause.as_micros() + 1;
+        let drift = self.max_speed * (dt.as_secs() + leg_ends as f64 * 0.5e-6);
+        (self.range + drift) * (1.0 + 1e-9)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PAUSE: SimTime = crate::SimConfig::PAUSE;
 
     fn pts(coords: &[(f64, f64)]) -> Vec<Point> {
         coords.iter().map(|&(x, y)| Point::new(x, y)).collect()
@@ -215,7 +248,7 @@ mod tests {
 
     #[test]
     fn candidates_cover_in_range_nodes() {
-        let mut g = SpatialGrid::new(1000.0, 1000.0, 250.0, 20.0);
+        let mut g = SpatialGrid::new(1000.0, 1000.0, 250.0, 20.0, PAUSE);
         let positions = pts(&[
             (100.0, 100.0),
             (300.0, 100.0),
@@ -233,7 +266,7 @@ mod tests {
 
     #[test]
     fn candidates_are_id_sorted() {
-        let mut g = SpatialGrid::new(500.0, 500.0, 100.0, 5.0);
+        let mut g = SpatialGrid::new(500.0, 500.0, 100.0, 5.0, PAUSE);
         // All in one cell neighbourhood; bucketing order is id order, and
         // the query must return ascending ids regardless of cell layout.
         let positions = pts(&[(10.0, 10.0), (240.0, 240.0), (120.0, 30.0), (60.0, 200.0)]);
@@ -247,7 +280,7 @@ mod tests {
 
     #[test]
     fn staleness_widens_the_query() {
-        let mut g = SpatialGrid::new(2000.0, 2000.0, 100.0, 20.0);
+        let mut g = SpatialGrid::new(2000.0, 2000.0, 100.0, 20.0, PAUSE);
         // Node 0 bucketed two cells away from the query center: its cell is
         // outside the fresh reach rectangle, but reachable after 5 s of
         // 20 m/s drift widens the reach from 100 m to 200 m.
@@ -263,9 +296,52 @@ mod tests {
         assert_eq!(out, vec![NodeId(0)], "5 s staleness widens reach to 200 m");
     }
 
+    /// Whether a grid rebuilt at 0 s keeps, for a query 5 s later at
+    /// (500, 500) with range 250 m, 20 m/s and the given pause, a node
+    /// bucketed `beyond` metres past 350 m east of the centre: the range
+    /// plus 5 s of drift.
+    fn kept_beyond_drift(pause: SimTime, beyond: f64) -> bool {
+        let mut g = SpatialGrid::new(2000.0, 2000.0, 250.0, 20.0, pause);
+        g.rebuild(
+            SimTime::ZERO,
+            [Point::new(850.0 + beyond, 500.0)].into_iter(),
+        );
+        let mut out = Vec::new();
+        g.candidates_into(SimTime::from_secs(5.0), Point::new(500.0, 500.0), &mut out);
+        out == [NodeId(0)]
+    }
+
+    #[test]
+    fn the_prune_keeps_the_drift_edge() {
+        assert!(kept_beyond_drift(PAUSE, 0.0));
+    }
+
+    #[test]
+    fn the_prune_keeps_a_node_ahead_by_the_rounding_allowance() {
+        // 20 m/s for half a microsecond, on the one leg 5 s can hold at a
+        // 10 s pause; at a 1 s pause a node can move on six legs.
+        let ahead = 20.0 * 0.5e-6;
+        assert!(kept_beyond_drift(PAUSE, ahead));
+        assert!(kept_beyond_drift(SimTime::from_secs(1.0), 6.0 * ahead));
+    }
+
+    #[test]
+    fn the_prune_drops_a_node_beyond_the_padded_reach() {
+        // A micrometre past the allowance is past the 1e-9 widening too
+        // (0.35 µm at 350 m).
+        let ahead = 20.0 * 0.5e-6;
+        assert!(!kept_beyond_drift(PAUSE, ahead + 1e-6));
+        assert!(!kept_beyond_drift(
+            SimTime::from_secs(1.0),
+            6.0 * ahead + 1e-6
+        ));
+        // The cell that holds it is still scanned: the distance drops it.
+        assert!(!kept_beyond_drift(PAUSE, 40.0));
+    }
+
     #[test]
     fn degenerate_small_world_is_one_cell() {
-        let mut g = SpatialGrid::new(50.0, 50.0, 250.0, 20.0);
+        let mut g = SpatialGrid::new(50.0, 50.0, 250.0, 20.0, PAUSE);
         g.rebuild(SimTime::ZERO, pts(&[(1.0, 1.0), (49.0, 49.0)]).into_iter());
         let mut out = Vec::new();
         g.candidates_into(SimTime::ZERO, Point::new(25.0, 25.0), &mut out);
@@ -276,7 +352,7 @@ mod tests {
     fn cell_cap_coarsens_instead_of_exploding() {
         // 1e6 x 1e6 field with a 10 m range would want 1e10 cells; the cap
         // coarsens the grid instead.
-        let g = SpatialGrid::new(1_000_000.0, 1_000_000.0, 10.0, 20.0);
+        let g = SpatialGrid::new(1_000_000.0, 1_000_000.0, 10.0, 20.0, PAUSE);
         assert!(g.cells.len() <= MAX_CELLS);
     }
 }

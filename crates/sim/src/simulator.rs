@@ -155,7 +155,13 @@ impl<A: Agent> Simulator<A> {
             nodes.rngs.push(StreamLabel::Agent(i).stream(cfg.seed));
         }
         let radio = RadioModel::new(&cfg, StreamLabel::Radio.stream(cfg.seed));
-        let grid = SpatialGrid::new(cfg.width, cfg.height, cfg.range, cfg.max_speed);
+        let grid = SpatialGrid::new(
+            cfg.width,
+            cfg.height,
+            cfg.range,
+            cfg.max_speed,
+            SimConfig::PAUSE,
+        );
         Simulator {
             cfg,
             now: SimTime::ZERO,
